@@ -1,6 +1,8 @@
 """Command-line interface: learn, check, compare, refine, query.
 
-Exit codes: 0 success, 1 input error, 2 partial result, 3 budget exceeded.
+Exit codes: 0 success, 1 input error (including a KB with no model, except
+for ``check`` and ``query``, which report the verdict ``inconsistent-kb``),
+2 partial result, 3 budget exceeded.
 Output is deterministic for fixed inputs; there is no randomness anywhere, so
 no seed flag exists.
 """
@@ -14,7 +16,7 @@ import sys
 import time
 
 from . import hybrid
-from .hybrid import Entailment, compare, covers, entails
+from .hybrid import InconsistentKBError, compare, covers, entails
 from .learner import LearnerParams, learn
 from .model import BudgetError, ModelError, Rule
 from .parser import ParseError, parse_bias, parse_examples, parse_ground_atom, parse_kb, parse_rule
@@ -77,7 +79,7 @@ def cmd_learn(args) -> int:
     examples = parse_examples(_read(args.examples), kb, args.examples)
     bias = parse_bias(_read(args.bias), kb, args.bias)
     report.phase("parse")
-    params = LearnerParams(max_body_len=args.max_body_len, jobs=args.jobs)
+    params = LearnerParams(max_body_len=args.max_body_len)
     result = learn(kb, examples.target, examples, bias, params)
     report.phase("learn")
     report.data["rules"] = [
@@ -105,7 +107,10 @@ def cmd_check(args) -> int:
     rule = parse_rule(args.rule, kb)
     example = parse_ground_atom(args.example, _with_target(kb, rule.head.pred))
     report.phase("parse")
-    verdict = "covers" if covers(kb, rule, example) else "does-not-cover"
+    try:
+        verdict = "covers" if covers(kb, rule, example) else "does-not-cover"
+    except InconsistentKBError:
+        verdict = "inconsistent-kb"
     report.phase("check")
     report.data["verdict"] = verdict
     _emit(report, args.format, [verdict])
@@ -174,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--kb", required=True, help="knowledge base file (.okb)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--jobs", type=int, default=1, help="candidate-evaluation fan-out")
 
     p = sub.add_parser("learn", help="learn a rule set from labelled examples")
     common(p)
@@ -215,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ModelError, OSError) as exc:
+    except (ParseError, ModelError, InconsistentKBError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except BudgetError as exc:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import datalog
 from .datalog import GroundProgram, Interpretation, extensional_predicates, stable_models
@@ -51,6 +51,8 @@ DEFAULT_GUESS_BUDGET = 24
 DEFAULT_BRANCH_BUDGET = 20
 #: Cap on candidate substitutions tried by the generality test.
 DEFAULT_THETA_BUDGET = 100_000
+#: Cap on rule instances produced by one grounding.
+_GROUNDING_BUDGET = 10**6
 
 
 class InconsistentKBError(RuntimeError):
@@ -104,11 +106,13 @@ def _partial_ground(
     facts: frozenset[Atom],
     domain: tuple[Const, ...],
     budget: int,
+    ext: set[Predicate],
 ) -> list[_Instance]:
     """Ground every variable that reaches the head or a datalog atom; leave
-    ontology-only variables open for existential matching.  Instances with an
-    extensional datalog atom absent from the facts are pruned."""
-    ext = extensional_predicates(rules)
+    ontology-only variables open for existential matching.  Instances with a
+    datalog atom of an extensional predicate (``ext``, which must be computed
+    from the whole program, not from ``rules`` alone) absent from the facts
+    are pruned."""
     out: list[_Instance] = []
     count = 0
     for rule in rules:
@@ -226,6 +230,16 @@ def _open_satisfied(
     return True
 
 
+def _body_holds(inst: _Instance, dtrue, gtrue, exists, domain: tuple[Const, ...]) -> bool:
+    """The instance's body holds in the given datalog and ontology truth."""
+    return (
+        all(a in dtrue for a in inst.pos_datalog)
+        and not any(a in dtrue for a in inst.naf)
+        and all(a in gtrue for a in inst.dl_ground)
+        and _open_satisfied(inst.dl_open, gtrue, exists, domain)
+    )
+
+
 def _joint_fixpoint(
     instances: list[_Instance],
     naf_truth: dict[Atom, bool],
@@ -304,7 +318,7 @@ def _canonical_models(
     branch_budget: int = DEFAULT_BRANCH_BUDGET,
 ) -> list[NMModel]:
     counters["canonical_runs"] += 1
-    instances = _partial_ground(rules, facts, domain, budget=10**6)
+    instances = _partial_ground(rules, facts, domain, _GROUNDING_BUDGET, extensional_predicates(rules))
     base = _dl_base(instances, abox, tbox, domain)
     naf_atoms = sorted({a for i in instances for a in i.naf})
     if len(naf_atoms) > branch_budget:
@@ -344,7 +358,7 @@ def _complete_models(
     guess_budget: int = DEFAULT_GUESS_BUDGET,
 ) -> list[NMModel]:
     counters["complete_runs"] += 1
-    instances = _partial_ground(rules, facts, domain, budget=10**6)
+    instances = _partial_ground(rules, facts, domain, _GROUNDING_BUDGET, extensional_predicates(rules))
     base = _dl_base(instances, abox, tbox, domain)
     forced = frozenset(abox)
     guessable = sorted(base - forced)
@@ -377,22 +391,13 @@ def _complete_models(
         for m in stable_models(program):
             if forbidden & m.true_atoms:
                 continue
-            ok = True
-            for inst in instances:
-                if not inst.head.pred.is_dl:
-                    continue
-                if not all(a in m.true_atoms for a in inst.pos_datalog):
-                    continue
-                if any(a in m.true_atoms for a in inst.naf):
-                    continue
-                if not all(a in gtrue for a in inst.dl_ground):
-                    continue
-                if not _open_satisfied(inst.dl_open, gtrue, exists, domain):
-                    continue
-                if inst.head not in gtrue:
-                    ok = False
-                    break
-            if ok:
+            # every ontology-headed rule that fires must have its head guessed true
+            if not any(
+                inst.head.pred.is_dl
+                and inst.head not in gtrue
+                and _body_holds(inst, m.true_atoms, gtrue, exists, domain)
+                for inst in instances
+            ):
                 models.append(
                     NMModel(
                         guess=DLGuess(frozenset(gtrue), frozenset(base - gtrue)),
@@ -505,21 +510,103 @@ def entails(
 
 
 def covers(kb: HybridKB, hypothesis_rule: Rule, example: Atom) -> bool:
-    """Coverage test: the KB extended with the rule entails the example."""
+    """Coverage test: the KB extended with the rule entails the example.
+
+    This enumerates the models of KB + rule, so it holds for any rule,
+    including one whose head predicate already occurs in the KB.  The learner
+    uses :class:`KBModels` instead."""
     if example.pred != hypothesis_rule.head.pred:
         raise ModelError(
             f"example {example} does not match the rule head predicate {hypothesis_rule.head.pred.name}"
         )
     counters["covers_calls"] += 1
-    verdict = _covers_cached(kb, hypothesis_rule, example)
+    verdict = entails(kb, (hypothesis_rule,), (), example)
     if verdict is Entailment.INCONSISTENT:
         raise InconsistentKBError("background theory plus rule has no model")
     return verdict is Entailment.ENTAILED
 
 
-@lru_cache(maxsize=65536)
-def _covers_cached(kb: HybridKB, rule: Rule, example: Atom) -> Entailment:
-    return entails(kb, (rule,), (), example)
+def _predicate_names(kb: HybridKB) -> set[str]:
+    """Names of the predicates that occur in the KB's axioms, assertions,
+    rules and facts."""
+    names = {a.pred.name for a in itertools.chain(kb.abox, kb.facts)}
+    for r in kb.rules:
+        names.add(r.head.pred.name)
+        names.update(l.atom.pred.name for l in r.body)
+    for ax in kb.tbox:
+        if isinstance(ax, ConceptInclusion):
+            names.update(ax.lhs)
+            names.add(ax.rhs.role if isinstance(ax.rhs, Existential) else ax.rhs)
+        else:
+            names.update((ax.sub, ax.sup))
+    return names
+
+
+def _bind_head(head: Atom, example: Atom) -> dict[Var, Const] | None:
+    """The substitution that maps the head onto the ground example, if any."""
+    if head.pred != example.pred:
+        return None
+    theta: dict[Var, Const] = {}
+    for t, c in zip(head.args, example.args):
+        if isinstance(t, Var):
+            if theta.setdefault(t, c) != c:
+                return None
+        elif t != c:
+            return None
+    return theta
+
+
+class KBModels:
+    """The canonical models of a KB, for coverage queries about a target
+    predicate that occurs nowhere in the KB.
+
+    Nothing in the KB then depends on a rule for the target, so the rule sits
+    on top of the KB in the sense of the splitting-set theorem (Lifschitz &
+    Turner, ICLP 1994): the models of KB + rule are the KB's models plus the
+    rule's head instances.  A rule therefore covers an example iff, in every
+    KB model, its body holds under some grounding whose head is the example,
+    which is what :func:`covers` decides by enumerating the models of KB +
+    rule.  The models are enumerated once, on the first query, so a learner
+    with no positive example to cover enumerates none.
+    """
+
+    def __init__(self, kb: HybridKB, target: Predicate):
+        if target.name in _predicate_names(kb):
+            raise ModelError(f"target predicate {target.name!r} already occurs in the knowledge base")
+        self.kb = kb
+        self.target = target
+        self._facts = frozenset(kb.facts)
+        self._constants = frozenset(kb.constants())
+
+    @cached_property
+    def _truths(self) -> list[tuple]:
+        """Datalog, ontology and existential truth of each canonical model."""
+        kb = self.kb
+        domain = tuple(sorted(self._constants))
+        models = _canonical_models(kb.tbox, kb.abox, kb.rules, self._facts, domain)
+        if not models:
+            raise InconsistentKBError("background theory has no model")
+        return [(m.datalog_model.true_atoms, m.guess.true_atoms, m.existentials) for m in models]
+
+    def covered(self, rule: Rule, examples) -> frozenset[Atom]:
+        """The examples that the rule covers."""
+        name = self.target.name
+        if rule.head.pred != self.target or any(l.atom.pred.name == name for l in rule.body):
+            raise ModelError(f"rule {rule} does not define the target {name} non-recursively")
+        truths = self._truths
+        ext = extensional_predicates(self.kb.rules + (rule,))
+        constants = self._constants | rule.constants()
+        out = set()
+        for example in examples:
+            theta = _bind_head(rule.head, example)
+            if theta is None:
+                continue
+            domain = tuple(sorted(constants | set(example.args)))
+            bound = (rule.substitute(theta),)
+            instances = _partial_ground(bound, self._facts, domain, _GROUNDING_BUDGET, ext)
+            if all(any(_body_holds(i, *truth, domain) for i in instances) for truth in truths):
+                out.add(example)
+        return frozenset(out)
 
 
 # --- generality order -------------------------------------------------------
@@ -623,17 +710,8 @@ def _more_general_cached(
             return True
 
     # head unification fixes the head variables
-    bound: dict[Var, Const] = {}
-    ok = True
-    for a1, a2 in zip(h1.head.args, head_target.args):
-        if isinstance(a1, Var):
-            if bound.setdefault(a1, a2) != a2:  # type: ignore[arg-type]
-                ok = False
-                break
-        elif a1 != a2:
-            ok = False
-            break
-    if not ok:
+    bound = _bind_head(h1.head, head_target)
+    if bound is None:
         return False
     free = [v for v in h1.variables() if v not in bound]
     if len(domain) ** len(free) > DEFAULT_THETA_BUDGET:

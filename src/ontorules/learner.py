@@ -8,10 +8,9 @@ operator until no negative example is covered (or the guards trip).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .hybrid import covers
+from .hybrid import KBModels
 from .model import Atom, ExampleSet, HybridKB, LanguageBias, Predicate, Rule
 from .refine import RefinementStep, refine, seed_rule
 
@@ -19,14 +18,12 @@ from .refine import RefinementStep, refine, seed_rule
 @dataclass(frozen=True)
 class LearnerParams:
     max_body_len: int = 5
-    beam_width: int = 1
     laplace: bool = True
     noise_tolerance: float = 0.0
-    jobs: int = 1
 
     def __post_init__(self):
-        if self.max_body_len < 1 or self.beam_width < 1 or self.jobs < 1:
-            raise ValueError("max_body_len, beam_width and jobs must be positive")
+        if self.max_body_len < 1:
+            raise ValueError("max_body_len must be positive")
         if not 0.0 <= self.noise_tolerance <= 1.0:
             raise ValueError("noise_tolerance must lie in [0, 1]")
 
@@ -55,15 +52,6 @@ def confidence(pos: int, neg: int, laplace: bool = True) -> float:
     return pos / (pos + neg) if pos + neg else 0.0
 
 
-def _coverage(kb: HybridKB, rule: Rule, examples, jobs: int = 1):
-    if jobs > 1 and len(examples) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            flags = list(ex.map(lambda e: covers(kb, rule, e), examples))
-    else:
-        flags = [covers(kb, rule, e) for e in examples]
-    return frozenset(e for e, f in zip(examples, flags) if f)
-
-
 @dataclass
 class _Evaluated:
     rule: Rule
@@ -75,12 +63,19 @@ class _Evaluated:
         return CoverageStats(len(self.pos), len(self.neg), confidence(len(self.pos), len(self.neg), laplace))
 
 
+def _coverage(
+    models: KBModels, rule: Rule, positives, negatives, step: RefinementStep | None = None
+) -> _Evaluated:
+    return _Evaluated(rule, models.covered(rule, positives), models.covered(rule, negatives), step)
+
+
 def gain(h_new: Rule, h_old: Rule, kb: HybridKB, examples: ExampleSet, laplace: bool = True) -> float:
     """p * (log2 cf(new) - log2 cf(old)), where p counts the positives covered
     by both rules.  Target examples are ground, so each contributes exactly
     one head binding."""
-    new = _Evaluated(h_new, _coverage(kb, h_new, examples.positives), _coverage(kb, h_new, examples.negatives))
-    old = _Evaluated(h_old, _coverage(kb, h_old, examples.positives), _coverage(kb, h_old, examples.negatives))
+    models = KBModels(kb, examples.target)
+    new = _coverage(models, h_new, examples.positives, examples.negatives)
+    old = _coverage(models, h_old, examples.positives, examples.negatives)
     return _gain(new, old, laplace)
 
 
@@ -112,20 +107,13 @@ def choose_best(
     kb: HybridKB,
     examples: ExampleSet,
     laplace: bool = True,
-    jobs: int = 1,
 ) -> Rule:
     """Deterministic argmax over the ranking used by the inner loop."""
     if not candidates:
         raise ValueError("choose_best needs a non-empty candidate set")
-    current = _Evaluated(
-        h_current,
-        _coverage(kb, h_current, examples.positives, jobs),
-        _coverage(kb, h_current, examples.negatives, jobs),
-    )
-    evaluated = [
-        _Evaluated(c, _coverage(kb, c, examples.positives, jobs), _coverage(kb, c, examples.negatives, jobs))
-        for c in candidates
-    ]
+    models = KBModels(kb, examples.target)
+    current = _coverage(models, h_current, examples.positives, examples.negatives)
+    evaluated = [_coverage(models, c, examples.positives, examples.negatives) for c in candidates]
     return min(evaluated, key=lambda e: _rank_key(e, current, laplace)).rule
 
 
@@ -137,14 +125,17 @@ def learn(
     params: LearnerParams = LearnerParams(),
 ) -> LearnedHypothesis:
     """Sequential covering: learn rules until every positive is covered or an
-    inner search fails; the remainder is reported, never silently dropped."""
+    inner search fails; the remainder is reported, never silently dropped.
+
+    Raises :class:`ModelError` when the target predicate occurs in the KB."""
+    models = KBModels(kb, target)
     remaining = list(examples.positives)
     negatives = tuple(examples.negatives)
     rules: list[Rule] = []
     stats: list[CoverageStats] = []
 
     while remaining:
-        found = _learn_one(kb, target, tuple(remaining), negatives, bias, params)
+        found = _learn_one(models, tuple(remaining), negatives, bias, params)
         if found is None:
             break
         rules.append(found.rule)
@@ -160,36 +151,23 @@ def _consistent(ev: _Evaluated, params: LearnerParams) -> bool:
 
 
 def _learn_one(
-    kb: HybridKB,
-    target: Predicate,
+    models: KBModels,
     positives: tuple[Atom, ...],
     negatives: tuple[Atom, ...],
     bias: LanguageBias,
     params: LearnerParams,
 ) -> _Evaluated | None:
-    seed = seed_rule(target)
-    current = _Evaluated(
-        seed,
-        _coverage(kb, seed, positives, params.jobs),
-        _coverage(kb, seed, negatives, params.jobs),
-    )
+    seed = seed_rule(models.target)
+    current = _coverage(models, seed, positives, negatives)
     while True:
         if current.rule.body and _consistent(current, params) and current.pos:
             return current
         if len(current.rule.body) >= params.max_body_len:
             return None
-        steps = refine(current.rule, bias, kb.tbox)
+        steps = refine(current.rule, bias, models.kb.tbox)
         if not steps:
             return None
-        evaluated = [
-            _Evaluated(
-                s.child,
-                _coverage(kb, s.child, positives, params.jobs),
-                _coverage(kb, s.child, negatives, params.jobs),
-                s,
-            )
-            for s in steps
-        ]
+        evaluated = [_coverage(models, s.child, positives, negatives, s) for s in steps]
         evaluated.sort(key=lambda e: _rank_key(e, current, params.laplace))
         best = evaluated[0]
         if not best.pos:

@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -9,8 +10,8 @@ from ontorules.cli import main
 DATA = resources.files("ontorules") / "data"
 KB = str(DATA / "family.okb")
 
-with open("docs/report-schema.json", encoding="utf-8") as fh:
-    SCHEMA = json.load(fh)
+SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "report-schema.json"
+SCHEMA = json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -52,6 +53,17 @@ def test_learn_likes_json(capsys, tmp_path):
     assert written["rules"] == payload["rules"]
 
 
+@pytest.mark.parametrize("task", ["loner", "likes"])
+def test_learn_enumerates_kb_models_once(capsys, task):
+    code, payload = run_json(
+        capsys, "learn", "--kb", KB,
+        "--examples", str(DATA / f"{task}.oex"), "--bias", str(DATA / f"{task}.obias"),
+    )
+    assert code == 0
+    assert payload["counters"]["canonical_runs"] == 1
+    assert payload["counters"]["covers_calls"] == 0
+
+
 def test_text_and_json_report_same_rules(capsys):
     args = ("learn", "--kb", KB, "--examples", str(DATA / "loner.oex"),
             "--bias", str(DATA / "loner.obias"))
@@ -78,6 +90,38 @@ def test_check(capsys):
     code, out, _ = run(capsys, "check", "--kb", KB,
                        "--rule", "LONER(X) :- famous(X), UNMARRIED(X).", "--example", "LONER(Paul)")
     assert (code, out) == (0, "does-not-cover")
+
+
+def test_check_counts_one_covers_call(capsys):
+    code, payload = run_json(capsys, "check", "--kb", KB,
+                             "--rule", "LONER(X) :- famous(X).", "--example", "LONER(Mary)")
+    assert (code, payload["verdict"]) == (0, "covers")
+    assert payload["counters"]["covers_calls"] == 1
+
+
+@pytest.fixture
+def inconsistent_kb(tmp_path):
+    path = tmp_path / "odd.okb"
+    path.write_text("pred p/1.\npred q/1.\n#rules\np(X) :- q(X), not p(X).\n#facts\nq(a).\n")
+    return str(path)
+
+
+def test_check_inconsistent_kb(capsys, inconsistent_kb):
+    args = ("check", "--kb", inconsistent_kb, "--rule", "T(X) :- q(X).", "--example", "T(a)")
+    code, out, err = run(capsys, *args)
+    assert (code, out, err) == (0, "inconsistent-kb", "")
+    code, payload = run_json(capsys, *args)
+    assert (code, payload["verdict"], payload["status"]) == (0, "inconsistent-kb", "ok")
+
+
+def test_learn_inconsistent_kb(capsys, inconsistent_kb, tmp_path):
+    (tmp_path / "t.oex").write_text("+ T(a)\n")
+    (tmp_path / "t.obias").write_text("datalog+ = q/1\n")
+    code, out, err = run(capsys, "learn", "--kb", inconsistent_kb,
+                         "--examples", str(tmp_path / "t.oex"), "--bias", str(tmp_path / "t.obias"),
+                         "--format", "json")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "no model" in err
 
 
 def test_check_undeclared_predicate(capsys):

@@ -1,0 +1,108 @@
+"""Differential tests: coverage as a query over the KB's canonical models
+(`KBModels`) against full entailment over the models of KB + rule (`covers`)."""
+
+import random
+
+import pytest
+
+from conftest import target_atom
+from ontorules import parse_bias, parse_kb, parse_rule
+from ontorules.hybrid import InconsistentKBError, KBModels, covers
+from ontorules.learner import choose_best, gain, learn
+from ontorules.model import Atom, Const, ExampleSet, ModelError, Predicate, CONCEPT
+from ontorules.refine import refine, seed_rule
+from test_acceptance import LIKES_EXAMPLES, LONER_EXAMPLES, _random_kb_from_template
+
+LONER = Predicate("LONER", 1, CONCEPT)
+LONER_BIAS = "datalog+ = famous/1\ndatalog- = happy/1\nconcepts = RICH/1, UNMARRIED/1\n"
+
+
+def _space(kb, bias, target, depth):
+    """The seed and every child generated by `depth` rounds of refinement."""
+    rules = [seed_rule(target)]
+    frontier = list(rules)
+    for _ in range(depth):
+        frontier = [s.child for parent in frontier for s in refine(parent, bias, kb.tbox)]
+        rules += frontier
+    return rules
+
+
+def _disagreements(kb, rules, examples):
+    models = KBModels(kb, rules[0].head.pred)
+    bad = []
+    for rule in rules:
+        oracle = frozenset(e for e in examples if covers(kb, rule, e))
+        if models.covered(rule, examples) != oracle:
+            bad.append(rule)
+    return bad
+
+
+@pytest.mark.parametrize("task, depth, checks", [("loner", 3, 33), ("likes", 2, 975)])
+def test_bundled_spaces_agree_with_covers(kb, loner_bias, likes_bias, loner_rules, likes_rules,
+                                          task, depth, checks):
+    bias, named, texts = {
+        "loner": (loner_bias, loner_rules, LONER_EXAMPLES),
+        "likes": (likes_bias, likes_rules, LIKES_EXAMPLES),
+    }[task]
+    rule = named["h1"]
+    examples = [target_atom(kb, rule, t) for t in texts]
+    rules = _space(kb, bias, rule.head.pred, depth)
+    assert len(rules) * len(examples) == checks
+    assert _disagreements(kb, rules, examples) == []
+
+
+def test_random_template_kbs_agree_with_covers():
+    rng = random.Random(42)
+    for _ in range(3):
+        rkb, people = _random_kb_from_template(rng)
+        bias = parse_bias(LONER_BIAS, rkb)
+        examples = [Atom(LONER, (Const(p),)) for p in people]
+        assert _disagreements(rkb, _space(rkb, bias, LONER, 2), examples) == []
+
+
+def test_example_constant_absent_from_kb(kb, loner_rules):
+    stranger = Atom(LONER, (Const("Zoe"),))
+    rules = [seed_rule(LONER), *loner_rules.values()]
+    assert [covers(kb, r, stranger) for r in rules] == [True, False, False, False]
+    assert _disagreements(kb, rules, [stranger]) == []
+
+
+def test_open_variable_met_only_by_anonymous_witness(kb):
+    # Mary is RICH and UNMARRIED, so the TBox forces an unnamed suitor;
+    # Paul is RICH but married, and nobody is a named WANTS-TO-MARRY filler
+    rule = parse_rule("LONER(X) :- famous(X), WANTS-TO-MARRY(Y,X).", kb)
+    examples = [target_atom(kb, rule, t) for t in LONER_EXAMPLES]
+    assert [covers(kb, rule, e) for e in examples] == [True, False, False]
+    assert _disagreements(kb, [rule], examples) == []
+
+
+def test_target_already_in_kb_is_rejected(kb, loner_bias):
+    rich = Predicate("RICH", 1, CONCEPT)
+    examples = ExampleSet(rich, (Atom(rich, (Const("Mary"),)),), (Atom(rich, (Const("Joe"),)),))
+    rule = parse_rule("RICH(X) :- famous(X).", kb)
+    with pytest.raises(ModelError, match="already occurs"):
+        KBModels(kb, rich)
+    with pytest.raises(ModelError, match="already occurs"):
+        learn(kb, rich, examples, loner_bias)
+    with pytest.raises(ModelError, match="already occurs"):
+        gain(rule, seed_rule(rich), kb, examples)
+    with pytest.raises(ModelError, match="already occurs"):
+        choose_best([rule], seed_rule(rich), kb, examples)
+
+
+def test_recursive_rule_is_rejected(kb):
+    rule = parse_rule("LONER(X) :- famous(X), LONER(X).", kb)
+    with pytest.raises(ModelError, match="non-recursively"):
+        KBModels(kb, LONER).covered(rule, [])
+
+
+def test_inconsistent_kb():
+    kb = parse_kb("pred p/1.\npred q/1.\n#rules\np(X) :- q(X), not p(X).\n#facts\nq(a).\n")
+    target = Predicate("T", 1, CONCEPT)
+    rule = parse_rule("T(X) :- q(X).", kb)
+    with pytest.raises(InconsistentKBError):
+        KBModels(kb, target).covered(rule, [Atom(target, (Const("a"),))])
+    examples = ExampleSet(target, (Atom(target, (Const("a"),)),), ())
+    bias = parse_bias("datalog+ = q/1\n", kb)
+    with pytest.raises(InconsistentKBError):
+        learn(kb, target, examples, bias)
