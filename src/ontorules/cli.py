@@ -1,8 +1,8 @@
 """Command-line interface: learn, check, compare, refine, query.
 
 Exit codes: 0 success, 1 input error (including a KB with no model, except
-for ``check`` and ``query``, which report the verdict ``inconsistent-kb``),
-2 partial result, 3 budget exceeded.
+for ``check``, ``compare`` and ``query``, which report the verdict
+``inconsistent-kb``), 2 partial result, 3 budget exceeded.
 Output is deterministic for fixed inputs; there is no randomness anywhere, so
 no seed flag exists.
 """
@@ -16,11 +16,11 @@ import sys
 import time
 
 from . import hybrid
-from .hybrid import InconsistentKBError, compare, covers, entails
+from .hybrid import InconsistentKBError, compare, covers, entails, nm_models
 from .learner import LearnerParams, learn
 from .model import BudgetError, ModelError, Rule
 from .parser import ParseError, parse_bias, parse_examples, parse_ground_atom, parse_kb, parse_rule
-from .refine import refine, seed_rule
+from .refine import canonical_form, refine, seed_rule
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -123,7 +123,7 @@ def cmd_compare(args) -> int:
     rule1 = parse_rule(args.rule1, kb)
     rule2 = parse_rule(args.rule2, kb)
     report.phase("parse")
-    verdict = compare(rule1, rule2, kb).value
+    verdict = compare(rule1, rule2, kb).value if nm_models(kb) else "inconsistent-kb"
     report.phase("compare")
     report.data["verdict"] = verdict
     _emit(report, args.format, [verdict])
@@ -138,14 +138,15 @@ def cmd_refine(args) -> int:
     report.phase("parse")
     children: list[dict] = []
     frontier: list[Rule] = [rule]
-    seen = {rule}
+    seen = {canonical_form(rule)}
     for depth in range(1, args.depth + 1):
         nxt: list[Rule] = []
         for parent in frontier:
             for step in refine(parent, bias, kb.tbox):
-                if step.child in seen:
+                key = canonical_form(step.child)
+                if key in seen:
                     continue
-                seen.add(step.child)
+                seen.add(key)
                 children.append({"rule": str(step.child), "step": step.rule_applied, "depth": depth})
                 nxt.append(step.child)
         frontier = nxt

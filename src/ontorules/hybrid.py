@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from . import datalog
-from .datalog import GroundProgram, Interpretation, extensional_predicates, stable_models
+from .datalog import DEFAULT_BRANCH_BUDGET, GroundProgram, Interpretation, extensional_predicates, stable_models
 from .dlreason import DLGuess, ExistsFact, role_closure, concept_closure
 from .model import (
     Atom,
@@ -47,8 +47,6 @@ from .model import (
 
 #: Cap on guessable ontology atoms in the complete enumeration.
 DEFAULT_GUESS_BUDGET = 24
-#: Cap on distinct negated ground atoms branched over.
-DEFAULT_BRANCH_BUDGET = 20
 #: Cap on candidate substitutions tried by the generality test.
 DEFAULT_THETA_BUDGET = 100_000
 #: Cap on rule instances produced by one grounding.
@@ -636,27 +634,13 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
     """
     if h1.head.pred != h2.head.pred:
         raise ModelError("generality is only defined for rules with the same head predicate")
-    # relative to the intensional part only: constants from the rules, not the data
-    intensional_consts: set[Const] = set()
-    for r in kb.rules:
-        intensional_consts |= r.constants()
-    return _more_general_cached(h1, h2, kb.tbox, kb.rules, tuple(sorted(intensional_consts)))
-
-
-@lru_cache(maxsize=65536)
-def _more_general_cached(
-    h1: Rule,
-    h2: Rule,
-    tbox: tuple[Axiom, ...],
-    idb: tuple[Rule, ...],
-    kb_constants: tuple[Const, ...],
-) -> bool:
     from .model import skolemize  # local import to keep module load order simple
 
-    reserved = set(kb_constants) | h1.constants() | h2.constants()
-    for r in idb:
-        reserved |= r.constants()
-    h2s, sigma = skolemize(h2, reserved)
+    # relative to the intensional part only: constants from the rules, not the data
+    kb_constants: set[Const] = set()
+    for r in kb.rules:
+        kb_constants |= r.constants()
+    h2s, sigma = skolemize(h2, kb_constants | h1.constants() | h2.constants())
 
     facts = frozenset(l.atom for l in h2s.body if not l.negated and l.atom.pred.kind == DATALOG)
     abox = tuple(
@@ -666,26 +650,23 @@ def _more_general_cached(
         )
     )
     forbidden = frozenset(l.atom for l in h2s.body if l.negated)
-    domain_set = set(kb_constants) | {c for c in h2s.constants()} | h1.constants()
-    for r in idb:
-        domain_set |= r.constants()
-    domain = tuple(sorted(domain_set))
+    added = facts | set(abox)
 
     # syntactic fast path: under the substitution induced by the
     # skolemization, a positive literal found verbatim among the added facts
     # holds in every model, and a negated literal listed as a constraint is
     # underivable in every admissible completion -- no models needed
-    shared0 = set(h1.variables()) & set(sigma)
-    if shared0 == set(h1.variables()):
-        theta0 = {v: sigma[v] for v in shared0}
-        if h1.head.substitute(theta0) == h2s.head and all(
-            (l.atom.substitute(theta0) in forbidden)
-            if l.negated
-            else (l.atom.substitute(theta0) in facts or l.atom.substitute(theta0) in set(abox))
-            for l in h1.body
-        ):
-            return True
+    h1_vars = set(h1.variables())
+    natural = {v: sigma[v] for v in h1_vars} if h1_vars <= set(sigma) else None
+    if natural is not None and h1.head.substitute(natural) != h2s.head:
+        natural = None
+    if natural is not None and all(
+        l.atom.substitute(natural) in (forbidden if l.negated else added) for l in h1.body
+    ):
+        return True
 
+    tbox, idb = kb.tbox, kb.rules
+    domain = tuple(sorted(kb_constants | h2s.constants() | h1.constants()))
     sets = _cautious_sets(tbox, abox, idb, facts, domain, forbidden)
     if sets is None:
         return True  # augmented theory admits no model: entailment is vacuous
@@ -694,23 +675,18 @@ def _more_general_cached(
     def possibly_d() -> frozenset[Atom]:
         return _possible_atoms(tbox, abox, idb, facts, domain, forbidden)
 
-    head_target = h2s.head
-
     def body_holds(theta: dict[Var, Const]) -> bool:
         return all(
             _literal_holds(l.substitute(theta), cautious_d, cautious_dl, possibly_d)
             for l in h1.body
         )
 
-    # natural candidate first: map shared variables through the skolemization
-    shared = set(h1.variables()) & set(sigma)
-    if shared == set(h1.variables()):
-        theta = {v: sigma[v] for v in shared}
-        if h1.head.substitute(theta) == head_target and body_holds(theta):
-            return True
+    # the skolemization's own substitution first, now against the models
+    if natural is not None and body_holds(natural):
+        return True
 
     # head unification fixes the head variables
-    bound = _bind_head(h1.head, head_target)
+    bound = _bind_head(h1.head, h2s.head)
     if bound is None:
         return False
     free = [v for v in h1.variables() if v not in bound]

@@ -317,14 +317,6 @@ def validate_safeness(rule: Rule) -> tuple[SafenessViolation, ...]:
     return tuple(out)
 
 
-def is_connected(rule: Rule) -> bool:
-    """Every head variable occurs in the body."""
-    body_vars: set[Var] = set()
-    for lit in rule.body:
-        body_vars.update(lit.atom.variables())
-    return set(rule.head.variables()) <= body_vars
-
-
 def is_linked(rule: Rule) -> bool:
     """Every body literal is chained to the head through shared variables."""
     if not rule.body:

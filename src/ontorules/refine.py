@@ -15,6 +15,7 @@ from .dlreason import subsumes
 from .model import (
     Atom,
     Axiom,
+    Const,
     LanguageBias,
     Literal,
     ModelError,
@@ -87,38 +88,61 @@ def _admissible(child: Rule) -> bool:
     return not validate_safeness(child) and is_linked(child)
 
 
+def _literal_key(lit: Literal, head_vars: dict[Var, int]) -> tuple:
+    """A sort key for a body literal that ignores variable names: polarity,
+    predicate, and per argument the number of a head variable among the
+    head's variables, the index of first occurrence within the literal of any
+    other variable, or the name of a constant."""
+    local: dict[Var, int] = {}
+    pattern = tuple(
+        (2, t.name) if isinstance(t, Const)
+        else (0, head_vars[t]) if t in head_vars
+        else (1, local.setdefault(t, len(local)))
+        for t in lit.atom.args
+    )
+    pred = lit.atom.pred
+    return (lit.negated, pred.name, pred.arity, pred.kind, pattern)
+
+
 def canonical_form(rule: Rule) -> Rule:
     """Rename variables to a canonical sequence, modulo body reordering, so
-    that alphabetic variants collapse to an identical rule."""
-    lits = list(rule.body)
-    if len(lits) > 7:  # permutation search is fine at hypothesis scale only
-        lits.sort(key=str)
-        perms = [tuple(lits)]
-    else:
-        perms = itertools.permutations(lits)
-    best: tuple[str, Rule] | None = None
-    for perm in perms:
-        names: dict[Var, Var] = {}
+    that alphabetic variants collapse to an identical rule.
 
-        def ren(v: Var) -> Var:
-            if v not in names:
-                names[v] = Var(f"V{len(names)}")
-            return names[v]
-
-        head = Atom(rule.head.pred, tuple(ren(t) if isinstance(t, Var) else t for t in rule.head.args))
-        body = tuple(
-            Literal(
-                Atom(l.atom.pred, tuple(ren(t) if isinstance(t, Var) else t for t in l.atom.args)),
-                l.negated,
-            )
-            for l in perm
-        )
-        cand = Rule(head, body)
-        key = str(cand.head) + " " + " ".join(str(l) for l in body)
-        if best is None or key < best[0]:
-            best = (key, cand)
-    assert best is not None
-    return best[1]
+    The body is sorted by :func:`_literal_key`; only literals with equal keys
+    are reordered, and the ordering whose variables, numbered by first
+    occurrence, read smallest wins.  It is built one literal at a time: only
+    the partial orderings with the smallest numbering so far are extended, and
+    two that leave the same literals to place, with the same numbers on their
+    variables, are extended once.
+    """
+    ids: dict[Var, int] = {}  # head variables first: their numbers are fixed
+    for t in rule.head.args:
+        if isinstance(t, Var):
+            ids.setdefault(t, len(ids))
+    head_numbers = {i: i for i in range(len(ids))}
+    keyed = sorted(((_literal_key(l, ids), l) for l in rule.body), key=lambda kl: kl[0])
+    keys = [k for k, _ in keyed]
+    occ = [tuple(ids.setdefault(t, len(ids)) for t in l.atom.args if isinstance(t, Var)) for _, l in keyed]
+    # (number of each variable id, body positions placed, positions left)
+    states = [(head_numbers, (), tuple(range(len(keyed))))]
+    for _ in keyed:
+        best, extended = None, {}
+        for names, placed, left in states:
+            for i, j in enumerate(left):
+                if keys[j] != keys[left[0]]:
+                    break
+                new = dict(names)
+                chunk = tuple(new.setdefault(v, len(new)) for v in occ[j])
+                if best is None or chunk < best:
+                    best, extended = chunk, {}
+                if chunk == best:
+                    rest = left[:i] + left[i + 1 :]
+                    future = (rest, tuple(new.get(v) for k in rest for v in occ[k]))
+                    extended.setdefault(future, (new, placed + (j,), rest))
+        states = list(extended.values())
+    names, placed, _ = states[0]
+    rename = {v: Var(f"V{names[i]}") for v, i in ids.items()}
+    return Rule(rule.head.substitute(rename), tuple(keyed[j][1].substitute(rename) for j in placed))
 
 
 def refine(

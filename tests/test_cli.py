@@ -6,6 +6,8 @@ import jsonschema
 import pytest
 
 from ontorules.cli import main
+from ontorules.parser import parse_rule
+from ontorules.refine import canonical_form
 
 DATA = resources.files("ontorules") / "data"
 KB = str(DATA / "family.okb")
@@ -102,12 +104,20 @@ def test_check_counts_one_covers_call(capsys):
 @pytest.fixture
 def inconsistent_kb(tmp_path):
     path = tmp_path / "odd.okb"
-    path.write_text("pred p/1.\npred q/1.\n#rules\np(X) :- q(X), not p(X).\n#facts\nq(a).\n")
+    path.write_text("pred p/1.\npred q/1.\npred r/1.\n#rules\np(X) :- q(X), not p(X).\n#facts\nq(a).\nr(a).\n")
     return str(path)
 
 
 def test_check_inconsistent_kb(capsys, inconsistent_kb):
     args = ("check", "--kb", inconsistent_kb, "--rule", "T(X) :- q(X).", "--example", "T(a)")
+    code, out, err = run(capsys, *args)
+    assert (code, out, err) == (0, "inconsistent-kb", "")
+    code, payload = run_json(capsys, *args)
+    assert (code, payload["verdict"], payload["status"]) == (0, "inconsistent-kb", "ok")
+
+
+def test_compare_inconsistent_kb(capsys, inconsistent_kb):
+    args = ("compare", "--kb", inconsistent_kb, "--rule1", "T(X) :- q(X).", "--rule2", "T(X) :- r(X).")
     code, out, err = run(capsys, *args)
     assert (code, out, err) == (0, "inconsistent-kb", "")
     code, payload = run_json(capsys, *args)
@@ -160,6 +170,16 @@ def test_refine_listing(capsys):
         "add-datalog-literal", "add-ontology-literal",
         "specialize-ontology-literal", "add-negated-datalog-literal",
     }
+
+
+def test_refine_lists_no_alphabetic_variants(capsys, kb):
+    code, payload = run_json(
+        capsys, "refine", "--kb", KB, "--bias", str(DATA / "likes.obias"),
+        "--rule", "LIKES(X,Y).", "--depth", "2",
+    )
+    assert code == 0
+    forms = [canonical_form(parse_rule(c["rule"], kb)) for c in payload["children"]]
+    assert len(forms) == len(set(forms)) == 294
 
 
 def test_refine_depth_zero(capsys):
