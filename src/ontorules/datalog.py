@@ -2,7 +2,9 @@
 
 Stable models are found by branching on the atoms that occur under
 negation-as-failure and verifying each branch with the reduct fixpoint; a
-stratified program takes the iterated-fixpoint fast path instead.
+stratified program takes the iterated-fixpoint fast path instead.  The hybrid
+model builder runs the same search (:func:`branch_search`) over its joint
+fixpoint.
 ``is_stable_model`` is the independent oracle used to validate the search.
 """
 
@@ -130,14 +132,15 @@ def is_stable_model(p: GroundProgram, i: Interpretation) -> bool:
     return _reduct_least_model(p, truth) == set(i.true_atoms)
 
 
-def _negative_dependency_cycle(p: GroundProgram) -> bool:
-    """Detect a cycle through a negated edge in the predicate dependency graph."""
+def negative_dependency_cycle(edges) -> bool:
+    """Detect a cycle through a negated edge in a dependency graph given as
+    ``(head, [(body, negated), ...])`` pairs."""
     pos: dict = {}
     neg: dict = {}
-    for r in p.rules:
-        for l in r.body:
-            target = neg if l.negated else pos
-            target.setdefault(r.head.pred, set()).add(l.atom.pred)
+    for head, body in edges:
+        for b, negated in body:
+            target = neg if negated else pos
+            target.setdefault(head, set()).add(b)
 
     def reaches(src, dst) -> bool:
         seen = set()
@@ -160,35 +163,52 @@ def _negative_dependency_cycle(p: GroundProgram) -> bool:
     return False
 
 
-def stable_models(p: GroundProgram, branch_budget: int = DEFAULT_BRANCH_BUDGET) -> list[Interpretation]:
+def branch_search(naf_atoms: list[Atom], least_model, stratified: bool) -> list:
+    """The distinct stable results of ``least_model`` over the truth
+    assignments to ``naf_atoms``, in enumeration order.
+
+    ``least_model(truth)`` returns a hashable tuple whose first item is the
+    set of atoms derived when exactly the atoms that ``truth`` maps to True are
+    assumed true under negation; a result is stable when that set agrees with
+    ``truth`` on every negated atom.  A stratified program has exactly one
+    stable result, reached by iterating from the closed-world guess; if that
+    does not settle, every assignment is tried, subject to the branch budget.
+    (An iteration that settles has met the alternating fixpoint from both
+    sides, so its result is the only stable one whatever the program; the
+    stratification test only spares programs that would not settle.)
+    """
+    if stratified:
+        truth: dict[Atom, bool] = {a: False for a in naf_atoms}
+        for _ in range(len(naf_atoms) + 1):
+            result = least_model(truth)
+            new = {a: a in result[0] for a in naf_atoms}
+            if new == truth:
+                return [result]
+            truth = new
+    if len(naf_atoms) > DEFAULT_BRANCH_BUDGET:
+        raise BudgetError(
+            f"{len(naf_atoms)} negated atoms exceed the branch budget of {DEFAULT_BRANCH_BUDGET}"
+        )
+    results: dict = {}
+    for bits in itertools.product((False, True), repeat=len(naf_atoms)):
+        truth = dict(zip(naf_atoms, bits))
+        result = least_model(truth)
+        if all((a in result[0]) == truth[a] for a in naf_atoms):
+            results.setdefault(result)
+    return list(results)
+
+
+def stable_models(p: GroundProgram) -> list[Interpretation]:
     """All stable models, deterministically ordered.
 
     May return the empty list ("no stable model" is a valid outcome).
     """
     naf_atoms = sorted({l.atom for r in p.rules for l in r.body if l.negated})
-    if not naf_atoms or not _negative_dependency_cycle(p):
-        # stratified: the perfect model is the unique stable model, reachable
-        # by iterating the reduct fixpoint from the closed-world guess
-        truth: dict[Atom, bool] = {a: False for a in naf_atoms}
-        for _ in range(len(naf_atoms) + 1):
-            model = _reduct_least_model(p, truth)
-            new = {a: a in model for a in naf_atoms}
-            if new == truth:
-                return [Interpretation(frozenset(model))]
-            truth = new
-        # fall through to enumeration if iteration failed to settle
-    if len(naf_atoms) > branch_budget:
-        raise BudgetError(f"{len(naf_atoms)} negated atoms exceed the branch budget of {branch_budget}")
-    models = []
-    seen = set()
-    for bits in itertools.product((False, True), repeat=len(naf_atoms)):
-        truth = dict(zip(naf_atoms, bits))
-        model = _reduct_least_model(p, truth)
-        if all((a in model) == truth[a] for a in naf_atoms):
-            key = frozenset(model)
-            if key not in seen:
-                seen.add(key)
-                models.append(Interpretation(key))
+    stratified = not negative_dependency_cycle(
+        (r.head.pred, [(l.atom.pred, l.negated) for l in r.body]) for r in p.rules
+    )
+    found = branch_search(naf_atoms, lambda truth: (frozenset(_reduct_least_model(p, truth)),), stratified)
+    models = [Interpretation(m) for (m,) in found]
     models.sort(key=lambda m: sorted(map(str, m.true_atoms)))
     return models
 

@@ -118,71 +118,59 @@ def subsumes(general: Predicate, specific: Predicate, tbox: tuple[Axiom, ...]) -
     return general.name in closure.get(specific.name, set())
 
 
-def saturate(guess: DLGuess, tbox: tuple[Axiom, ...], abox: tuple[Atom, ...]) -> Saturation:
-    """Close the guess under the assertions and axioms.
+def close(atoms, tbox: tuple[Axiom, ...]) -> tuple[set[Atom], set[ExistsFact]]:
+    """Close a set of ground ontology atoms under the axioms.
 
     Propagates role inclusions and conjunctive-LHS inclusions with atomic
-    right-hand sides; existential right-hand sides only record an
-    :class:`ExistsFact`.  Inconsistency is reported, not raised: the result
-    lists every derived atom that the guess declares false.
+    right-hand sides; an existential right-hand side only records an
+    :class:`ExistsFact` for its role and each super-role.  Returns the closed
+    atoms and those facts.
     """
-    preds = {a.pred.name: a.pred for a in itertools.chain(guess.true_atoms, guess.false_atoms, abox)}
-    true: set[Atom] = set(guess.true_atoms) | set(abox)
+    true: set[Atom] = set(atoms)
     exists: set[ExistsFact] = set()
     role_sup = role_closure(tbox)
-
-    changed = True
-    while changed:
-        changed = False
-        for atom in list(true):
-            if atom.pred.kind != ROLE:
-                continue
-            for sup in role_sup.get(atom.pred.name, set()):
-                p = preds.setdefault(sup, Predicate(sup, 2, ROLE))
-                derived = Atom(p, atom.args)
-                if derived not in true:
-                    true.add(derived)
-                    changed = True
-        for ax in tbox:
-            if not isinstance(ax, ConceptInclusion):
-                continue
-            for ind in _individuals(true):
-                if not all(_has_concept(true, c, ind) for c in ax.lhs):
+    by_concept: dict[str, list[ConceptInclusion]] = {}
+    for ax in tbox:
+        if isinstance(ax, ConceptInclusion):
+            for c in set(ax.lhs):
+                by_concept.setdefault(c, []).append(ax)
+    concepts: dict[Const, set[str]] = {}  # concept names held by each individual
+    todo = list(true)
+    while todo:
+        atom = todo.pop()
+        if atom.pred.kind == ROLE:
+            derived = [Atom(Predicate(sup, 2, ROLE), atom.args) for sup in role_sup.get(atom.pred.name, ())]
+        else:
+            ind = atom.args[0]
+            names = concepts.setdefault(ind, set())
+            names.add(atom.pred.name)
+            derived = []
+            for ax in by_concept.get(atom.pred.name, ()):
+                if not names.issuperset(ax.lhs):
                     continue
                 if isinstance(ax.rhs, str):
-                    p = preds.setdefault(ax.rhs, Predicate(ax.rhs, 1, CONCEPT))
-                    derived = Atom(p, (ind,))
-                    if derived not in true:
-                        true.add(derived)
-                        changed = True
+                    derived.append(Atom(Predicate(ax.rhs, 1, CONCEPT), (ind,)))
                 else:
-                    fact = ExistsFact(ax.rhs.role, ind, 1 if ax.rhs.inverse else 0)
-                    if fact not in exists:
-                        exists.add(fact)
-                        changed = True
-        # a named role atom also witnesses the corresponding existential
-        for fact in list(exists):
-            for sup in role_sup.get(fact.role, set()):
-                lifted = ExistsFact(sup, fact.anchor, fact.anchor_pos)
-                if lifted not in exists:
-                    exists.add(lifted)
-                    changed = True
+                    pos = 1 if ax.rhs.inverse else 0
+                    for role in {ax.rhs.role} | role_sup.get(ax.rhs.role, set()):
+                        exists.add(ExistsFact(role, ind, pos))
+        for d in derived:
+            if d not in true:
+                true.add(d)
+                todo.append(d)
+    return true, exists
 
-    clashes = tuple(sorted(true & set(guess.false_atoms), key=str))
+
+def saturate(guess: DLGuess, tbox: tuple[Axiom, ...], abox: tuple[Atom, ...]) -> Saturation:
+    """Close the guess under the assertions and axioms (see :func:`close`).
+
+    Inconsistency is reported, not raised: the result lists every derived atom
+    that the guess declares false.
+    """
+    true, exists = close(itertools.chain(guess.true_atoms, abox), tbox)
+    clashes = tuple(sorted(true & guess.false_atoms, key=str))
     return Saturation(
         guess=DLGuess(frozenset(true), guess.false_atoms - true if clashes else guess.false_atoms),
         clashes=clashes,
         existentials=frozenset(exists),
     )
-
-
-def _individuals(atoms: set[Atom]):
-    out: dict[Const, None] = {}
-    for a in atoms:
-        for t in a.args:
-            out.setdefault(t)  # type: ignore[arg-type]
-    return sorted(out)
-
-
-def _has_concept(true: set[Atom], concept: str, ind: Const) -> bool:
-    return any(a.pred.name == concept and a.args == (ind,) for a in true)

@@ -9,7 +9,9 @@ Two model families are used:
   Existential right-hand sides are tracked as witness facts so that rule
   bodies whose ontology variables never reach the head can be satisfied by an
   anonymous individual.  Entailment and coverage are cautious truth over this
-  family.
+  family.  The assignments are searched by :func:`datalog.branch_search`, so
+  a KB that is stratified once its axioms are read as rules takes the fast
+  path to its single model instead of trying all 2^n assignments.
 
 * the *complete* family enumerates every consistent open-world guess over the
   relevant ground ontology atoms.  It backs the negation-as-failure side of
@@ -25,8 +27,15 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from . import datalog
-from .datalog import DEFAULT_BRANCH_BUDGET, GroundProgram, Interpretation, extensional_predicates, stable_models
-from .dlreason import DLGuess, ExistsFact, role_closure, concept_closure
+from .datalog import (
+    GroundProgram,
+    Interpretation,
+    branch_search,
+    extensional_predicates,
+    negative_dependency_cycle,
+    stable_models,
+)
+from .dlreason import DLGuess, ExistsFact, close, role_closure, concept_closure
 from .model import (
     Atom,
     Axiom,
@@ -42,6 +51,7 @@ from .model import (
     Var,
     CONCEPT,
     DATALOG,
+    DEFAULT_GROUNDING_BUDGET,
     ROLE,
 )
 
@@ -49,8 +59,6 @@ from .model import (
 DEFAULT_GUESS_BUDGET = 24
 #: Cap on candidate substitutions tried by the generality test.
 DEFAULT_THETA_BUDGET = 100_000
-#: Cap on rule instances produced by one grounding.
-_GROUNDING_BUDGET = 10**6
 
 
 class InconsistentKBError(RuntimeError):
@@ -251,59 +259,36 @@ def _joint_fixpoint(
     atoms (reduct semantics)."""
     dtrue: set[Atom] = set(facts)
     gtrue: set[Atom] = set(abox)
-    exists: set[ExistsFact] = set()
-    r_sup = role_closure(tbox)
     active = [i for i in instances if not any(naf_truth.get(a, False) for a in i.naf)]
-
-    changed = True
-    while changed:
-        changed = False
-        # inclusion-hierarchy propagation
-        for atom in list(gtrue):
-            if atom.pred.kind != ROLE:
-                continue
-            for sup in r_sup.get(atom.pred.name, set()):
-                derived = Atom(Predicate(sup, 2, ROLE), atom.args)
-                if derived not in gtrue:
-                    gtrue.add(derived)
-                    changed = True
-        for ax in tbox:
-            if not isinstance(ax, ConceptInclusion):
-                continue
-            inds = {a.args[0] for a in gtrue if a.pred.kind == CONCEPT}
-            for ind in sorted(inds):
-                if not all(any(a.pred.name == c and a.args == (ind,) for a in gtrue) for c in ax.lhs):
-                    continue
-                if isinstance(ax.rhs, str):
-                    derived = Atom(Predicate(ax.rhs, 1, CONCEPT), (ind,))
-                    if derived not in gtrue:
-                        gtrue.add(derived)
-                        changed = True
-                else:
-                    fact = ExistsFact(ax.rhs.role, ind, 1 if ax.rhs.inverse else 0)
-                    if fact not in exists:
-                        exists.add(fact)
-                        changed = True
-        for fact in list(exists):
-            for sup in r_sup.get(fact.role, set()):
-                lifted = ExistsFact(sup, fact.anchor, fact.anchor_pos)
-                if lifted not in exists:
-                    exists.add(lifted)
-                    changed = True
-        # rule firing
+    while True:
+        gtrue, exists = close(gtrue, tbox)
+        fired = False
         for inst in active:
             target = gtrue if inst.head.pred.is_dl else dtrue
-            if inst.head in target:
-                continue
-            if not all(a in dtrue for a in inst.pos_datalog):
-                continue
-            if not all(a in gtrue for a in inst.dl_ground):
-                continue
-            if not _open_satisfied(inst.dl_open, gtrue, exists, domain):
-                continue
-            target.add(inst.head)
-            changed = True
-    return dtrue, gtrue, exists
+            if (
+                inst.head not in target
+                and all(a in dtrue for a in inst.pos_datalog)
+                and all(a in gtrue for a in inst.dl_ground)
+                and _open_satisfied(inst.dl_open, gtrue, exists, domain)
+            ):
+                target.add(inst.head)
+                fired = True
+        if not fired:
+            return dtrue, gtrue, exists
+
+
+def _stratified(tbox: tuple[Axiom, ...], rules: tuple[Rule, ...]) -> bool:
+    """No predicate depends on itself through negation, reading each axiom as
+    a rule: its right-hand side concept or existential role depends on each
+    left-hand-side concept, a super-role on its sub-role."""
+    edges = [(r.head.pred.name, [(l.atom.pred.name, l.negated) for l in r.body]) for r in rules]
+    for ax in tbox:
+        if isinstance(ax, ConceptInclusion):
+            head = ax.rhs.role if isinstance(ax.rhs, Existential) else ax.rhs
+            edges.append((head, [(c, False) for c in ax.lhs]))
+        else:
+            edges.append((ax.sup, [(ax.sub, False)]))
+    return not negative_dependency_cycle(edges)
 
 
 def _canonical_models(
@@ -313,37 +298,24 @@ def _canonical_models(
     facts: frozenset[Atom],
     domain: tuple[Const, ...],
     forbidden: frozenset[Atom] = frozenset(),
-    branch_budget: int = DEFAULT_BRANCH_BUDGET,
 ) -> list[NMModel]:
+    """One model per stable assignment of the negated atoms (see
+    :func:`datalog.branch_search`); a stratified KB, its axioms read as rules,
+    takes the fast path to its single model."""
     counters["canonical_runs"] += 1
-    instances = _partial_ground(rules, facts, domain, _GROUNDING_BUDGET, extensional_predicates(rules))
+    instances = _partial_ground(rules, facts, domain, DEFAULT_GROUNDING_BUDGET, extensional_predicates(rules))
     base = _dl_base(instances, abox, tbox, domain)
     naf_atoms = sorted({a for i in instances for a in i.naf})
-    if len(naf_atoms) > branch_budget:
-        raise BudgetError(
-            f"{len(naf_atoms)} negated atoms exceed the branch budget of {branch_budget}"
-        )
-    models: list[NMModel] = []
-    seen = set()
-    for bits in itertools.product((False, True), repeat=len(naf_atoms)):
-        truth = dict(zip(naf_atoms, bits))
+
+    def least_model(truth):
         dtrue, gtrue, exists = _joint_fixpoint(instances, truth, facts, abox, tbox, domain)
-        if not all((a in dtrue) == truth[a] for a in naf_atoms):
-            continue  # assignment is not stable
-        if forbidden & dtrue:
-            continue
-        key = (frozenset(dtrue), frozenset(gtrue))
-        if key in seen:
-            continue
-        seen.add(key)
-        models.append(
-            NMModel(
-                guess=DLGuess(frozenset(gtrue), frozenset(base - gtrue)),
-                datalog_model=Interpretation(frozenset(dtrue)),
-                existentials=frozenset(exists),
-            )
-        )
-    return models
+        return frozenset(dtrue), frozenset(gtrue), frozenset(exists)
+
+    return [
+        NMModel(DLGuess(gtrue, base - gtrue), Interpretation(dtrue), exists)
+        for dtrue, gtrue, exists in branch_search(naf_atoms, least_model, _stratified(tbox, rules))
+        if not forbidden & dtrue
+    ]
 
 
 def _complete_models(
@@ -356,7 +328,7 @@ def _complete_models(
     guess_budget: int = DEFAULT_GUESS_BUDGET,
 ) -> list[NMModel]:
     counters["complete_runs"] += 1
-    instances = _partial_ground(rules, facts, domain, _GROUNDING_BUDGET, extensional_predicates(rules))
+    instances = _partial_ground(rules, facts, domain, DEFAULT_GROUNDING_BUDGET, extensional_predicates(rules))
     base = _dl_base(instances, abox, tbox, domain)
     forced = frozenset(abox)
     guessable = sorted(base - forced)
@@ -367,7 +339,7 @@ def _complete_models(
     models: list[NMModel] = []
     for bits in itertools.product((False, True), repeat=len(guessable)):
         true = set(forced) | {a for a, b in zip(guessable, bits) if b}
-        closed, exists = _saturate_set(true, tbox)
+        closed, exists = close(true, tbox)
         if closed - true:
             continue  # closure forces an atom the guess declares false
         gtrue = closed
@@ -406,48 +378,6 @@ def _complete_models(
     return models
 
 
-def _saturate_set(true: set[Atom], tbox: tuple[Axiom, ...]) -> tuple[set[Atom], set[ExistsFact]]:
-    """Closure of a set of ontology atoms under the axioms, with the
-    existential facts it forces."""
-    out = set(true)
-    exists: set[ExistsFact] = set()
-    r_sup = role_closure(tbox)
-    changed = True
-    while changed:
-        changed = False
-        for atom in list(out):
-            if atom.pred.kind == ROLE:
-                for sup in r_sup.get(atom.pred.name, set()):
-                    derived = Atom(Predicate(sup, 2, ROLE), atom.args)
-                    if derived not in out:
-                        out.add(derived)
-                        changed = True
-        for ax in tbox:
-            if not isinstance(ax, ConceptInclusion):
-                continue
-            inds = {a.args[0] for a in out if a.pred.kind == CONCEPT}
-            for ind in sorted(inds):
-                if not all(any(a.pred.name == c and a.args == (ind,) for a in out) for c in ax.lhs):
-                    continue
-                if isinstance(ax.rhs, str):
-                    derived = Atom(Predicate(ax.rhs, 1, CONCEPT), (ind,))
-                    if derived not in out:
-                        out.add(derived)
-                        changed = True
-                else:
-                    fact = ExistsFact(ax.rhs.role, ind, 1 if ax.rhs.inverse else 0)
-                    if fact not in exists:
-                        exists.add(fact)
-                        changed = True
-        for fact in list(exists):
-            for sup in r_sup.get(fact.role, set()):
-                lifted = ExistsFact(sup, fact.anchor, fact.anchor_pos)
-                if lifted not in exists:
-                    exists.add(lifted)
-                    changed = True
-    return out, exists
-
-
 # --- public operations ------------------------------------------------------
 
 def _combine(kb: HybridKB, extra_rules, extra_facts):
@@ -471,17 +401,11 @@ def nm_models(
     kb: HybridKB,
     extra_rules: tuple[Rule, ...] = (),
     extra_facts: tuple[Atom, ...] = (),
-    complete: bool = False,
 ) -> list[NMModel]:
-    """Models of the KB extended with extra rules and ground facts.
-
-    The default (canonical) family is what entailment and coverage quantify
-    over; ``complete=True`` enumerates every consistent open-world guess over
-    the relevant atom base instead, subject to the guess budget.
-    """
+    """Canonical models of the KB extended with extra rules and ground facts:
+    the family that entailment and coverage quantify over."""
     rules, abox, facts, domain = _combine(kb, extra_rules, extra_facts)
-    fn = _complete_models if complete else _canonical_models
-    return fn(kb.tbox, abox, rules, facts, domain)
+    return _canonical_models(kb.tbox, abox, rules, facts, domain)
 
 
 def entails(
@@ -601,7 +525,7 @@ class KBModels:
                 continue
             domain = tuple(sorted(constants | set(example.args)))
             bound = (rule.substitute(theta),)
-            instances = _partial_ground(bound, self._facts, domain, _GROUNDING_BUDGET, ext)
+            instances = _partial_ground(bound, self._facts, domain, DEFAULT_GROUNDING_BUDGET, ext)
             if all(any(_body_holds(i, *truth, domain) for i in instances) for truth in truths):
                 out.add(example)
         return frozenset(out)

@@ -134,6 +134,17 @@ def test_learn_inconsistent_kb(capsys, inconsistent_kb, tmp_path):
     assert err.startswith("error:") and "no model" in err
 
 
+def test_branch_budget_exit_code(capsys, tmp_path):
+    # an even loop over 11 individuals: 22 negated atoms, not stratified
+    facts = "".join(f"d(c{i}).\n" for i in range(11))
+    path = tmp_path / "even.okb"
+    path.write_text(f"pred d/1.\npred p/1.\npred q/1.\n#rules\np(X) :- d(X), not q(X).\n"
+                    f"q(X) :- d(X), not p(X).\n#facts\n{facts}")
+    code, out, err = run(capsys, "query", "--kb", str(path), "--atom", "p(c0)", "--format", "json")
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exceeded:") and "Traceback" not in err
+
+
 def test_check_undeclared_predicate(capsys):
     code, _, err = run(capsys, "check", "--kb", KB,
                        "--rule", "LONER(X) :- nosuch(X).", "--example", "LONER(Mary)")

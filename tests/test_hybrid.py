@@ -1,6 +1,11 @@
+import importlib.util
+import random
+from pathlib import Path
+
 import pytest
 
 from conftest import target_atom
+from genhybrid import brute_force_models, random_hybrid_kb
 from ontorules.datalog import ground_program, answer_query, is_stable_model, GroundProgram
 from ontorules.hybrid import (
     Entailment,
@@ -11,6 +16,7 @@ from ontorules.hybrid import (
     entails,
     more_general,
     nm_models,
+    _stratified,
 )
 from ontorules.model import Atom, Const, HybridKB, Literal, Predicate, Rule, DATALOG
 
@@ -173,3 +179,32 @@ def test_entails_agrees_with_datalog_engine_without_dl():
     for atom in [Atom(q, (a,)), Atom(q, (b,)), Atom(p, (a,)), Atom(p, (b,))]:
         certain = bool(answer_query(prog, (Literal(atom),)))
         assert (entails(kb, (), (), atom) is Entailment.ENTAILED) == certain
+
+
+def test_nm_models_agree_with_brute_force_checker():
+    kinds = set()
+    for seed in range(300):
+        kb = random_hybrid_kb(random.Random(seed))
+        got = {
+            (
+                m.datalog_model.true_atoms,
+                m.guess.true_atoms,
+                frozenset((f.role, f.anchor, f.anchor_pos) for f in m.existentials),
+            )
+            for m in nm_models(kb)
+        }
+        assert got == brute_force_models(kb), f"seed {seed}"
+        kinds.add(_stratified(kb.tbox, kb.rules))
+    assert kinds == {True, False}  # both sides of the fast-path selection were checked
+
+
+def test_stratified_kb_past_the_branch_budget_has_one_model():
+    # the criterion-8 template over 40 people: 27 negated atoms, more than
+    # 2^20 assignments, but stratified, so the fast path finds the one model
+    path = Path(__file__).resolve().parents[1] / "scripts" / "scale_ladder.py"
+    spec = importlib.util.spec_from_file_location("scale_ladder", path)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    kb = ladder.template_kb(40, seed=40)
+    assert ladder.negated_atoms(kb) > 20
+    assert len(nm_models(kb)) == 1
