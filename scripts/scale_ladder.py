@@ -1,55 +1,27 @@
 #!/usr/bin/env python3
 """Size-scaling ladder for the hybrid model builder.
 
-Builds the criterion-8 KB template of the acceptance suite with N people and
-N ``meets`` facts, for N in 5, 10, 20, 40 and 80, each from a fixed seed, and
-prints one line per N: the number of negated ground atoms that the model
-builder branches over, the wall time of one canonical model run, and its
-outcome (the number of models, or the budget error).
+Builds the criterion-8 KB template (``tests/genhybrid.template_kb``) with N
+people and N ``meets`` facts, for N in 5, 10, 20, 40 and 80, each from a fixed
+seed, and prints one line per N: the number of negated ground atoms that the
+model builder branches over, the wall time of one canonical model run, and
+its outcome (the number of models, or the budget error).
 
 Run from a checkout: ``PYTHONPATH=src python scripts/scale_ladder.py``
 """
 
-import random
+import sys
 import time
+from pathlib import Path
 
-from ontorules import parse_kb
 from ontorules.datalog import extensional_predicates
 from ontorules.hybrid import _partial_ground, nm_models
 from ontorules.model import DEFAULT_GROUNDING_BUDGET, BudgetError
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from genhybrid import template_kb  # noqa: E402
+
 SIZES = (5, 10, 20, 40, 80)
-PLACES = ("Italy", "Germany", "France")
-HEADER = """\
-concept RICH/1. concept UNMARRIED/1.
-role WANTS-TO-MARRY/2. role LOVES/2.
-pred famous/1. pred scientist/1. pred happy/1. pred meets/3.
-#tbox
-RICH and UNMARRIED subclass some inv(WANTS-TO-MARRY) Top.
-WANTS-TO-MARRY subrole LOVES.
-#rules
-RICH(X) :- famous(X), not scientist(X).
-happy(X) :- famous(X), WANTS-TO-MARRY(Y,X).
-#facts
-"""
-
-
-def template_kb(n: int, seed: int):
-    """The criterion-8 template over ``n`` people with ``n`` meets facts."""
-    rng = random.Random(seed)
-    people = [f"Person{i}" for i in range(n)]
-    lines = []
-    for p in people:
-        if rng.random() < 0.7:
-            lines.append(f"famous({p}).")
-        if rng.random() < 0.3:
-            lines.append(f"scientist({p}).")
-        if rng.random() < 0.5:
-            lines.append(f"UNMARRIED({p}).")
-    for _ in range(n):
-        a, b = rng.sample(people, 2)
-        lines.append(f"meets({a},{b},{rng.choice(PLACES)}).")
-    return parse_kb(HEADER + "\n".join(lines) + "\n")
 
 
 def negated_atoms(kb) -> int:

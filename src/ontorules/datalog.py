@@ -1,10 +1,10 @@
 """Grounding, stable models and query answering for normal datalog programs.
 
-Stable models are found by branching on the atoms that occur under
-negation-as-failure and verifying each branch with the reduct fixpoint; a
-stratified program takes the iterated-fixpoint fast path instead.  The hybrid
-model builder runs the same search (:func:`branch_search`) over its joint
-fixpoint.
+Stable models are found by iterating the reduct fixpoint from the closed-world
+guess, which settles on every stratified program, and otherwise by branching
+on the atoms that occur under negation-as-failure and verifying each branch
+with the reduct fixpoint.  The hybrid model builder runs the same search
+(:func:`branch_search`) over its joint fixpoint.
 ``is_stable_model`` is the independent oracle used to validate the search.
 """
 
@@ -132,59 +132,27 @@ def is_stable_model(p: GroundProgram, i: Interpretation) -> bool:
     return _reduct_least_model(p, truth) == set(i.true_atoms)
 
 
-def negative_dependency_cycle(edges) -> bool:
-    """Detect a cycle through a negated edge in a dependency graph given as
-    ``(head, [(body, negated), ...])`` pairs."""
-    pos: dict = {}
-    neg: dict = {}
-    for head, body in edges:
-        for b, negated in body:
-            target = neg if negated else pos
-            target.setdefault(head, set()).add(b)
-
-    def reaches(src, dst) -> bool:
-        seen = set()
-        stack = [src]
-        while stack:
-            cur = stack.pop()
-            if cur == dst:
-                return True
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(pos.get(cur, ()))
-            stack.extend(neg.get(cur, ()))
-        return False
-
-    for head, targets in neg.items():
-        for t in targets:
-            if t == head or reaches(t, head):
-                return True
-    return False
-
-
-def branch_search(naf_atoms: list[Atom], least_model, stratified: bool) -> list:
+def branch_search(naf_atoms: list[Atom], least_model) -> list:
     """The distinct stable results of ``least_model`` over the truth
     assignments to ``naf_atoms``, in enumeration order.
 
     ``least_model(truth)`` returns a hashable tuple whose first item is the
     set of atoms derived when exactly the atoms that ``truth`` maps to True are
     assumed true under negation; a result is stable when that set agrees with
-    ``truth`` on every negated atom.  A stratified program has exactly one
-    stable result, reached by iterating from the closed-world guess; if that
-    does not settle, every assignment is tried, subject to the branch budget.
-    (An iteration that settles has met the alternating fixpoint from both
-    sides, so its result is the only stable one whatever the program; the
-    stratification test only spares programs that would not settle.)
+    ``truth`` on every negated atom.  The search first iterates from the
+    closed-world guess.  Assuming more atoms true blocks more rules, so the
+    iterates alternate between bounds that every stable result lies within,
+    and an iteration that settles has met both bounds: its result is the only
+    stable one.  A stratified program settles within |naf_atoms|+1 rounds.
+    Otherwise every assignment is tried, subject to the branch budget.
     """
-    if stratified:
-        truth: dict[Atom, bool] = {a: False for a in naf_atoms}
-        for _ in range(len(naf_atoms) + 1):
-            result = least_model(truth)
-            new = {a: a in result[0] for a in naf_atoms}
-            if new == truth:
-                return [result]
-            truth = new
+    truth: dict[Atom, bool] = {a: False for a in naf_atoms}
+    for _ in range(len(naf_atoms) + 1):
+        result = least_model(truth)
+        new = {a: a in result[0] for a in naf_atoms}
+        if new == truth:
+            return [result]
+        truth = new
     if len(naf_atoms) > DEFAULT_BRANCH_BUDGET:
         raise BudgetError(
             f"{len(naf_atoms)} negated atoms exceed the branch budget of {DEFAULT_BRANCH_BUDGET}"
@@ -204,10 +172,7 @@ def stable_models(p: GroundProgram) -> list[Interpretation]:
     May return the empty list ("no stable model" is a valid outcome).
     """
     naf_atoms = sorted({l.atom for r in p.rules for l in r.body if l.negated})
-    stratified = not negative_dependency_cycle(
-        (r.head.pred, [(l.atom.pred, l.negated) for l in r.body]) for r in p.rules
-    )
-    found = branch_search(naf_atoms, lambda truth: (frozenset(_reduct_least_model(p, truth)),), stratified)
+    found = branch_search(naf_atoms, lambda truth: (frozenset(_reduct_least_model(p, truth)),))
     models = [Interpretation(m) for (m,) in found]
     models.sort(key=lambda m: sorted(map(str, m.true_atoms)))
     return models

@@ -10,8 +10,8 @@ Two model families are used:
   bodies whose ontology variables never reach the head can be satisfied by an
   anonymous individual.  Entailment and coverage are cautious truth over this
   family.  The assignments are searched by :func:`datalog.branch_search`, so
-  a KB that is stratified once its axioms are read as rules takes the fast
-  path to its single model instead of trying all 2^n assignments.
+  a KB that is stratified once its axioms are read as rules settles in its
+  fast path on its single model instead of trying all 2^n assignments.
 
 * the *complete* family enumerates every consistent open-world guess over the
   relevant ground ontology atoms.  It backs the negation-as-failure side of
@@ -32,7 +32,6 @@ from .datalog import (
     Interpretation,
     branch_search,
     extensional_predicates,
-    negative_dependency_cycle,
     stable_models,
 )
 from .dlreason import DLGuess, ExistsFact, close, role_closure, concept_closure
@@ -277,20 +276,6 @@ def _joint_fixpoint(
             return dtrue, gtrue, exists
 
 
-def _stratified(tbox: tuple[Axiom, ...], rules: tuple[Rule, ...]) -> bool:
-    """No predicate depends on itself through negation, reading each axiom as
-    a rule: its right-hand side concept or existential role depends on each
-    left-hand-side concept, a super-role on its sub-role."""
-    edges = [(r.head.pred.name, [(l.atom.pred.name, l.negated) for l in r.body]) for r in rules]
-    for ax in tbox:
-        if isinstance(ax, ConceptInclusion):
-            head = ax.rhs.role if isinstance(ax.rhs, Existential) else ax.rhs
-            edges.append((head, [(c, False) for c in ax.lhs]))
-        else:
-            edges.append((ax.sup, [(ax.sub, False)]))
-    return not negative_dependency_cycle(edges)
-
-
 def _canonical_models(
     tbox: tuple[Axiom, ...],
     abox: tuple[Atom, ...],
@@ -301,7 +286,7 @@ def _canonical_models(
 ) -> list[NMModel]:
     """One model per stable assignment of the negated atoms (see
     :func:`datalog.branch_search`); a stratified KB, its axioms read as rules,
-    takes the fast path to its single model."""
+    settles in the fast path on its single model."""
     counters["canonical_runs"] += 1
     instances = _partial_ground(rules, facts, domain, DEFAULT_GROUNDING_BUDGET, extensional_predicates(rules))
     base = _dl_base(instances, abox, tbox, domain)
@@ -313,7 +298,7 @@ def _canonical_models(
 
     return [
         NMModel(DLGuess(gtrue, base - gtrue), Interpretation(dtrue), exists)
-        for dtrue, gtrue, exists in branch_search(naf_atoms, least_model, _stratified(tbox, rules))
+        for dtrue, gtrue, exists in branch_search(naf_atoms, least_model)
         if not forbidden & dtrue
     ]
 

@@ -17,6 +17,7 @@ on its own.
 import itertools
 import random
 
+from ontorules import parse_kb
 from ontorules.model import (
     Atom,
     ConceptInclusion,
@@ -230,3 +231,38 @@ def brute_force_models(kb: HybridKB) -> set:
         if all((a in model[0]) == (a in assumed) for a in negated):
             found.add(model)
     return found
+
+
+TEMPLATE_HEADER = """\
+concept RICH/1. concept UNMARRIED/1.
+role WANTS-TO-MARRY/2. role LOVES/2.
+pred famous/1. pred scientist/1. pred happy/1. pred meets/3.
+#tbox
+RICH and UNMARRIED subclass some inv(WANTS-TO-MARRY) Top.
+WANTS-TO-MARRY subrole LOVES.
+#rules
+RICH(X) :- famous(X), not scientist(X).
+happy(X) :- famous(X), WANTS-TO-MARRY(Y,X).
+#facts
+"""
+PLACES = ("Italy", "Germany", "France")
+
+
+def template_kb(n: int, seed: int) -> HybridKB:
+    """The criterion-8 KB template over ``n`` people with ``n`` meets facts.
+
+    Its only negated atoms are ``scientist(p)`` for the famous people ``p``."""
+    rng = random.Random(seed)
+    people = [f"Person{i}" for i in range(n)]
+    lines = []
+    for p in people:
+        if rng.random() < 0.7:
+            lines.append(f"famous({p}).")
+        if rng.random() < 0.3:
+            lines.append(f"scientist({p}).")
+        if rng.random() < 0.5:
+            lines.append(f"UNMARRIED({p}).")
+    for _ in range(n):
+        a, b = rng.sample(people, 2)
+        lines.append(f"meets({a},{b},{rng.choice(PLACES)}).")
+    return parse_kb(TEMPLATE_HEADER + "\n".join(lines) + "\n")

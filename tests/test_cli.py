@@ -145,6 +145,19 @@ def test_branch_budget_exit_code(capsys, tmp_path):
     assert err.startswith("budget exceeded:") and "Traceback" not in err
 
 
+def test_settled_loop_past_the_branch_budget(capsys, tmp_path):
+    # the even loop of test_branch_budget_exit_code, with q also forced by f:
+    # not stratified, 22 negated atoms, yet one model, where q holds everywhere
+    facts = "".join(f"d(c{i}).\nf(c{i}).\n" for i in range(11))
+    path = tmp_path / "settled.okb"
+    path.write_text(f"pred d/1.\npred f/1.\npred p/1.\npred q/1.\n#rules\np(X) :- d(X), not q(X).\n"
+                    f"q(X) :- d(X), not p(X).\nq(X) :- d(X), f(X).\n#facts\n{facts}")
+    code, out, _ = run(capsys, "query", "--kb", str(path), "--atom", "q(c0)")
+    assert (code, out) == (0, "entailed")
+    code, out, _ = run(capsys, "query", "--kb", str(path), "--atom", "p(c0)")
+    assert (code, out) == (0, "not-entailed")
+
+
 def test_check_undeclared_predicate(capsys):
     code, _, err = run(capsys, "check", "--kb", KB,
                        "--rule", "LONER(X) :- nosuch(X).", "--example", "LONER(Mary)")

@@ -1,12 +1,18 @@
-import importlib.util
 import random
-from pathlib import Path
 
 import pytest
 
 from conftest import target_atom
-from genhybrid import brute_force_models, random_hybrid_kb
-from ontorules.datalog import ground_program, answer_query, is_stable_model, GroundProgram
+from genhybrid import brute_force_models, random_hybrid_kb, template_kb
+from ontorules import hybrid
+from ontorules.datalog import (
+    DEFAULT_BRANCH_BUDGET,
+    GroundProgram,
+    answer_query,
+    branch_search,
+    ground_program,
+    is_stable_model,
+)
 from ontorules.hybrid import (
     Entailment,
     GeneralityVerdict,
@@ -16,7 +22,6 @@ from ontorules.hybrid import (
     entails,
     more_general,
     nm_models,
-    _stratified,
 )
 from ontorules.model import Atom, Const, HybridKB, Literal, Predicate, Rule, DATALOG
 
@@ -181,8 +186,22 @@ def test_entails_agrees_with_datalog_engine_without_dl():
         assert (entails(kb, (), (), atom) is Entailment.ENTAILED) == certain
 
 
-def test_nm_models_agree_with_brute_force_checker():
-    kinds = set()
+def test_nm_models_agree_with_brute_force_checker(monkeypatch):
+    settled = []
+
+    def observed(naf_atoms, least_model):
+        runs = []
+
+        def counted(truth):
+            runs.append(truth)
+            return least_model(truth)
+
+        found = branch_search(naf_atoms, counted)
+        # the iteration takes at most |naf|+1 runs; enumeration adds 2^|naf|
+        settled.append(len(runs) <= len(naf_atoms) + 1)
+        return found
+
+    monkeypatch.setattr(hybrid, "branch_search", observed)
     for seed in range(300):
         kb = random_hybrid_kb(random.Random(seed))
         got = {
@@ -194,17 +213,13 @@ def test_nm_models_agree_with_brute_force_checker():
             for m in nm_models(kb)
         }
         assert got == brute_force_models(kb), f"seed {seed}"
-        kinds.add(_stratified(kb.tbox, kb.rules))
-    assert kinds == {True, False}  # both sides of the fast-path selection were checked
+    assert set(settled) == {True, False}  # both the iteration and the enumeration were checked
 
 
 def test_stratified_kb_past_the_branch_budget_has_one_model():
-    # the criterion-8 template over 40 people: 27 negated atoms, more than
-    # 2^20 assignments, but stratified, so the fast path finds the one model
-    path = Path(__file__).resolve().parents[1] / "scripts" / "scale_ladder.py"
-    spec = importlib.util.spec_from_file_location("scale_ladder", path)
-    ladder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ladder)
-    kb = ladder.template_kb(40, seed=40)
-    assert ladder.negated_atoms(kb) > 20
+    # the criterion-8 template over 40 people: one negated scientist(p) per
+    # famous p, more than the branch budget, but stratified, so the iteration
+    # settles on the one model
+    kb = template_kb(40, seed=40)
+    assert sum(f.pred.name == "famous" for f in kb.facts) > DEFAULT_BRANCH_BUDGET
     assert len(nm_models(kb)) == 1
