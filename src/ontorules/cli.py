@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 input error (including a KB with no model, except
 for ``check``, ``compare`` and ``query``, which report the verdict
-``inconsistent-kb``), 2 partial result, 3 budget exceeded.
+``inconsistent-kb``, and a ``--max-body-len`` or ``--depth`` below 1),
+2 partial result, 3 budget exceeded.
 Output is deterministic for fixed inputs; there is no randomness anywhere, so
 no seed flag exists.
 """
@@ -26,6 +27,15 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_PARTIAL = 2
 EXIT_BUDGET = 3
+
+
+class UsageError(ValueError):
+    """An option value outside the range the command accepts."""
+
+
+def _require_positive(option: str, value: int) -> None:
+    if value < 1:
+        raise UsageError(f"{option} must be at least 1, got {value}")
 
 
 def _read(path: str) -> str:
@@ -74,6 +84,7 @@ def _emit(report: _Report, fmt: str, text_lines: list[str], out_path: str | None
 
 
 def cmd_learn(args) -> int:
+    _require_positive("--max-body-len", args.max_body_len)
     report = _Report("learn")
     kb = parse_kb(_read(args.kb), args.kb)
     examples = parse_examples(_read(args.examples), kb, args.examples)
@@ -131,6 +142,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_refine(args) -> int:
+    _require_positive("--depth", args.depth)
     report = _Report("refine")
     kb = parse_kb(_read(args.kb), args.kb)
     bias = parse_bias(_read(args.bias), kb, args.bias)
@@ -143,10 +155,9 @@ def cmd_refine(args) -> int:
         nxt: list[Rule] = []
         for parent in frontier:
             for step in refine(parent, bias, kb.tbox):
-                key = canonical_form(step.child)
-                if key in seen:
+                if step.key in seen:
                     continue
-                seen.add(key)
+                seen.add(step.key)
                 children.append({"rule": str(step.child), "step": step.rule_applied, "depth": depth})
                 nxt.append(step.child)
         frontier = nxt
@@ -220,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ModelError, InconsistentKBError, OSError) as exc:
+    except (ParseError, ModelError, InconsistentKBError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except BudgetError as exc:

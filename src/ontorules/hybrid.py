@@ -543,6 +543,12 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
     """
     if h1.head.pred != h2.head.pred:
         raise ModelError("generality is only defined for rules with the same head predicate")
+    # syntactic fast path: h1's head is h2's and its body a subset of h2's, so
+    # the identity substitution maps h1 into h2 -- no models needed.  The
+    # skolemization below renames variables injectively onto fresh constants,
+    # so after it exactly these pairs would match verbatim.
+    if h1.head == h2.head and set(h1.body) <= set(h2.body):
+        return True
     from .model import skolemize  # local import to keep module load order simple
 
     # relative to the intensional part only: constants from the rules, not the data
@@ -559,20 +565,12 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
         )
     )
     forbidden = frozenset(l.atom for l in h2s.body if l.negated)
-    added = facts | set(abox)
 
-    # syntactic fast path: under the substitution induced by the
-    # skolemization, a positive literal found verbatim among the added facts
-    # holds in every model, and a negated literal listed as a constraint is
-    # underivable in every admissible completion -- no models needed
+    # the skolemization's own substitution, when it also maps h1's head onto h2's
     h1_vars = set(h1.variables())
     natural = {v: sigma[v] for v in h1_vars} if h1_vars <= set(sigma) else None
     if natural is not None and h1.head.substitute(natural) != h2s.head:
         natural = None
-    if natural is not None and all(
-        l.atom.substitute(natural) in (forbidden if l.negated else added) for l in h1.body
-    ):
-        return True
 
     tbox, idb = kb.tbox, kb.rules
     domain = tuple(sorted(kb_constants | h2s.constants() | h1.constants()))
@@ -590,7 +588,7 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
             for l in h1.body
         )
 
-    # the skolemization's own substitution first, now against the models
+    # that substitution first, against the models
     if natural is not None and body_holds(natural):
         return True
 

@@ -2,6 +2,17 @@
 
 Everything here is immutable after construction and safe to share across
 concurrent workers; the module-level operations are pure functions.
+
+The term layer -- ``Var``, ``Const``, ``Predicate``, ``Atom``, ``Literal`` and
+``Rule`` -- is slotted (no per-instance ``__dict__``), because refinement and
+the generality test build and hash these objects by the million.  The first
+five compute their hash once, at construction, into a ``_hash`` slot that
+takes no part in equality, ordering or ``repr``.  Each cached hash equals the
+hash the dataclass would generate from the compared fields --
+``hash((name,))``, ``hash((name, arity, kind))``, ``hash((pred, args))`` and
+``hash((atom, negated))`` -- so every set and dict of these objects iterates
+in the same order as with generated hashes, and output that follows such an
+order stays the same.
 """
 
 from __future__ import annotations
@@ -34,14 +45,28 @@ class BudgetError(RuntimeError):
     """An enumeration exceeded its configured budget."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Var:
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self):
+        return self._hash
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Const:
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self):
+        return self._hash
 
 
 Term = Var | Const
@@ -52,11 +77,12 @@ def make_term(name: str) -> Term:
     return Var(name) if VARIABLE_RE.match(name) else Const(name)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Predicate:
     name: str
     arity: int
     kind: str  # CONCEPT | ROLE | DATALOG
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == CONCEPT and self.arity != 1:
@@ -65,22 +91,31 @@ class Predicate:
             raise ModelError(f"role predicate {self.name} must have arity 2")
         if self.kind == DATALOG and self.arity < 1:
             raise ModelError(f"datalog predicate {self.name} must have arity >= 1")
+        object.__setattr__(self, "_hash", hash((self.name, self.arity, self.kind)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_dl(self) -> bool:
         return self.kind in (CONCEPT, ROLE)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Atom:
     pred: Predicate
     args: tuple[Term, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.args) != self.pred.arity:
             raise ModelError(
                 f"{self.pred.name}/{self.pred.arity} applied to {len(self.args)} arguments"
             )
+        object.__setattr__(self, "_hash", hash((self.pred, self.args)))
+
+    def __hash__(self):
+        return self._hash
 
     def variables(self) -> tuple[Var, ...]:
         seen: dict[Var, None] = {}
@@ -101,14 +136,19 @@ class Atom:
         return f"{self.pred.name}({','.join(t.name for t in self.args)})"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Literal:
     atom: Atom
     negated: bool = False
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.negated and self.atom.pred.kind != DATALOG:
             raise ModelError(f"negation-as-failure on non-datalog predicate {self.atom.pred.name}")
+        object.__setattr__(self, "_hash", hash((self.atom, self.negated)))
+
+    def __hash__(self):
+        return self._hash
 
     def substitute(self, theta: dict[Var, Term]) -> "Literal":
         return Literal(self.atom.substitute(theta), self.negated)
@@ -117,7 +157,7 @@ class Literal:
         return f"not {self.atom}" if self.negated else str(self.atom)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     """A clause ``head :- body``.  The body is stored as an ordered tuple but
     compared as a set; duplicate literals are dropped at construction."""

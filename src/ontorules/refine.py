@@ -46,6 +46,7 @@ class RefinementStep:
     literal: Literal
     parent: Rule
     child: Rule
+    key: Rule  # canonical_form(child)
 
 
 def seed_rule(target: Predicate) -> Rule:
@@ -104,6 +105,16 @@ def _literal_key(lit: Literal, head_vars: dict[Var, int]) -> tuple:
     return (lit.negated, pred.name, pred.arity, pred.kind, pattern)
 
 
+#: Canonical variable ``V<i>`` by number ``i``, built once and shared by every
+#: canonical rule; :func:`_canonical_var` adds numbers as rules need them.
+_CANONICAL_VARS: dict[int, Var] = {}
+
+
+def _canonical_var(i: int) -> Var:
+    # setdefault keeps one object per number even if two threads race here
+    return _CANONICAL_VARS.get(i) or _CANONICAL_VARS.setdefault(i, Var(f"V{i}"))
+
+
 def canonical_form(rule: Rule) -> Rule:
     """Rename variables to a canonical sequence, modulo body reordering, so
     that alphabetic variants collapse to an identical rule.
@@ -141,7 +152,7 @@ def canonical_form(rule: Rule) -> Rule:
                     extended.setdefault(future, (new, placed + (j,), rest))
         states = list(extended.values())
     names, placed, _ = states[0]
-    rename = {v: Var(f"V{names[i]}") for v, i in ids.items()}
+    rename = {v: _canonical_var(names[i]) for v, i in ids.items()}
     return Rule(rule.head.substitute(rename), tuple(keyed[j][1].substitute(rename) for j in placed))
 
 
@@ -172,7 +183,7 @@ def refine(
         if key in seen:
             return
         seen.add(key)
-        out.append(RefinementStep(label, lit, h, child))
+        out.append(RefinementStep(label, lit, h, child, key))
 
     for pred in sorted(bias.datalog_pos):
         for args in _argument_tuples(pred.arity, existing, max_new_vars):

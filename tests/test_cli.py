@@ -206,12 +206,24 @@ def test_refine_lists_no_alphabetic_variants(capsys, kb):
     assert len(forms) == len(set(forms)) == 294
 
 
-def test_refine_depth_zero(capsys):
-    code, payload = run_json(
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_refine_depth_below_one_is_an_input_error(capsys, depth):
+    code, out, err = run(
         capsys, "refine", "--kb", KB, "--bias", str(DATA / "loner.obias"),
-        "--rule", "LONER(X) :- famous(X).", "--depth", "0",
+        "--rule", "LONER(X) :- famous(X).", "--depth", depth,
     )
-    assert code == 0 and payload["children"] == []
+    assert (code, out) == (1, "")
+    assert err == f"error: --depth must be at least 1, got {depth}"
+
+
+def test_learn_max_body_len_zero_is_an_input_error(capsys):
+    code, out, err = run(
+        capsys, "learn", "--kb", KB,
+        "--examples", str(DATA / "loner.oex"), "--bias", str(DATA / "loner.obias"),
+        "--max-body-len", "0",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: --max-body-len must be at least 1, got 0"
 
 
 def test_query(capsys):

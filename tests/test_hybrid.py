@@ -4,7 +4,7 @@ import pytest
 
 from conftest import target_atom
 from genhybrid import brute_force_models, random_hybrid_kb, template_kb
-from ontorules import hybrid
+from ontorules import hybrid, model, parse_rule
 from ontorules.datalog import (
     DEFAULT_BRANCH_BUDGET,
     GroundProgram,
@@ -23,7 +23,8 @@ from ontorules.hybrid import (
     more_general,
     nm_models,
 )
-from ontorules.model import Atom, Const, HybridKB, Literal, Predicate, Rule, DATALOG
+from ontorules.model import Atom, Const, HybridKB, Literal, Predicate, Rule, DATALOG, ROLE
+from ontorules.refine import SPECIALIZE_ONTOLOGY, refine, seed_rule
 
 LONER_EXAMPLES = ["LONER(Mary)", "LONER(Joe)", "LONER(Paul)"]
 LIKES_EXAMPLES = ["LIKES(Mary,Italy)", "LIKES(Mary,Germany)", "LIKES(Joe,Italy)"]
@@ -156,6 +157,37 @@ def test_reflexivity(kb, loner_rules, likes_rules):
     for h in list(loner_rules.values()) + list(likes_rules.values()):
         assert more_general(h, h, kb)
         assert compare(h, h, kb) is GeneralityVerdict.EQUIVALENT
+
+
+def test_add_literal_edges_and_reflexivity_need_no_skolemization(kb, likes_bias, monkeypatch):
+    def no_skolemize(*args):
+        raise AssertionError("skolemize called")
+
+    monkeypatch.setattr(model, "skolemize", no_skolemize)
+    frontier, edges = [seed_rule(Predicate("LIKES", 2, ROLE))], 0
+    for _ in range(2):
+        steps = [s for parent in frontier for s in refine(parent, likes_bias, kb.tbox)]
+        for s in steps:
+            if s.rule_applied != SPECIALIZE_ONTOLOGY:
+                assert more_general(s.parent, s.child, kb), str(s.child)
+                edges += 1
+        frontier = [s.child for s in steps]
+    assert edges == 324
+    for text in (
+        "LIKES(X,Y) :- meets(X,Mary,Y), not happy(X).",
+        "LONER(X) :- famous(X), not happy(X), not famous(Paul).",
+    ):
+        h = parse_rule(text, kb)
+        assert more_general(h, h, kb)
+
+
+@pytest.mark.parametrize("general, special", [
+    ("LIKES(X,Y) :- meets(X,Z,Y).", "LIKES(Y,X) :- meets(X,Z,Y)."),
+    ("LONER(X) :- famous(X), not happy(X).", "LONER(X) :- famous(X), happy(X)."),
+    ("LONER(X) :- famous(X), happy(X).", "LONER(X) :- famous(X), not happy(X)."),
+])
+def test_body_subset_with_other_head_or_polarity_is_not_more_general(kb, general, special):
+    assert not more_general(parse_rule(general, kb), parse_rule(special, kb), kb)
 
 
 def test_generality_preserves_coverage_downward(kb, loner_rules, likes_rules):

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from ontorules.parser import parse_rule
+
 from ontorules.model import (
     Atom,
     Const,
@@ -112,3 +114,79 @@ def test_ground_substitutions_cardinality_property(consts, nvars):
     body = tuple(Literal(Atom(P, (v,))) for v in vs)
     r = Rule(Atom(P, (vs[0],)), body)
     assert len(ground_substitutions(r, consts)) == len(consts) ** nvars
+
+
+# --- the slotted term layer ---------------------------------------------------
+
+def _term_layer_sample():
+    return [
+        X, a, P, C, R,
+        Atom(Q, (X, a)), Atom(R, (a, b)),
+        Literal(Atom(P, (Y,))), Literal(Atom(P, (Y,)), negated=True),
+    ]
+
+
+def _field_tuple(x):
+    """The compared fields of a term-layer value, as the generated dataclass
+    methods saw them before the hash was cached."""
+    if isinstance(x, (Var, Const)):
+        return (x.name,)
+    if isinstance(x, Predicate):
+        return (x.name, x.arity, x.kind)
+    if isinstance(x, Atom):
+        return (x.pred, x.args)
+    return (x.atom, x.negated)
+
+
+def test_cached_hash_equals_the_field_tuple_hash():
+    for x in _term_layer_sample():
+        assert hash(x) == hash(_field_tuple(x)), repr(x)
+
+
+def test_term_layer_has_no_instance_dict():
+    rule = Rule(Atom(C, (X,)), (Literal(Atom(P, (X,))),))
+    for x in _term_layer_sample() + [rule]:
+        assert not hasattr(x, "__dict__"), type(x).__name__
+
+
+def test_equal_values_from_different_routes_hash_equal(kb):
+    parsed = parse_rule("LIKES(X,Y) :- meets(X,Z,Y), RICH(Z), not happy(X).", kb)
+    built = Rule(
+        Atom(Predicate("LIKES", 2, ROLE), (Var("X"), Var("Y"))),
+        (
+            Literal(Atom(Predicate("meets", 3, DATALOG), (Var("X"), Var("Z"), Var("Y")))),
+            Literal(Atom(Predicate("RICH", 1, CONCEPT), (Var("Z"),))),
+            Literal(Atom(Predicate("happy", 1, DATALOG), (Var("X"),)), negated=True),
+        ),
+    )
+    assert parsed == built and hash(parsed) == hash(built)
+    assert hash(parsed.head) == hash(built.head)
+    for p_lit, b_lit in zip(parsed.body, built.body):
+        assert p_lit == b_lit and hash(p_lit) == hash(b_lit)
+
+    grounded, sigma = skolemize(parsed, set())
+    theta = {Var("X"): Const("sk0"), Var("Y"): Const("sk1"), Var("Z"): Const("sk2")}
+    assert sigma == theta
+    by_hand = built.substitute(theta)
+    assert grounded == by_hand and hash(grounded) == hash(by_hand)
+    for g_lit, h_lit in zip(grounded.body, by_hand.body):
+        assert g_lit == h_lit and hash(g_lit) == hash(h_lit)
+        assert hash(g_lit.atom) == hash((h_lit.atom.pred, h_lit.atom.args))
+    assert hash(sigma[Var("Z")]) == hash(("sk2",))
+
+
+def test_sorting_follows_the_compared_fields():
+    atoms = [
+        Atom(Q, (Y, X)), Atom(P, (X,)), Atom(C, (Y,)), Atom(Q, (X, Y)), Atom(C, (X,)),
+        Atom(R, (X, Y)), Atom(Predicate("p", 1, CONCEPT), (X,)),
+    ]
+
+    def atom_key(atom):
+        pred = atom.pred
+        return (pred.name, pred.arity, pred.kind), tuple(t.name for t in atom.args)
+
+    assert sorted(atoms) == sorted(atoms, key=atom_key)
+    literals = [Literal(x) for x in atoms] + [Literal(x, True) for x in atoms if x.pred.kind == DATALOG]
+    assert sorted(literals) == sorted(literals, key=lambda l: (atom_key(l.atom), l.negated))
+    consts = [Const("b"), Const("a"), Const("sk10"), Const("sk2")]
+    assert [c.name for c in sorted(consts)] == ["a", "b", "sk10", "sk2"]

@@ -53,6 +53,17 @@ def test_refine_h1_likes_contains_named_specializations(kb, likes_bias, likes_ru
         assert canonical_form(likes_rules[name]) in kids
 
 
+def test_steps_carry_the_canonical_form_of_their_child(kb, likes_bias, likes_rules):
+    frontier, steps = [seed_rule(likes_rules["h1"].head.pred)], []
+    for _ in range(2):
+        level = [s for parent in frontier for s in refine(parent, likes_bias, kb.tbox)]
+        steps += level
+        frontier = [s.child for s in level]
+    assert len(steps) == 6 + 318
+    assert all(s.key == canonical_form(s.child) for s in steps)
+    assert all(str(s.key) == str(canonical_form(s.child)) for s in steps)
+
+
 def test_specialize_along_hierarchy(kb, likes_bias, likes_rules):
     steps = refine(likes_rules["h4"], likes_bias, kb.tbox)
     spec = _by_label(steps, SPECIALIZE_ONTOLOGY)
