@@ -5,7 +5,8 @@ Refines the LIKES seed of the bundled family KB to depth 3 (children are
 deduplicated across expansions by their canonical form, as in criterion 4),
 calls ``more_general(parent, child, kb)`` on every edge, all under
 ``cProfile``, and prints the 25 functions with the most self time followed by
-the call counts of ``canonical_form``, ``more_general`` and ``skolemize``.
+the call counts of ``canonical_form``, ``more_general``, ``skolemize``,
+``validate_safeness`` and ``is_linked``.
 Times include the profiler's own per-call cost; use the benchmark for
 end-to-end timings.
 
@@ -23,7 +24,13 @@ from ontorules.parser import parse_bias, parse_kb
 from ontorules.refine import canonical_form, refine, seed_rule
 
 DEPTH = 3
-COUNTED = (("refine.py", "canonical_form"), ("hybrid.py", "more_general"), ("model.py", "skolemize"))
+COUNTED = (
+    ("refine.py", "canonical_form"),
+    ("hybrid.py", "more_general"),
+    ("model.py", "skolemize"),
+    ("model.py", "validate_safeness"),
+    ("model.py", "is_linked"),
+)
 
 
 def refine_with_generality(kb, bias) -> tuple[int, int]:
@@ -61,7 +68,7 @@ def main() -> None:
             nc for (path, _, func), (_, nc, *_) in stats.stats.items()
             if func == name and path.endswith(filename)
         )
-        print(f"{name:>15} calls: {calls}")
+        print(f"{name:>17} calls: {calls}")
 
 
 if __name__ == "__main__":

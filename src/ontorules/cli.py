@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 input error (including a KB with no model, except
 for ``check``, ``compare`` and ``query``, which report the verdict
-``inconsistent-kb``, and a ``--max-body-len`` or ``--depth`` below 1),
-2 partial result, 3 budget exceeded.
+``inconsistent-kb``, a missing or malformed option, and a ``--max-body-len``
+or ``--depth`` below 1), 2 partial result, 3 budget exceeded.
 Output is deterministic for fixed inputs; there is no randomness anywhere, so
 no seed flag exists.
 """
@@ -30,7 +30,16 @@ EXIT_BUDGET = 3
 
 
 class UsageError(ValueError):
-    """An option value outside the range the command accepts."""
+    """A missing or malformed option, or a value outside the range the command
+    accepts."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises :class:`UsageError` where argparse would exit 2, the code this
+    CLI keeps for a partial result."""
+
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 def _require_positive(option: str, value: int) -> None:
@@ -182,7 +191,7 @@ def cmd_query(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ontorules",
         description="Learn and analyse rule-based definitions over hybrid ontology + datalog KBs",
     )
@@ -228,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ParseError, ModelError, InconsistentKBError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

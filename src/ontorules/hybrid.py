@@ -117,7 +117,7 @@ def _partial_ground(
     ontology-only variables open for existential matching.  Instances with a
     datalog atom of an extensional predicate (``ext``, which must be computed
     from the whole program, not from ``rules`` alone) absent from the facts
-    are pruned."""
+    are pruned.  ``domain`` is a sorted tuple; every caller sorts it once."""
     out: list[_Instance] = []
     count = 0
     for rule in rules:
@@ -129,7 +129,7 @@ def _partial_ground(
                 for v in lit.atom.variables():
                     to_ground.setdefault(v)
         to_ground = tuple(to_ground)
-        combos = itertools.product(sorted(domain), repeat=len(to_ground)) if to_ground else [()]
+        combos = itertools.product(domain, repeat=len(to_ground)) if to_ground else [()]
         for combo in combos:
             count += 1
             if count > budget:
@@ -162,7 +162,8 @@ def _dl_base(
     domain: tuple[Const, ...],
 ) -> frozenset[Atom]:
     """Ground ontology atoms syntactically reachable from the rules and the
-    assertions, closed under the inclusion hierarchy."""
+    assertions, closed under the inclusion hierarchy.  ``domain`` is a
+    sorted tuple, as for :func:`_partial_ground`."""
     atoms: set[Atom] = set(abox)
     for inst in instances:
         if inst.head.pred.is_dl:
@@ -170,7 +171,7 @@ def _dl_base(
         atoms.update(inst.dl_ground)
         for a in inst.dl_open:
             vs = a.variables()
-            for combo in itertools.product(sorted(domain), repeat=len(vs)):
+            for combo in itertools.product(domain, repeat=len(vs)):
                 atoms.add(a.substitute(dict(zip(vs, combo))))
     c_sup = concept_closure(tbox)
     r_sup = role_closure(tbox)
@@ -194,7 +195,8 @@ def _open_satisfied(
 
     Variables are existentially quantified: a named witness is searched first;
     a single role atom with a single open variable may also be satisfied by an
-    anonymous witness recorded as an :class:`ExistsFact`."""
+    anonymous witness recorded as an :class:`ExistsFact`.  ``domain`` is a
+    sorted tuple, as for :func:`_partial_ground`."""
     if not open_atoms:
         return True
     # split into connected components over shared variables
@@ -217,7 +219,7 @@ def _open_satisfied(
         comp_vars = tuple(comp_vars)
         named = any(
             all(a.substitute(dict(zip(comp_vars, combo))) in gtrue for a in comp)
-            for combo in itertools.product(sorted(domain), repeat=len(comp_vars))
+            for combo in itertools.product(domain, repeat=len(comp_vars))
         )
         if named:
             continue

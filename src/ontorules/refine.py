@@ -109,34 +109,43 @@ def _literal_key(lit: Literal, head_vars: dict[Var, int]) -> tuple:
 #: canonical rule; :func:`_canonical_var` adds numbers as rules need them.
 _CANONICAL_VARS: dict[int, Var] = {}
 
+#: Canonical body literal by (predicate, renamed args, polarity).  Canonical
+#: literals use only the shared ``V<i>`` variables, so few distinct ones occur
+#: and every canonical rule shares them; :func:`_canonical_literal` adds them
+#: as rules need them.
+_CANONICAL_LITERALS: dict[tuple, Literal] = {}
+
 
 def _canonical_var(i: int) -> Var:
     # setdefault keeps one object per number even if two threads race here
     return _CANONICAL_VARS.get(i) or _CANONICAL_VARS.setdefault(i, Var(f"V{i}"))
 
 
-def canonical_form(rule: Rule) -> Rule:
-    """Rename variables to a canonical sequence, modulo body reordering, so
-    that alphabetic variants collapse to an identical rule.
+def _canonical_literal(lit: Literal, rename: dict[Var, Var]) -> Literal:
+    pred = lit.atom.pred
+    args = tuple(rename[t] if isinstance(t, Var) else t for t in lit.atom.args)
+    key = (pred, args, lit.negated)
+    found = _CANONICAL_LITERALS.get(key)
+    if found is None:
+        found = _CANONICAL_LITERALS.setdefault(key, Literal(Atom(pred, args), lit.negated))
+    return found
 
-    The body is sorted by :func:`_literal_key`; only literals with equal keys
-    are reordered, and the ordering whose variables, numbered by first
-    occurrence, read smallest wins.  It is built one literal at a time: only
-    the partial orderings with the smallest numbering so far are extended, and
-    two that leave the same literals to place, with the same numbers on their
-    variables, are extended once.
+
+def _order_ties(
+    keys: list[tuple], occ: list[tuple[int, ...]], n_head: int
+) -> tuple[dict[int, int], tuple[int, ...]]:
+    """The number of each variable id and the body order, as positions in the
+    sorted body, for a body in which some literals have equal keys.
+
+    Only literals with equal keys are reordered, and the ordering whose
+    variables, numbered by first occurrence, read smallest wins.  It is built
+    one literal at a time: only the partial orderings with the smallest
+    numbering so far are extended, and two that leave the same literals to
+    place, with the same numbers on their variables, are extended once.
     """
-    ids: dict[Var, int] = {}  # head variables first: their numbers are fixed
-    for t in rule.head.args:
-        if isinstance(t, Var):
-            ids.setdefault(t, len(ids))
-    head_numbers = {i: i for i in range(len(ids))}
-    keyed = sorted(((_literal_key(l, ids), l) for l in rule.body), key=lambda kl: kl[0])
-    keys = [k for k, _ in keyed]
-    occ = [tuple(ids.setdefault(t, len(ids)) for t in l.atom.args if isinstance(t, Var)) for _, l in keyed]
     # (number of each variable id, body positions placed, positions left)
-    states = [(head_numbers, (), tuple(range(len(keyed))))]
-    for _ in keyed:
+    states = [({i: i for i in range(n_head)}, (), tuple(range(len(keys))))]
+    for _ in keys:
         best, extended = None, {}
         for names, placed, left in states:
             for i, j in enumerate(left):
@@ -152,8 +161,31 @@ def canonical_form(rule: Rule) -> Rule:
                     extended.setdefault(future, (new, placed + (j,), rest))
         states = list(extended.values())
     names, placed, _ = states[0]
+    return names, placed
+
+
+def canonical_form(rule: Rule) -> Rule:
+    """Rename variables to a canonical sequence, modulo body reordering, so
+    that alphabetic variants collapse to an identical rule.
+
+    The body is sorted by :func:`_literal_key` and variables are numbered by
+    first occurrence, head first; literals with equal keys are ordered by
+    :func:`_order_ties`.  Body literals are shared between canonical rules.
+    """
+    ids: dict[Var, int] = {}  # head variables first: their numbers are fixed
+    for t in rule.head.args:
+        if isinstance(t, Var):
+            ids.setdefault(t, len(ids))
+    n_head = len(ids)
+    keyed = sorted(((_literal_key(l, ids), l) for l in rule.body), key=lambda kl: kl[0])
+    keys = [k for k, _ in keyed]
+    occ = [tuple(ids.setdefault(t, len(ids)) for t in l.atom.args if isinstance(t, Var)) for _, l in keyed]
+    if any(a == b for a, b in zip(keys, keys[1:])):
+        names, placed = _order_ties(keys, occ, n_head)
+    else:  # first occurrence in sorted order is already the smallest numbering
+        names, placed = range(len(ids)), range(len(keyed))
     rename = {v: _canonical_var(names[i]) for v, i in ids.items()}
-    return Rule(rule.head.substitute(rename), tuple(keyed[j][1].substitute(rename) for j in placed))
+    return Rule(rule.head.substitute(rename), tuple(_canonical_literal(keyed[j][1], rename) for j in placed))
 
 
 def refine(
@@ -165,7 +197,11 @@ def refine(
     """All proper one-step specializations of ``h`` under the bias.
 
     Children are deduplicated modulo variable renaming; each passes the
-    safeness and linkedness filters.
+    safeness and linkedness filters.  When ``h`` passes them, every child
+    does, and is not checked again: an added literal has a variable of ``h``,
+    its fresh variables occur positively, a negated literal uses only
+    positive-body variables, and a specialization keeps the predicate kind
+    and the arguments.
     """
     existing = h.variables()
     body_atoms = {l.atom for l in h.body}
@@ -175,9 +211,10 @@ def refine(
             pos_vars.update(l.atom.variables())
     out: list[RefinementStep] = []
     seen: set[Rule] = {canonical_form(h)}
+    check_children = not _admissible(h)
 
     def emit(label: str, lit: Literal, child: Rule) -> None:
-        if not _admissible(child):
+        if check_children and not _admissible(child):
             return
         key = canonical_form(child)
         if key in seen:

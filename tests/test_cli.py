@@ -216,6 +216,23 @@ def test_refine_depth_below_one_is_an_input_error(capsys, depth):
     assert err == f"error: --depth must be at least 1, got {depth}"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("refine", "--kb", KB, "--bias", "b", "--rule", "r", "--depth", "abc"),
+     "error: argument --depth: invalid int value: 'abc'"),
+    (("refine", "--bias", "b", "--rule", "r"), "error: the following arguments are required: --kb"),
+], ids=["depth-not-an-int", "missing-kb"])
+def test_bad_option_is_an_input_error(capsys, argv, message):
+    # argparse alone would exit 2, the code for a partial result
+    assert run(capsys, *argv) == (1, "", message)
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["refine", "--help"])
+    assert exc.value.code == 0
+    assert "--depth" in capsys.readouterr().out
+
+
 def test_learn_max_body_len_zero_is_an_input_error(capsys):
     code, out, err = run(
         capsys, "learn", "--kb", KB,

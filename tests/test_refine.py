@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 
-from ontorules.model import ModelError, Predicate, CONCEPT, DATALOG, ROLE
+from ontorules import parse_rule
+from ontorules.model import ModelError, Predicate, CONCEPT, DATALOG, ROLE, is_linked, validate_safeness
 from ontorules.refine import (
     ADD_DATALOG,
     ADD_NEGATED_DATALOG,
@@ -90,12 +93,55 @@ def test_negated_literal_uses_existing_variables_only(kb, loner_bias, loner_rule
                 assert set(s.literal.atom.variables()) <= parent_pos
 
 
-def test_children_are_safe_and_linked(kb, likes_bias, likes_rules):
-    from ontorules.model import is_linked, validate_safeness
+def _space(seed, bias, tbox, depth):
+    """The rules within ``depth`` steps of ``seed``, one per canonical form."""
+    space, frontier, seen = [seed], [seed], {canonical_form(seed)}
+    for _ in range(depth):
+        nxt = []
+        for parent in frontier:
+            for s in refine(parent, bias, tbox):
+                if s.key not in seen:
+                    seen.add(s.key)
+                    nxt.append(s.child)
+        space += nxt
+        frontier = nxt
+    return space
 
-    for s in refine(likes_rules["h1"], likes_bias, kb.tbox):
-        assert not validate_safeness(s.child)
-        assert is_linked(s.child)
+
+def test_children_are_safe_and_linked(kb, loner_bias, likes_bias):
+    # children of a safe, linked parent are not checked one by one, so check
+    # every step out of every rule of the LONER depth-3 and LIKES depth-2 spaces
+    for target, bias, depth, edges in (
+        (Predicate("LONER", 1, CONCEPT), loner_bias, 3, 13),
+        (Predicate("LIKES", 2, ROLE), likes_bias, 2, 20682),
+    ):
+        steps = 0
+        for parent in _space(seed_rule(target), bias, kb.tbox, depth):
+            for s in refine(parent, bias, kb.tbox):
+                steps += 1
+                assert not validate_safeness(s.child)
+                assert is_linked(s.child)
+        assert steps == edges
+
+
+@pytest.mark.parametrize("parent", [
+    "LONER(X).",
+    "LIKES(X,Y).",
+    "LIKES(X,Y) :- meets(X,Z,Y), famous(W).",  # unlinked, and a bridging child links it
+])
+def test_inadmissible_parent_has_each_child_filtered(kb, loner_bias, likes_bias, monkeypatch, parent):
+    rule = parse_rule(parent, kb)
+    bias = loner_bias if rule.head.pred.name == "LONER" else likes_bias
+    assert validate_safeness(rule) or not is_linked(rule)
+    kept = refine(rule, bias, kb.tbox)
+    # ``ontorules.refine`` the attribute is the function, hence sys.modules
+    monkeypatch.setattr(sys.modules["ontorules.refine"], "_admissible", lambda child: True)
+    every = refine(rule, bias, kb.tbox)
+    filtered = [s for s in every if not validate_safeness(s.child) and is_linked(s.child)]
+    assert 0 < len(filtered) < len(every)
+    assert [(s.rule_applied, str(s.literal), str(s.child)) for s in kept] == [
+        (s.rule_applied, str(s.literal), str(s.child)) for s in filtered
+    ]
 
 
 def test_empty_bias_yields_nothing(kb, loner_rules):
