@@ -6,7 +6,6 @@ generality verdicts, and the learned hypothesis for each task.
 """
 
 import argparse
-import dataclasses
 import time
 from importlib import resources
 
@@ -54,7 +53,7 @@ def run_task(kb, name: str) -> None:
     examples = parse_examples((DATA / spec["examples"]).read_text(), kb)
     bias = parse_bias((DATA / spec["bias"]).read_text(), kb)
     rules = [parse_rule(t, kb) for t in spec["rules"]]
-    kbx = dataclasses.replace(kb, alphabet=kb.alphabet + (examples.target,))
+    kbx = kb.with_predicate(examples.target)
     atoms = [parse_ground_atom(t, kbx) for t in spec["example_atoms"]]
 
     print(f"== task {name} ==")

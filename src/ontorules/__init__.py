@@ -16,7 +16,7 @@ from .model import (
     Var,
 )
 from .datalog import GroundProgram, Interpretation, answer_query, ground_program, is_stable_model, stable_models
-from .dlreason import DLGuess, saturate, subsumes
+from .dlreason import DLGuess, subsumes
 from .hybrid import Entailment, GeneralityVerdict, NMModel, compare, covers, entails, more_general, nm_models
 from .learner import CoverageStats, LearnedHypothesis, LearnerParams, choose_best, gain, learn
 from .parser import parse_bias, parse_examples, parse_ground_atom, parse_kb, parse_rule, serialize_rule

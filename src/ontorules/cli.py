@@ -11,7 +11,6 @@ no seed flag exists.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -52,14 +51,6 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _with_target(kb, pred):
-    """KB with the rule's head predicate added to the alphabet so that target
-    atoms parse."""
-    if kb.predicate(pred.name) is not None:
-        return kb
-    return dataclasses.replace(kb, alphabet=kb.alphabet + (pred,))
-
-
 class _Report:
     def __init__(self, command: str):
         self.data: dict = {
@@ -85,11 +76,10 @@ class _Report:
 def _emit(report: _Report, fmt: str, text_lines: list[str], out_path: str | None = None) -> None:
     report.finish()
     payload = json.dumps(report.data, indent=2, sort_keys=True)
-    body = payload if fmt == "json" else "\n".join(text_lines)
-    print(body)
-    if out_path:
+    if out_path:  # written first, so that a failed write prints no report
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
+    print(payload if fmt == "json" else "\n".join(text_lines))
 
 
 def cmd_learn(args) -> int:
@@ -125,7 +115,7 @@ def cmd_check(args) -> int:
     report = _Report("check")
     kb = parse_kb(_read(args.kb), args.kb)
     rule = parse_rule(args.rule, kb)
-    example = parse_ground_atom(args.example, _with_target(kb, rule.head.pred))
+    example = parse_ground_atom(args.example, kb.with_predicate(rule.head.pred))
     report.phase("parse")
     try:
         verdict = "covers" if covers(kb, rule, example) else "does-not-cover"

@@ -11,7 +11,6 @@ with the reduct fixpoint.  The hybrid model builder runs the same search
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .model import (
     Atom,
@@ -19,6 +18,7 @@ from .model import (
     Const,
     Literal,
     ModelError,
+    Record,
     Rule,
     DATALOG,
     DEFAULT_GROUNDING_BUDGET,
@@ -34,12 +34,12 @@ class InconsistentProgramError(RuntimeError):
     vacuous; surfaced explicitly instead."""
 
 
-@dataclass(frozen=True)
-class GroundProgram:
-    rules: tuple[Rule, ...]
-    facts: frozenset[Atom]
+class GroundProgram(Record):
+    """Ground rules (a tuple) with datalog heads over a frozenset of facts."""
 
-    def __post_init__(self):
+    __slots__ = ("rules", "facts")
+
+    def _validate(self):
         for r in self.rules:
             if not r.is_ground():
                 raise ModelError(f"rule is not ground: {r}")
@@ -63,9 +63,8 @@ class GroundProgram:
         return out
 
 
-@dataclass(frozen=True)
-class Interpretation:
-    true_atoms: frozenset[Atom]
+class Interpretation(Record):
+    __slots__ = ("true_atoms",)  # frozenset[Atom]
 
 
 def extensional_predicates(rules) -> set:

@@ -3,38 +3,37 @@
 The fragment is deliberately small: inclusions of the shape
 ``(C1 and ... and Cn) subclass D`` where ``D`` is an atomic concept or an
 existential restriction with Top filler, plus atomic role inclusions.
-Consistency is decided by saturation; existential right-hand sides never force
-named role atoms (their witnesses may stay anonymous).
+A guess is consistent when its closure under the axioms (:func:`close`)
+derives none of the atoms it declares false; existential right-hand sides
+never force named role atoms (their witnesses may stay anonymous).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .model import (
     Atom,
     Axiom,
     ConceptInclusion,
     Const,
-    Existential,
     ModelError,
     Predicate,
+    Record,
     RoleInclusion,
     CONCEPT,
     ROLE,
 )
 
 
-@dataclass(frozen=True)
-class DLGuess:
+class DLGuess(Record):
     """One open-world completion over ground ontology atoms with named
-    arguments.  ``true_atoms`` and ``false_atoms`` must be disjoint."""
+    arguments.  ``true_atoms`` and ``false_atoms`` are disjoint frozensets."""
 
-    true_atoms: frozenset[Atom] = frozenset()
-    false_atoms: frozenset[Atom] = frozenset()
+    __slots__ = ("true_atoms", "false_atoms")
+    _defaults = dict.fromkeys(__slots__, frozenset())
 
-    def __post_init__(self):
+    def _validate(self):
         clash = self.true_atoms & self.false_atoms
         if clash:
             raise ModelError(f"guess assigns both polarities to {sorted(map(str, clash))}")
@@ -43,8 +42,7 @@ class DLGuess:
                 raise ModelError(f"guess atom must be a ground ontology atom: {a}")
 
 
-@dataclass(frozen=True)
-class ExistsFact:
+class ExistsFact(Record):
     """Derived fact "some individual is related to ``anchor`` via ``role``".
 
     ``anchor_pos`` is the argument position occupied by the named individual:
@@ -52,20 +50,7 @@ class ExistsFact:
     may be anonymous, so no ground role atom is implied.
     """
 
-    role: str
-    anchor: Const
-    anchor_pos: int
-
-
-@dataclass(frozen=True)
-class Saturation:
-    guess: DLGuess
-    clashes: tuple[Atom, ...] = ()
-    existentials: frozenset[ExistsFact] = frozenset()
-
-    @property
-    def consistent(self) -> bool:
-        return not self.clashes
+    __slots__ = ("role", "anchor", "anchor_pos")  # str, Const, int
 
 
 def role_closure(tbox: tuple[Axiom, ...]) -> dict[str, set[str]]:
@@ -159,18 +144,3 @@ def close(atoms, tbox: tuple[Axiom, ...]) -> tuple[set[Atom], set[ExistsFact]]:
                 true.add(d)
                 todo.append(d)
     return true, exists
-
-
-def saturate(guess: DLGuess, tbox: tuple[Axiom, ...], abox: tuple[Atom, ...]) -> Saturation:
-    """Close the guess under the assertions and axioms (see :func:`close`).
-
-    Inconsistency is reported, not raised: the result lists every derived atom
-    that the guess declares false.
-    """
-    true, exists = close(itertools.chain(guess.true_atoms, abox), tbox)
-    clashes = tuple(sorted(true & guess.false_atoms, key=str))
-    return Saturation(
-        guess=DLGuess(frozenset(true), guess.false_atoms - true if clashes else guess.false_atoms),
-        clashes=clashes,
-        existentials=frozenset(exists),
-    )

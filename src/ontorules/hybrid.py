@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from . import datalog
@@ -46,6 +45,7 @@ from .model import (
     Literal,
     ModelError,
     Predicate,
+    Record,
     Rule,
     Var,
     CONCEPT,
@@ -77,11 +77,12 @@ class GeneralityVerdict(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class NMModel:
-    guess: DLGuess
-    datalog_model: Interpretation
-    existentials: frozenset[ExistsFact] = frozenset()
+class NMModel(Record):
+    """A model of a hybrid KB: its ontology guess, its datalog model and the
+    frozenset of its anonymous witness facts."""
+
+    __slots__ = ("guess", "datalog_model", "existentials")
+    _defaults = {"existentials": frozenset()}
 
 
 # simple run counters for reporting; reset per CLI invocation
@@ -95,15 +96,18 @@ def reset_counters() -> None:
 
 # --- grounding --------------------------------------------------------------
 
-@dataclass(frozen=True)
 class _Instance:
-    """A rule instance ground except for ontology-only variables."""
+    """A rule instance ground except for ontology-only variables: its head
+    and tuples of body atoms by kind."""
 
-    head: Atom
-    pos_datalog: tuple[Atom, ...]
-    naf: tuple[Atom, ...]
-    dl_ground: tuple[Atom, ...]
-    dl_open: tuple[Atom, ...]
+    __slots__ = ("head", "pos_datalog", "naf", "dl_ground", "dl_open")
+
+    def __init__(self, head, pos_datalog, naf, dl_ground, dl_open):
+        self.head = head
+        self.pos_datalog = pos_datalog
+        self.naf = naf
+        self.dl_ground = dl_ground
+        self.dl_open = dl_open
 
 
 def _partial_ground(

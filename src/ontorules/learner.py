@@ -8,38 +8,32 @@ operator until no negative example is covered (or the guards trip).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .hybrid import KBModels
-from .model import Atom, ExampleSet, HybridKB, LanguageBias, Predicate, Rule
-from .refine import RefinementStep, refine, seed_rule
+from .model import Atom, ExampleSet, HybridKB, LanguageBias, Predicate, Record, Rule
+from .refine import refine, seed_rule
 
 
-@dataclass(frozen=True)
-class LearnerParams:
-    max_body_len: int = 5
-    laplace: bool = True
-    noise_tolerance: float = 0.0
+class LearnerParams(Record):
+    __slots__ = ("max_body_len", "laplace", "noise_tolerance")  # int, bool, float
+    _defaults = {"max_body_len": 5, "laplace": True, "noise_tolerance": 0.0}
 
-    def __post_init__(self):
+    def _validate(self):
         if self.max_body_len < 1:
             raise ValueError("max_body_len must be positive")
         if not 0.0 <= self.noise_tolerance <= 1.0:
             raise ValueError("noise_tolerance must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class CoverageStats:
-    pos_covered: int
-    neg_covered: int
-    confidence: float
+class CoverageStats(Record):
+    __slots__ = ("pos_covered", "neg_covered", "confidence")  # int, int, float
 
 
-@dataclass(frozen=True)
-class LearnedHypothesis:
-    rules: tuple[Rule, ...]
-    per_rule_stats: tuple[CoverageStats, ...]
-    uncovered_positives: tuple[Atom, ...]
+class LearnedHypothesis(Record):
+    """The learned rules, their coverage statistics and the positives left
+    uncovered, as tuples."""
+
+    __slots__ = ("rules", "per_rule_stats", "uncovered_positives")
 
     @property
     def success(self) -> bool:
@@ -52,21 +46,22 @@ def confidence(pos: int, neg: int, laplace: bool = True) -> float:
     return pos / (pos + neg) if pos + neg else 0.0
 
 
-@dataclass
 class _Evaluated:
-    rule: Rule
-    pos: frozenset[Atom]
-    neg: frozenset[Atom]
-    step: RefinementStep | None = None
+    """A rule with the frozensets of positives and negatives it covers."""
+
+    __slots__ = ("rule", "pos", "neg")
+
+    def __init__(self, rule: Rule, pos, neg):
+        self.rule = rule
+        self.pos = pos
+        self.neg = neg
 
     def stats(self, laplace: bool) -> CoverageStats:
         return CoverageStats(len(self.pos), len(self.neg), confidence(len(self.pos), len(self.neg), laplace))
 
 
-def _coverage(
-    models: KBModels, rule: Rule, positives, negatives, step: RefinementStep | None = None
-) -> _Evaluated:
-    return _Evaluated(rule, models.covered(rule, positives), models.covered(rule, negatives), step)
+def _coverage(models: KBModels, rule: Rule, positives, negatives) -> _Evaluated:
+    return _Evaluated(rule, models.covered(rule, positives), models.covered(rule, negatives))
 
 
 def gain(h_new: Rule, h_old: Rule, kb: HybridKB, examples: ExampleSet, laplace: bool = True) -> float:
@@ -167,7 +162,7 @@ def _learn_one(
         steps = refine(current.rule, bias, models.kb.tbox)
         if not steps:
             return None
-        evaluated = [_coverage(models, s.child, positives, negatives, s) for s in steps]
+        evaluated = [_coverage(models, s.child, positives, negatives) for s in steps]
         evaluated.sort(key=lambda e: _rank_key(e, current, params.laplace))
         best = evaluated[0]
         if not best.pos:

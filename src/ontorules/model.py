@@ -3,23 +3,26 @@
 Everything here is immutable after construction and safe to share across
 concurrent workers; the module-level operations are pure functions.
 
+Every value class derives from :class:`Record`, a slotted base (no
+per-instance ``__dict__``) whose fields are the public names in
+``__slots__``.  It is written out by hand rather than generated, so that
+importing the package compiles no code at run time.
+
 The term layer -- ``Var``, ``Const``, ``Predicate``, ``Atom``, ``Literal`` and
-``Rule`` -- is slotted (no per-instance ``__dict__``), because refinement and
-the generality test build and hash these objects by the million.  The first
-five compute their hash once, at construction, into a ``_hash`` slot that
-takes no part in equality, ordering or ``repr``.  Each cached hash equals the
-hash the dataclass would generate from the compared fields --
+``Rule`` -- writes out its own constructor and comparisons, because
+refinement and the generality test build, compare and hash these objects by
+the million.  The first five compute their hash once, at construction, into a
+``_hash`` slot.  Each cached hash equals the hash of the field tuple --
 ``hash((name,))``, ``hash((name, arity, kind))``, ``hash((pred, args))`` and
 ``hash((atom, negated))`` -- so every set and dict of these objects iterates
-in the same order as with generated hashes, and output that follows such an
-order stays the same.
+in the same order as with field-tuple hashes, and output that follows such an
+order stays the same.  The five are ordered by their field tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 
 CONCEPT = "concept"
 ROLE = "role"
@@ -45,28 +48,119 @@ class BudgetError(RuntimeError):
     """An enumeration exceeded its configured budget."""
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Var:
-    name: str
-    _hash: int = field(init=False, repr=False, compare=False)
+#: Sets a slot past the immutability guard; constructors only.
+_set = object.__setattr__
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.name,)))
+
+class Record:
+    """An immutable value whose fields are the public names in ``__slots__``.
+
+    Equality, hash and ``repr`` follow the field tuple; values of different
+    classes are never equal.  Fields are given by position or keyword, with
+    the defaults in ``_defaults``; ``_validate`` checks them after they are
+    set.  Pickling and copying rebuild the value through its constructor, so
+    a cached hash is computed afresh, with the receiving process's string
+    hashes.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        slots = [n for c in reversed(cls.__mro__) for n in c.__dict__.get("__slots__", ())]
+        cls._fields = tuple(n for n in slots if not n.startswith("_"))
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(self._fields, args):
+            _set(self, name, value)
+        self._validate()
+
+    def _bind(self, args, kwargs) -> list:
+        names = self._fields
+        given = dict(zip(names, args))
+        if len(args) > len(names) or not kwargs.keys() <= set(names) - given.keys():
+            raise TypeError(f"{type(self).__name__}() got unexpected or repeated arguments")
+        values = {**self._defaults, **given, **kwargs}
+        missing = [n for n in names if n not in values]
+        if missing:
+            raise TypeError(f"{type(self).__name__}() missing arguments: {', '.join(missing)}")
+        return [values[n] for n in names]
+
+    def _validate(self) -> None:
+        """Raise when the fields break an invariant of the class."""
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, n) for n in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _Name(Record):
+    """A variable or constant, identified by its name."""
+
+    __slots__ = ("name", "_hash")
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        _set(self, "_hash", hash((name,)))
 
     def __hash__(self):
         return self._hash
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name,) == (other.name,)
+        return NotImplemented
 
-@dataclass(frozen=True, order=True, slots=True)
-class Const:
-    name: str
-    _hash: int = field(init=False, repr=False, compare=False)
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name,) < (other.name,)
+        return NotImplemented
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.name,)))
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name,) <= (other.name,)
+        return NotImplemented
 
-    def __hash__(self):
-        return self._hash
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name,) > (other.name,)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name,) >= (other.name,)
+        return NotImplemented
+
+
+class Var(_Name):
+    __slots__ = ()
+
+
+class Const(_Name):
+    __slots__ = ()
 
 
 Term = Var | Const
@@ -77,45 +171,91 @@ def make_term(name: str) -> Term:
     return Var(name) if VARIABLE_RE.match(name) else Const(name)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Predicate:
-    name: str
-    arity: int
-    kind: str  # CONCEPT | ROLE | DATALOG
-    _hash: int = field(init=False, repr=False, compare=False)
+class Predicate(Record):
+    __slots__ = ("name", "arity", "kind", "_hash")  # kind: CONCEPT | ROLE | DATALOG
 
-    def __post_init__(self):
-        if self.kind == CONCEPT and self.arity != 1:
-            raise ModelError(f"concept predicate {self.name} must have arity 1")
-        if self.kind == ROLE and self.arity != 2:
-            raise ModelError(f"role predicate {self.name} must have arity 2")
-        if self.kind == DATALOG and self.arity < 1:
-            raise ModelError(f"datalog predicate {self.name} must have arity >= 1")
-        object.__setattr__(self, "_hash", hash((self.name, self.arity, self.kind)))
+    def __init__(self, name: str, arity: int, kind: str):
+        if kind == CONCEPT and arity != 1:
+            raise ModelError(f"concept predicate {name} must have arity 1")
+        if kind == ROLE and arity != 2:
+            raise ModelError(f"role predicate {name} must have arity 2")
+        if kind == DATALOG and arity < 1:
+            raise ModelError(f"datalog predicate {name} must have arity >= 1")
+        _set(self, "name", name)
+        _set(self, "arity", arity)
+        _set(self, "kind", kind)
+        _set(self, "_hash", hash((name, arity, kind)))
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.arity, self.kind) == (other.name, other.arity, other.kind)
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.arity, self.kind) < (other.name, other.arity, other.kind)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.arity, self.kind) <= (other.name, other.arity, other.kind)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.arity, self.kind) > (other.name, other.arity, other.kind)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.arity, self.kind) >= (other.name, other.arity, other.kind)
+        return NotImplemented
 
     @property
     def is_dl(self) -> bool:
         return self.kind in (CONCEPT, ROLE)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Atom:
-    pred: Predicate
-    args: tuple[Term, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+class Atom(Record):
+    __slots__ = ("pred", "args", "_hash")
 
-    def __post_init__(self):
-        if len(self.args) != self.pred.arity:
-            raise ModelError(
-                f"{self.pred.name}/{self.pred.arity} applied to {len(self.args)} arguments"
-            )
-        object.__setattr__(self, "_hash", hash((self.pred, self.args)))
+    def __init__(self, pred: Predicate, args: tuple[Term, ...]):
+        if len(args) != pred.arity:
+            raise ModelError(f"{pred.name}/{pred.arity} applied to {len(args)} arguments")
+        _set(self, "pred", pred)
+        _set(self, "args", args)
+        _set(self, "_hash", hash((pred, args)))
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.pred, self.args) == (other.pred, other.args)
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.pred, self.args) < (other.pred, other.args)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.pred, self.args) <= (other.pred, other.args)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.pred, self.args) > (other.pred, other.args)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.pred, self.args) >= (other.pred, other.args)
+        return NotImplemented
 
     def variables(self) -> tuple[Var, ...]:
         seen: dict[Var, None] = {}
@@ -136,19 +276,43 @@ class Atom:
         return f"{self.pred.name}({','.join(t.name for t in self.args)})"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Literal:
-    atom: Atom
-    negated: bool = False
-    _hash: int = field(init=False, repr=False, compare=False)
+class Literal(Record):
+    __slots__ = ("atom", "negated", "_hash")
 
-    def __post_init__(self):
-        if self.negated and self.atom.pred.kind != DATALOG:
-            raise ModelError(f"negation-as-failure on non-datalog predicate {self.atom.pred.name}")
-        object.__setattr__(self, "_hash", hash((self.atom, self.negated)))
+    def __init__(self, atom: Atom, negated: bool = False):
+        if negated and atom.pred.kind != DATALOG:
+            raise ModelError(f"negation-as-failure on non-datalog predicate {atom.pred.name}")
+        _set(self, "atom", atom)
+        _set(self, "negated", negated)
+        _set(self, "_hash", hash((atom, negated)))
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.atom, self.negated) == (other.atom, other.negated)
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.atom, self.negated) < (other.atom, other.negated)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.atom, self.negated) <= (other.atom, other.negated)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.atom, self.negated) > (other.atom, other.negated)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.atom, self.negated) >= (other.atom, other.negated)
+        return NotImplemented
 
     def substitute(self, theta: dict[Var, Term]) -> "Literal":
         return Literal(self.atom.substitute(theta), self.negated)
@@ -157,19 +321,18 @@ class Literal:
         return f"not {self.atom}" if self.negated else str(self.atom)
 
 
-@dataclass(frozen=True, slots=True)
-class Rule:
+class Rule(Record):
     """A clause ``head :- body``.  The body is stored as an ordered tuple but
     compared as a set; duplicate literals are dropped at construction."""
 
-    head: Atom
-    body: tuple[Literal, ...] = ()
+    __slots__ = ("head", "body")
 
-    def __post_init__(self):
+    def __init__(self, head: Atom, body: tuple[Literal, ...] = ()):
         seen: dict[Literal, None] = {}
-        for lit in self.body:
+        for lit in body:
             seen.setdefault(lit)
-        object.__setattr__(self, "body", tuple(seen))
+        _set(self, "head", head)
+        _set(self, "body", tuple(seen))
 
     def __eq__(self, other):
         if not isinstance(other, Rule):
@@ -211,33 +374,28 @@ class Rule:
 
 # --- ontology axioms --------------------------------------------------------
 
-@dataclass(frozen=True)
-class Existential:
+class Existential(Record):
     """The restriction "some role Top", optionally over the inverse role."""
 
-    role: str
-    inverse: bool = False
+    __slots__ = ("role", "inverse")  # str, bool
+    _defaults = {"inverse": False}
 
     def __str__(self) -> str:
         r = f"inv({self.role})" if self.inverse else self.role
         return f"some {r} Top"
 
 
-@dataclass(frozen=True)
-class ConceptInclusion:
+class ConceptInclusion(Record):
     """(C1 and ... and Cn) subclass D, with D atomic or an existential."""
 
-    lhs: tuple[str, ...]
-    rhs: str | Existential
+    __slots__ = ("lhs", "rhs")  # tuple[str, ...], str | Existential
 
     def __str__(self) -> str:
         return f"{' and '.join(self.lhs)} subclass {self.rhs}."
 
 
-@dataclass(frozen=True)
-class RoleInclusion:
-    sub: str
-    sup: str
+class RoleInclusion(Record):
+    __slots__ = ("sub", "sup")  # role names
 
     def __str__(self) -> str:
         return f"{self.sub} subrole {self.sup}."
@@ -248,22 +406,19 @@ Axiom = ConceptInclusion | RoleInclusion
 
 # --- knowledge base and learning inputs -------------------------------------
 
-@dataclass(frozen=True)
-class HybridKB:
+class HybridKB(Record):
     """Ontology axioms and assertions tightly coupled with a normal datalog
     program.
 
-    The intensional part is ``tbox + rules``; the extensional part is
-    ``abox + facts``.
+    The intensional part is ``tbox + rules`` (tuples of axioms and rules); the
+    extensional part is ``abox + facts`` (tuples of ground atoms).  The
+    ``alphabet`` is the tuple of declared predicates.
     """
 
-    tbox: tuple[Axiom, ...] = ()
-    abox: tuple[Atom, ...] = ()
-    rules: tuple[Rule, ...] = ()
-    facts: tuple[Atom, ...] = ()
-    alphabet: tuple[Predicate, ...] = ()
+    __slots__ = ("tbox", "abox", "rules", "facts", "alphabet")
+    _defaults = dict.fromkeys(__slots__, ())
 
-    def __post_init__(self):
+    def _validate(self):
         for a in self.abox:
             if not a.pred.is_dl or not a.is_ground():
                 raise ModelError(f"bad ontology assertion: {a}")
@@ -281,6 +436,13 @@ class HybridKB:
                 return p
         return None
 
+    def with_predicate(self, pred: Predicate) -> HybridKB:
+        """This KB with ``pred`` added to the alphabet, so that atoms over it
+        parse; the KB itself when a predicate of that name is declared."""
+        if self.predicate(pred.name) is not None:
+            return self
+        return HybridKB(self.tbox, self.abox, self.rules, self.facts, self.alphabet + (pred,))
+
     def predicates_of_kind(self, kind: str) -> tuple[Predicate, ...]:
         return tuple(p for p in self.alphabet if p.kind == kind)
 
@@ -293,13 +455,12 @@ class HybridKB:
         return out
 
 
-@dataclass(frozen=True)
-class ExampleSet:
-    target: Predicate
-    positives: tuple[Atom, ...]
-    negatives: tuple[Atom, ...]
+class ExampleSet(Record):
+    """Ground positive and negative atoms of the target predicate."""
 
-    def __post_init__(self):
+    __slots__ = ("target", "positives", "negatives")
+
+    def _validate(self):
         for a in itertools.chain(self.positives, self.negatives):
             if a.pred != self.target:
                 raise ModelError(f"example {a} is not about target {self.target.name}")
@@ -307,26 +468,22 @@ class ExampleSet:
                 raise ModelError(f"example {a} is not ground")
 
 
-@dataclass(frozen=True)
-class LanguageBias:
-    """The predicate alphabets a hypothesis body may draw from.
+class LanguageBias(Record):
+    """The predicate alphabets a hypothesis body may draw from, each a
+    frozenset of predicates.
 
     ``datalog_pos`` and ``datalog_neg`` may overlap; a predicate listed in both
     can occur positively and under negation-as-failure.
     """
 
-    concepts: frozenset[Predicate] = frozenset()
-    roles: frozenset[Predicate] = frozenset()
-    datalog_pos: frozenset[Predicate] = frozenset()
-    datalog_neg: frozenset[Predicate] = frozenset()
+    __slots__ = ("concepts", "roles", "datalog_pos", "datalog_neg")
+    _defaults = dict.fromkeys(__slots__, frozenset())
 
 
 # --- structural operations --------------------------------------------------
 
-@dataclass(frozen=True)
-class SafenessViolation:
-    variable: Var
-    condition: str  # "datalog-safeness" | "weak-dl-safeness"
+class SafenessViolation(Record):
+    __slots__ = ("variable", "condition")  # condition: "datalog-safeness" | "weak-dl-safeness"
 
     def __str__(self) -> str:
         return f"{self.variable.name} violates {self.condition}"

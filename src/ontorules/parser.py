@@ -13,7 +13,6 @@ variable; every other identifier is a constant or predicate name.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .model import (
     Atom,
@@ -27,6 +26,7 @@ from .model import (
     Literal,
     ModelError,
     Predicate,
+    Record,
     RoleInclusion,
     Rule,
     SKOLEM_RE,
@@ -43,11 +43,8 @@ _INT_RE = re.compile(r"[0-9]+")
 _KEYWORDS = {"concept", "role", "pred", "subclass", "subrole", "and", "some", "inv", "Top", "not"}
 
 
-@dataclass(frozen=True)
-class SourceLocation:
-    file: str
-    line: int
-    column: int
+class SourceLocation(Record):
+    __slots__ = ("file", "line", "column")  # str, int, int
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
@@ -60,11 +57,13 @@ class ParseError(ValueError):
         self.location = location
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # ident | int | punct | section | end
-    text: str
-    loc: SourceLocation
+    __slots__ = ("kind", "text", "loc")
+
+    def __init__(self, kind: str, text: str, loc: SourceLocation):
+        self.kind = kind  # ident | int | punct | section | end
+        self.text = text
+        self.loc = loc
 
 
 def _tokenize(text: str, filename: str) -> list[_Token]:
@@ -131,13 +130,15 @@ class _TokenStream:
         return tok
 
 
-@dataclass
 class _KBBuilder:
-    predicates: dict[str, Predicate] = field(default_factory=dict)
-    tbox: list[Axiom] = field(default_factory=list)
-    abox: list[Atom] = field(default_factory=list)
-    rules: list[Rule] = field(default_factory=list)
-    facts: list[Atom] = field(default_factory=list)
+    __slots__ = ("predicates", "tbox", "abox", "rules", "facts")
+
+    def __init__(self, predicates: dict[str, Predicate]):
+        self.predicates = predicates
+        self.tbox: list[Axiom] = []
+        self.abox: list[Atom] = []
+        self.rules: list[Rule] = []
+        self.facts: list[Atom] = []
 
     def lookup(self, name: str, loc: SourceLocation) -> Predicate:
         pred = self.predicates.get(name)
@@ -280,7 +281,7 @@ def _build_rule(head: Atom, body: tuple[Literal, ...], loc: SourceLocation) -> R
 def parse_kb(text: str, filename: str = "<kb>") -> HybridKB:
     """Parse a ``.okb`` knowledge base."""
     stream = _TokenStream(_tokenize(text, filename))
-    builder = _KBBuilder()
+    builder = _KBBuilder({})
     section: str | None = None
     while True:
         tok = stream.peek()

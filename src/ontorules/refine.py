@@ -9,7 +9,6 @@ inclusion hierarchy, or add a negated datalog literal over existing variables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .dlreason import subsumes
 from .model import (
@@ -20,6 +19,7 @@ from .model import (
     Literal,
     ModelError,
     Predicate,
+    Record,
     Rule,
     Var,
     CONCEPT,
@@ -40,13 +40,11 @@ DEFAULT_MAX_NEW_VARS = 1
 _FRESH_POOL = tuple("ZWVUTSRQPONMLKJIHGFEDCBAYX") + tuple(f"Z{i}" for i in range(1, 64))
 
 
-@dataclass(frozen=True)
-class RefinementStep:
-    rule_applied: str
-    literal: Literal
-    parent: Rule
-    child: Rule
-    key: Rule  # canonical_form(child)
+class RefinementStep(Record):
+    """One move: its label, the literal it adds or specializes, the parent,
+    the child and the child's key ``canonical_form(child)``."""
+
+    __slots__ = ("rule_applied", "literal", "parent", "child", "key")
 
 
 def seed_rule(target: Predicate) -> Rule:

@@ -1,4 +1,3 @@
-import dataclasses
 from importlib import resources
 
 import pytest
@@ -35,16 +34,10 @@ def likes_examples(kb):
     return parse_examples(data_text("likes.oex"), kb)
 
 
-def with_target(kb, rule):
-    """KB whose alphabet also declares the rule's head predicate, so that
-    target example atoms parse."""
-    if kb.predicate(rule.head.pred.name) is not None:
-        return kb
-    return dataclasses.replace(kb, alphabet=kb.alphabet + (rule.head.pred,))
-
-
 def target_atom(kb, rule, text):
-    return parse_ground_atom(text, with_target(kb, rule))
+    """Parse a target example atom against the KB plus the rule's head
+    predicate."""
+    return parse_ground_atom(text, kb.with_predicate(rule.head.pred))
 
 
 @pytest.fixture(scope="session")

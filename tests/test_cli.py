@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -12,7 +15,8 @@ from ontorules.refine import canonical_form
 DATA = resources.files("ontorules") / "data"
 KB = str(DATA / "family.okb")
 
-SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "report-schema.json"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA_PATH = ROOT / "docs" / "report-schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))
 
 
@@ -64,6 +68,28 @@ def test_learn_enumerates_kb_models_once(capsys, task):
     assert code == 0
     assert payload["counters"]["canonical_runs"] == 1
     assert payload["counters"]["covers_calls"] == 0
+
+
+def test_learn_out_to_unwritable_path_prints_no_report(capsys, tmp_path):
+    out_file = tmp_path / "missing" / "report.json"
+    code, out, err = run(
+        capsys, "learn", "--kb", KB,
+        "--examples", str(DATA / "loner.oex"), "--bias", str(DATA / "loner.obias"),
+        "--format", "json", "--out", str(out_file),
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "report.json" in err
+    assert not out_file.parent.exists()
+
+
+def test_cli_import_generates_no_code():
+    """Importing the CLI pulls in neither ``dataclasses`` nor ``inspect``:
+    each command runs in a fresh process, so their import and code
+    generation would be paid on every call."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = "import sys, ontorules.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_text_and_json_report_same_rules(capsys):

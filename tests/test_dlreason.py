@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ontorules.dlreason import DLGuess, ExistsFact, saturate, subsumes
+from ontorules.dlreason import DLGuess, ExistsFact, close, subsumes
 from ontorules.model import (
     Atom,
     ConceptInclusion,
@@ -38,19 +38,19 @@ def test_subsumes_transitive_chain():
 
 def test_saturation_role_propagation(kb):
     guess = DLGuess(frozenset({Atom(WTM, (mary, Const("Joe")))}))
-    sat = saturate(guess, kb.tbox, ())
-    assert Atom(LOVES, (mary, Const("Joe"))) in sat.guess.true_atoms
-    assert sat.consistent
+    true, _ = close(guess.true_atoms, kb.tbox)
+    assert Atom(LOVES, (mary, Const("Joe"))) in true
+    assert not true & guess.false_atoms
 
 
 def test_saturation_existential_fact(kb):
     guess = DLGuess(frozenset({Atom(RICH, (mary,))}))
-    sat = saturate(guess, kb.tbox, (Atom(UNMARRIED, (mary,)),))
+    true, exists = close(guess.true_atoms | {Atom(UNMARRIED, (mary,))}, kb.tbox)
     # A1 forces an anonymous suitor for Mary, lifted through the role hierarchy
-    assert ExistsFact("WANTS-TO-MARRY", mary, 1) in sat.existentials
-    assert ExistsFact("LOVES", mary, 1) in sat.existentials
+    assert ExistsFact("WANTS-TO-MARRY", mary, 1) in exists
+    assert ExistsFact("LOVES", mary, 1) in exists
     # no named role atom is invented
-    assert not any(a.pred.kind == ROLE for a in sat.guess.true_atoms)
+    assert not any(a.pred.kind == ROLE for a in true)
 
 
 def test_saturation_clash_detection(kb):
@@ -58,9 +58,10 @@ def test_saturation_clash_detection(kb):
         frozenset({Atom(WTM, (mary, Const("Joe")))}),
         frozenset({Atom(LOVES, (mary, Const("Joe")))}),
     )
-    sat = saturate(guess, kb.tbox, ())
-    assert not sat.consistent
-    assert Atom(LOVES, (mary, Const("Joe"))) in sat.clashes
+    true, _ = close(guess.true_atoms, kb.tbox)
+    clashes = true & guess.false_atoms
+    assert clashes
+    assert Atom(LOVES, (mary, Const("Joe"))) in clashes
 
 
 def test_guess_disjointness_enforced():
@@ -72,10 +73,10 @@ def test_guess_disjointness_enforced():
 def test_conjunctive_lhs_fires_only_when_complete():
     A, B, D = (Predicate(n, 1, CONCEPT) for n in ("A", "B", "D"))
     tbox = (ConceptInclusion(("A", "B"), "D"),)
-    only_a = saturate(DLGuess(frozenset({Atom(A, (mary,))})), tbox, ())
-    assert Atom(D, (mary,)) not in only_a.guess.true_atoms
-    both = saturate(DLGuess(frozenset({Atom(A, (mary,)), Atom(B, (mary,))})), tbox, ())
-    assert Atom(D, (mary,)) in both.guess.true_atoms
+    only_a, _ = close({Atom(A, (mary,))}, tbox)
+    assert Atom(D, (mary,)) not in only_a
+    both, _ = close({Atom(A, (mary,)), Atom(B, (mary,))}, tbox)
+    assert Atom(D, (mary,)) in both
 
 
 @given(st.lists(st.sampled_from(["A", "B", "C", "D"]), min_size=0, max_size=6))
@@ -96,7 +97,8 @@ def test_closure_is_a_preorder(chain):
 
 def test_saturation_idempotent(kb):
     guess = DLGuess(frozenset({Atom(RICH, (mary,)), Atom(WTM, (mary, Const("Joe")))}))
-    once = saturate(guess, kb.tbox, (Atom(UNMARRIED, (mary,)),))
-    twice = saturate(once.guess, kb.tbox, (Atom(UNMARRIED, (mary,)),))
-    assert once.guess.true_atoms == twice.guess.true_atoms
-    assert once.existentials <= twice.existentials
+    abox = {Atom(UNMARRIED, (mary,))}
+    once, once_exists = close(guess.true_atoms | abox, kb.tbox)
+    twice, twice_exists = close(once | abox, kb.tbox)
+    assert once == twice
+    assert once_exists <= twice_exists

@@ -118,17 +118,21 @@ def test_ground_substitutions_cardinality_property(consts, nvars):
 
 # --- the slotted term layer ---------------------------------------------------
 
+MEETS = Predicate("meets", 3, DATALOG)
+
+
 def _term_layer_sample():
     return [
-        X, a, P, C, R,
-        Atom(Q, (X, a)), Atom(R, (a, b)),
+        X, a, P, C, R, Var("Z1"), Const("sk0"), Const("WANTS-TO-MARRY"), MEETS,
+        Atom(Q, (X, a)), Atom(R, (a, b)), Atom(C, (a,)), Atom(MEETS, (X, Z, Y)),
         Literal(Atom(P, (Y,))), Literal(Atom(P, (Y,)), negated=True),
+        Literal(Atom(R, (X, Y))), Literal(Atom(Q, (a, b)), negated=True),
     ]
 
 
 def _field_tuple(x):
-    """The compared fields of a term-layer value, as the generated dataclass
-    methods saw them before the hash was cached."""
+    """The compared fields of a term-layer value: equality, ordering and the
+    cached hash all follow this tuple."""
     if isinstance(x, (Var, Const)):
         return (x.name,)
     if isinstance(x, Predicate):
@@ -190,3 +194,30 @@ def test_sorting_follows_the_compared_fields():
     assert sorted(literals) == sorted(literals, key=lambda l: (atom_key(l.atom), l.negated))
     consts = [Const("b"), Const("a"), Const("sk10"), Const("sk2")]
     assert [c.name for c in sorted(consts)] == ["a", "b", "sk10", "sk2"]
+
+
+NAMES = st.text(alphabet="abXYZ019_-", min_size=1, max_size=4)
+
+
+@given(NAMES, NAMES)
+def test_terms_compare_and_hash_by_name(m, n):
+    for cls in (Var, Const):
+        x, y = cls(m), cls(n)
+        assert (x == y) == (m == n) and (x != y) == (m != n)
+        assert (x < y) == (m < n) and (x <= y) == (m <= n)
+        assert (x > y) == (m > n) and (x >= y) == (m >= n)
+        assert hash(x) == hash((m,))
+    assert Var(m) != Const(m)
+
+
+@given(st.lists(st.sampled_from([X, Y, Z]), min_size=2, max_size=2),
+       st.lists(st.sampled_from([X, Y, Z]), min_size=2, max_size=2), st.booleans())
+def test_atoms_and_literals_compare_by_field_tuples(args1, args2, negated):
+    s, t = Atom(Q, tuple(args1)), Atom(Q, tuple(args2))
+    assert (s == t) == (tuple(args1) == tuple(args2))
+    assert (s < t) == ((Q, tuple(args1)) < (Q, tuple(args2)))
+    assert hash(s) == hash((Q, tuple(args1)))
+    ls, lt = Literal(s, negated), Literal(t)
+    assert (ls == lt) == (s == t and not negated)
+    assert (ls <= lt) == ((s, negated) <= (t, False))
+    assert hash(ls) == hash((s, negated))
