@@ -6,7 +6,9 @@ deduplicated across expansions by their canonical form, as in criterion 4),
 calls ``more_general(parent, child, kb)`` on every edge, all under
 ``cProfile``, and prints the 25 functions with the most self time followed by
 the call counts of ``canonical_form``, ``more_general``, ``skolemize``,
-``validate_safeness`` and ``is_linked``.
+``validate_safeness`` and ``is_linked``, and by where the canonical keys came
+from: built by ``refine`` from the parent's sorted literals, built from
+scratch by ``canonical_form``, or read back from the rule by it (a memo hit).
 Times include the profiler's own per-call cost; use the benchmark for
 end-to-end timings.
 
@@ -69,6 +71,19 @@ def main() -> None:
             if func == name and path.endswith(filename)
         )
         print(f"{name:>17} calls: {calls}")
+    built = {
+        caller[2]: nc
+        for (path, _, func), (_, _, _, _, callers) in stats.stats.items()
+        if func == "_canonical_rule" and path.endswith("refine.py")
+        for caller, (_, nc, *_) in callers.items()
+    }
+    forms = sum(
+        nc for (path, _, func), (_, nc, *_) in stats.stats.items()
+        if func == "canonical_form" and path.endswith("refine.py")
+    )
+    scratch = built.get("canonical_form", 0)  # any other caller is inside refine
+    print(f"keys built by refine: {sum(built.values()) - scratch}, "
+          f"from scratch: {scratch}, memo hits: {forms - scratch}")
 
 
 if __name__ == "__main__":

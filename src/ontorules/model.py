@@ -1,7 +1,14 @@
 """Core symbolic data model: terms, atoms, rules, ontology axioms and the hybrid KB.
 
-Everything here is immutable after construction and safe to share across
-concurrent workers; the module-level operations are pure functions.
+Every value here is immutable after construction and safe to share across
+concurrent workers; the module-level operations are pure functions.  The one
+exception is two write-once memo slots of :class:`Rule`: ``_hash``, its hash,
+filled on first use, and ``_canonical``, its canonical form, filled by
+:mod:`ontorules.refine`.  They are not fields: equality, hash, ``repr``,
+pickling and copying ignore them, and a pickled or copied rule starts with
+both empty.  Each is a pure function of the fields, so two threads that race
+to fill one store equal values, and a reader sees either nothing (and
+computes the value itself) or that value.
 
 Every value class derives from :class:`Record`, a slotted base (no
 per-instance ``__dict__``) whose fields are the public names in
@@ -323,9 +330,15 @@ class Literal(Record):
 
 class Rule(Record):
     """A clause ``head :- body``.  The body is stored as an ordered tuple but
-    compared as a set; duplicate literals are dropped at construction."""
+    compared as a set; duplicate literals are dropped at construction.
 
-    __slots__ = ("head", "body")
+    Two private slots start empty and are each written at most once: ``_hash``
+    by the first :meth:`__hash__`, and ``_canonical`` by
+    :func:`ontorules.refine.canonical_form` (or :func:`ontorules.refine.refine`
+    for the children it builds), which stores the rule's canonical form there.
+    """
+
+    __slots__ = ("head", "body", "_canonical", "_hash")
 
     def __init__(self, head: Atom, body: tuple[Literal, ...] = ()):
         seen: dict[Literal, None] = {}
@@ -333,6 +346,8 @@ class Rule(Record):
             seen.setdefault(lit)
         _set(self, "head", head)
         _set(self, "body", tuple(seen))
+        _set(self, "_canonical", None)
+        _set(self, "_hash", None)
 
     def __eq__(self, other):
         if not isinstance(other, Rule):
@@ -340,7 +355,11 @@ class Rule(Record):
         return self.head == other.head and set(self.body) == set(other.body)
 
     def __hash__(self):
-        return hash((self.head, frozenset(self.body)))
+        h = self._hash
+        if h is None:
+            h = hash((self.head, frozenset(self.body)))
+            _set(self, "_hash", h)
+        return h
 
     def variables(self) -> tuple[Var, ...]:
         seen: dict[Var, None] = {}

@@ -72,12 +72,13 @@ def _tokenize(text: str, filename: str) -> list[_Token]:
         col = 0
         while col < len(line):
             ch = line[col]
-            loc = SourceLocation(filename, lineno, col + 1)
             if ch in " \t":
                 col += 1
                 continue
             if ch == "%":
                 break
+            # every position past here starts a token or raises
+            loc = SourceLocation(filename, lineno, col + 1)
             if ch == "#":
                 m = _IDENT_RE.match(line, col + 1)
                 if not m:

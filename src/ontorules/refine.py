@@ -8,7 +8,10 @@ inclusion hierarchy, or add a negated datalog literal over existing variables.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
+from operator import itemgetter
 
 from .dlreason import subsumes
 from .model import (
@@ -66,11 +69,17 @@ def _fresh_vars(used: set[Var], n: int) -> list[Var]:
     raise ModelError("fresh-variable pool exhausted")
 
 
-def _argument_tuples(arity: int, existing: tuple[Var, ...], max_new: int):
+@functools.lru_cache(maxsize=1024)
+def _argument_tuples(arity: int, existing: tuple[Var, ...], max_new: int) -> tuple[tuple[Var, ...], ...]:
     """Candidate argument tuples for an added literal: pairwise-distinct
-    variables, at least one already in the rule, at most ``max_new`` fresh."""
+    variables, at least one already in the rule, at most ``max_new`` fresh.
+
+    Cached, so that parents with the same variables share the tuples their
+    children's new literals hold.
+    """
     fresh = _fresh_vars(set(existing), min(max_new, arity))
     pool = tuple(existing) + tuple(fresh)
+    out = []
     for combo in itertools.permutations(pool, arity):
         if not any(v in existing for v in combo):
             continue
@@ -80,7 +89,8 @@ def _argument_tuples(arity: int, existing: tuple[Var, ...], max_new: int):
         # use fresh names in canonical order so permuted picks do not alias
         if new != fresh[: len(new)]:
             continue
-        yield combo
+        out.append(combo)
+    return tuple(out)
 
 
 def _admissible(child: Rule) -> bool:
@@ -113,6 +123,10 @@ _CANONICAL_VARS: dict[int, Var] = {}
 #: as rules need them.
 _CANONICAL_LITERALS: dict[tuple, Literal] = {}
 
+#: Canonical head by (predicate, renamed args), shared in the same way, so that
+#: a canonical rule owns only itself and its body tuple.
+_CANONICAL_HEADS: dict[tuple, Atom] = {}
+
 
 def _canonical_var(i: int) -> Var:
     # setdefault keeps one object per number even if two threads race here
@@ -126,6 +140,15 @@ def _canonical_literal(lit: Literal, rename: dict[Var, Var]) -> Literal:
     found = _CANONICAL_LITERALS.get(key)
     if found is None:
         found = _CANONICAL_LITERALS.setdefault(key, Literal(Atom(pred, args), lit.negated))
+    return found
+
+
+def _canonical_head(head: Atom, rename: dict[Var, Var]) -> Atom:
+    args = tuple(rename[t] if isinstance(t, Var) else t for t in head.args)
+    key = (head.pred, args)
+    found = _CANONICAL_HEADS.get(key)
+    if found is None:
+        found = _CANONICAL_HEADS.setdefault(key, Atom(head.pred, args))
     return found
 
 
@@ -162,28 +185,63 @@ def _order_ties(
     return names, placed
 
 
+def _head_ids(head: Atom) -> dict[Var, int]:
+    """Head variables numbered by first occurrence; their numbers are fixed."""
+    ids: dict[Var, int] = {}
+    for t in head.args:
+        if isinstance(t, Var):
+            ids.setdefault(t, len(ids))
+    return ids
+
+
+_first = itemgetter(0)
+
+
+def _keyed_body(body: tuple[Literal, ...], head_ids: dict[Var, int]) -> list[tuple]:
+    """``(literal key, literal)`` for each body literal, sorted stably by key."""
+    return sorted(((_literal_key(l, head_ids), l) for l in body), key=_first)
+
+
+def _remember(rule: Rule, key: Rule) -> Rule:
+    """Store ``key`` as the canonical form of ``rule`` and of itself."""
+    object.__setattr__(key, "_canonical", key)
+    object.__setattr__(rule, "_canonical", key)
+    return key
+
+
+def _canonical_rule(head: Atom, head_ids: dict[Var, int], keyed: list[tuple]) -> Rule:
+    """The canonical form of the rule with ``head`` and the body in ``keyed``,
+    as :func:`_keyed_body` returns it for ``head_ids``."""
+    ids = dict(head_ids)
+    keys = [k for k, _ in keyed]
+    occ = [tuple(ids.setdefault(t, len(ids)) for t in l.atom.args if isinstance(t, Var)) for _, l in keyed]
+    if any(a == b for a, b in zip(keys, keys[1:])):
+        names, placed = _order_ties(keys, occ, len(head_ids))
+    else:  # first occurrence in sorted order is already the smallest numbering
+        names, placed = range(len(ids)), range(len(keyed))
+    rename = {v: _canonical_var(names[i]) for v, i in ids.items()}
+    return Rule(_canonical_head(head, rename), tuple(_canonical_literal(keyed[j][1], rename) for j in placed))
+
+
 def canonical_form(rule: Rule) -> Rule:
     """Rename variables to a canonical sequence, modulo body reordering, so
     that alphabetic variants collapse to an identical rule.
 
     The body is sorted by :func:`_literal_key` and variables are numbered by
     first occurrence, head first; literals with equal keys are ordered by
-    :func:`_order_ties`.  Body literals are shared between canonical rules.
+    :func:`_order_ties`.  The head and body literals are shared between
+    canonical rules.
+
+    The form is computed once per rule object and kept in its ``_canonical``
+    slot, where :func:`refine` has already put it for every child it returns;
+    the form is its own form, so it is kept on the form too.  A copy of a rule,
+    or an equal rule built anew, computes it again.
     """
-    ids: dict[Var, int] = {}  # head variables first: their numbers are fixed
-    for t in rule.head.args:
-        if isinstance(t, Var):
-            ids.setdefault(t, len(ids))
-    n_head = len(ids)
-    keyed = sorted(((_literal_key(l, ids), l) for l in rule.body), key=lambda kl: kl[0])
-    keys = [k for k, _ in keyed]
-    occ = [tuple(ids.setdefault(t, len(ids)) for t in l.atom.args if isinstance(t, Var)) for _, l in keyed]
-    if any(a == b for a, b in zip(keys, keys[1:])):
-        names, placed = _order_ties(keys, occ, n_head)
-    else:  # first occurrence in sorted order is already the smallest numbering
-        names, placed = range(len(ids)), range(len(keyed))
-    rename = {v: _canonical_var(names[i]) for v, i in ids.items()}
-    return Rule(rule.head.substitute(rename), tuple(_canonical_literal(keyed[j][1], rename) for j in placed))
+    key = rule._canonical
+    if key is None:
+        ids = _head_ids(rule.head)
+        key = _remember(rule, _canonical_rule(rule.head, ids, _keyed_body(rule.body, ids)))
+    return key
 
 
 def refine(
@@ -200,6 +258,12 @@ def refine(
     its fresh variables occur positively, a negated literal uses only
     positive-body variables, and a specialization keeps the predicate kind
     and the arguments.
+
+    Each step's ``key`` is its child's canonical form, and is also stored on
+    the child, so :func:`canonical_form` of a child costs a slot read.  For a
+    child that adds a literal, the key is built from ``h``'s body, sorted by
+    literal key once per call, with the new literal inserted in order; a
+    specialized child is keyed from scratch.
     """
     existing = h.variables()
     body_atoms = {l.atom for l in h.body}
@@ -210,11 +274,18 @@ def refine(
     out: list[RefinementStep] = []
     seen: set[Rule] = {canonical_form(h)}
     check_children = not _admissible(h)
+    head_ids = _head_ids(h.head)
+    keyed_parent = _keyed_body(h.body, head_ids)
 
-    def emit(label: str, lit: Literal, child: Rule) -> None:
+    def emit(label: str, lit: Literal, child: Rule, added: bool = True) -> None:
         if check_children and not _admissible(child):
             return
-        key = canonical_form(child)
+        if added:  # the child's body is h's plus ``lit``, which h lacks
+            keyed = keyed_parent.copy()
+            bisect.insort(keyed, (_literal_key(lit, head_ids), lit), key=_first)
+            key = _remember(child, _canonical_rule(h.head, head_ids, keyed))
+        else:
+            key = canonical_form(child)
         if key in seen:
             return
         seen.add(key)
@@ -250,7 +321,7 @@ def refine(
                 continue
             lit = Literal(Atom(pred, l.atom.args))
             body = h.body[:i] + (lit,) + h.body[i + 1 :]
-            emit(SPECIALIZE_ONTOLOGY, lit, Rule(h.head, body))
+            emit(SPECIALIZE_ONTOLOGY, lit, Rule(h.head, body), added=False)
 
     for pred in sorted(bias.datalog_neg):
         if pred.arity > len(pos_vars):

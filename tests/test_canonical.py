@@ -99,7 +99,10 @@ def test_variants_collapse_up_to_ten_literals(data):
 @given(rules(max_body=10))
 def test_canonical_form_is_idempotent(rule):
     once = canonical_form(rule)
-    assert str(canonical_form(once)) == str(once)
+    # a fresh copy, so that the form is computed again rather than read back
+    assert str(canonical_form(Rule(once.head, once.body))) == str(once)
+    assert canonical_form(once) is once
+    assert canonical_form(rule) is once
 
 
 def _perturbed(rule: Rule, data) -> Rule:

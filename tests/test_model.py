@@ -147,6 +147,20 @@ def test_cached_hash_equals_the_field_tuple_hash():
         assert hash(x) == hash(_field_tuple(x)), repr(x)
 
 
+def test_rule_hash_is_the_head_and_body_set_hash(kb):
+    # the cached value must stay this one: sets and dicts of rules iterate,
+    # and output follows, in the order it gives
+    rule = parse_rule("LIKES(X,Y) :- meets(X,Z,Y), RICH(Z), not happy(X).", kb)
+    expected = hash((rule.head, frozenset(rule.body)))
+    assert rule._hash is None
+    assert hash(rule) == expected
+    assert rule._hash == expected
+    assert hash(rule) == expected
+    shuffled = Rule(rule.head, rule.body[::-1] + rule.body[:1])
+    assert hash(shuffled) == expected and shuffled == rule
+    assert hash(Rule(Atom(C, (X,)))) == hash((Atom(C, (X,)), frozenset()))
+
+
 def test_term_layer_has_no_instance_dict():
     rule = Rule(Atom(C, (X,)), (Literal(Atom(P, (X,))),))
     for x in _term_layer_sample() + [rule]:

@@ -3,8 +3,47 @@ from hypothesis import given, strategies as st
 
 from ontorules import parse_bias, parse_examples, parse_ground_atom, parse_kb, parse_rule, serialize_rule
 from ontorules.model import Atom, Const, Literal, Predicate, Rule, Var, CONCEPT, DATALOG, ROLE
-from ontorules.parser import ParseError
+from ontorules.parser import ParseError, _tokenize
 from ontorules.refine import canonical_form
+
+
+def test_tokens_carry_their_line_and_column():
+    text = "% header comment\n#tbox\n  concept C/1. % trailing\n\tp(X, b) :- not q.\n"
+    tokens = [(t.kind, t.text, t.loc.file, t.loc.line, t.loc.column) for t in _tokenize(text, "t.okb")]
+    assert tokens == [
+        ("section", "#tbox", "t.okb", 2, 1),
+        ("ident", "concept", "t.okb", 3, 3),
+        ("ident", "C", "t.okb", 3, 11),
+        ("punct", "/", "t.okb", 3, 12),
+        ("int", "1", "t.okb", 3, 13),
+        ("punct", ".", "t.okb", 3, 14),
+        ("ident", "p", "t.okb", 4, 2),
+        ("punct", "(", "t.okb", 4, 3),
+        ("ident", "X", "t.okb", 4, 4),
+        ("punct", ",", "t.okb", 4, 5),
+        ("ident", "b", "t.okb", 4, 7),
+        ("punct", ")", "t.okb", 4, 8),
+        ("punct", ":-", "t.okb", 4, 10),
+        ("ident", "not", "t.okb", 4, 13),
+        ("ident", "q", "t.okb", 4, 17),
+        ("punct", ".", "t.okb", 4, 18),
+        ("end", "", "t.okb", 5, 1),
+    ]
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    ("pred p/1.\n  # tbox\n", "malformed section header", 2, 3),
+    ("pred p/1.\n#facts\np(a) & p(b).\n", "unexpected character '&'", 3, 6),
+    # reported at the end token, on the line after the last newline
+    ("pred p/1.\npred q/1.\n#rules\np(X) :- q(X)\n", "expected ',' or '.', found ''", 5, 1),
+])
+def test_parse_errors_carry_their_line_and_column(text, message, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_kb(text, "e.okb")
+    assert exc.value.message == message
+    loc = exc.value.location
+    assert (loc.file, loc.line, loc.column) == ("e.okb", line, column)
+    assert str(exc.value) == f"e.okb:{line}:{column}: {message}"
 
 
 def test_kb_shape(kb):

@@ -1,9 +1,11 @@
+import copy
+import pickle
 import sys
 
 import pytest
 
 from ontorules import parse_rule
-from ontorules.model import ModelError, Predicate, CONCEPT, DATALOG, ROLE, is_linked, validate_safeness
+from ontorules.model import ModelError, Predicate, Rule, CONCEPT, DATALOG, ROLE, is_linked, validate_safeness
 from ontorules.refine import (
     ADD_DATALOG,
     ADD_NEGATED_DATALOG,
@@ -16,12 +18,18 @@ from ontorules.refine import (
 )
 
 
+def _scratch(rule):
+    """The canonical form of a fresh copy of ``rule``, computed from scratch:
+    the copy carries no form that ``refine`` or an earlier call stored."""
+    return canonical_form(Rule(rule.head, rule.body))
+
+
 def _children(steps):
-    return {canonical_form(s.child) for s in steps}
+    return {_scratch(s.child) for s in steps}
 
 
 def _by_label(steps, label):
-    return {canonical_form(s.child) for s in steps if s.rule_applied == label}
+    return {_scratch(s.child) for s in steps if s.rule_applied == label}
 
 
 def test_seed_rules(kb):
@@ -63,8 +71,87 @@ def test_steps_carry_the_canonical_form_of_their_child(kb, likes_bias, likes_rul
         steps += level
         frontier = [s.child for s in level]
     assert len(steps) == 6 + 318
-    assert all(s.key == canonical_form(s.child) for s in steps)
-    assert all(str(s.key) == str(canonical_form(s.child)) for s in steps)
+    assert all(s.key == _scratch(s.child) for s in steps)
+    assert all(str(s.key) == str(_scratch(s.child)) for s in steps)
+
+
+def _steps(seed, bias, tbox, depth):
+    """Every step of a breadth-first walk to ``depth`` from ``seed`` that
+    expands one rule per canonical form."""
+    frontier, seen, steps = [seed], {canonical_form(seed)}, []
+    for _ in range(depth):
+        nxt = []
+        for parent in frontier:
+            for s in refine(parent, bias, tbox):
+                steps.append(s)
+                if s.key not in seen:
+                    seen.add(s.key)
+                    nxt.append(s.child)
+        frontier = nxt
+    return steps
+
+
+def test_every_depth3_key_is_the_from_scratch_form(kb, loner_bias, likes_bias):
+    # keys of added-literal children are built from the parent's sorted
+    # literals; each must be the form computed afresh, literal for literal
+    steps = [
+        s
+        for target, bias in ((Predicate("LONER", 1, CONCEPT), loner_bias), (Predicate("LIKES", 2, ROLE), likes_bias))
+        for s in _steps(seed_rule(target), bias, kb.tbox, 3)
+    ]
+    assert len(steps) == 10 + 20682
+    labels = {s.rule_applied for s in steps}
+    assert labels == {ADD_DATALOG, ADD_ONTOLOGY, SPECIALIZE_ONTOLOGY, ADD_NEGATED_DATALOG}
+    for s in steps:
+        fresh = _scratch(s.child)
+        assert s.key == fresh
+        assert str(s.key) == str(fresh)
+        assert s.key.head is fresh.head
+        assert len(s.key.body) == len(fresh.body)
+        assert all(a is b for a, b in zip(s.key.body, fresh.body))
+
+
+def test_children_carry_their_key(kb, likes_bias, likes_rules, monkeypatch):
+    steps = refine(likes_rules["h4"], likes_bias, kb.tbox)
+    assert {s.rule_applied for s in steps} >= {ADD_DATALOG, ADD_ONTOLOGY, SPECIALIZE_ONTOLOGY}
+
+    def fail(*args):
+        raise AssertionError("a canonical form was computed again")
+
+    monkeypatch.setattr(sys.modules["ontorules.refine"], "_literal_key", fail)
+    for s in steps:
+        assert canonical_form(s.child) is s.key
+        assert canonical_form(s.key) is s.key
+
+
+def test_the_stored_form_is_not_part_of_the_rule(likes_rules):
+    assert Rule._fields == ("head", "body")
+    rule = likes_rules["h3"]
+    plain = Rule(rule.head, rule.body)
+    keyed = Rule(rule.head, rule.body)
+    key = canonical_form(keyed)
+    assert keyed._canonical is key and plain._canonical is None
+    assert repr(keyed) == repr(plain)
+    assert keyed == plain and hash(keyed) == hash(plain)
+    for copied in (pickle.loads(pickle.dumps(keyed)), copy.copy(keyed), copy.deepcopy(keyed)):
+        assert copied == keyed and repr(copied) == repr(keyed)
+        assert copied._canonical is None
+        assert canonical_form(copied) == key
+        assert str(canonical_form(copied)) == str(key)
+
+
+def test_specialization_onto_a_literal_already_in_the_body(kb, likes_bias, likes_rules):
+    # LOVES(X,Z) specialized to WANTS-TO-MARRY(X,Z), which the body holds:
+    # the child drops the duplicate and is h5
+    parent = parse_rule("LIKES(X,Y) :- meets(X,Z,Y), LOVES(X,Z), WANTS-TO-MARRY(X,Z).", kb)
+    spec = [s for s in refine(parent, likes_bias, kb.tbox) if s.rule_applied == SPECIALIZE_ONTOLOGY]
+    merged = [s for s in spec if len(s.child.body) == 2]
+    assert len(merged) == 1
+    step = merged[0]
+    assert str(step.literal) == "WANTS-TO-MARRY(X,Z)"
+    assert step.child == likes_rules["h5"]
+    assert step.key == _scratch(step.child) == _scratch(likes_rules["h5"])
+    assert str(step.key) == str(_scratch(step.child))
 
 
 def test_specialize_along_hierarchy(kb, likes_bias, likes_rules):
