@@ -182,16 +182,11 @@ def test_negated_literal_uses_existing_variables_only(kb, loner_bias, loner_rule
 
 def _space(seed, bias, tbox, depth):
     """The rules within ``depth`` steps of ``seed``, one per canonical form."""
-    space, frontier, seen = [seed], [seed], {canonical_form(seed)}
-    for _ in range(depth):
-        nxt = []
-        for parent in frontier:
-            for s in refine(parent, bias, tbox):
-                if s.key not in seen:
-                    seen.add(s.key)
-                    nxt.append(s.child)
-        space += nxt
-        frontier = nxt
+    space, seen = [seed], {canonical_form(seed)}
+    for s in _steps(seed, bias, tbox, depth):
+        if s.key not in seen:
+            seen.add(s.key)
+            space.append(s.child)
     return space
 
 
