@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Profile of depth-3 refinement with the generality test on every edge.
+"""Profile of depth-3 refinement with the generality test on every edge,
+and of the pairwise generality checks.
 
 Refines the LIKES seed of the bundled family KB to depth 3 (children are
 deduplicated across expansions by their canonical form, as in criterion 4),
@@ -9,8 +10,13 @@ the call counts of ``canonical_form``, ``more_general``, ``skolemize``,
 ``validate_safeness`` and ``is_linked``, and by where the canonical keys came
 from: built by ``refine`` from the parent's sorted literals, built from
 scratch by ``canonical_form``, or read back from the rule by it (a memo hit).
-Times include the profiler's own per-call cost; use the benchmark for
-end-to-end timings.
+
+It then runs the criterion-7 LIKES pairwise pass on the same KB: more_general
+over every ordered pair of the 60 rules of the depth-1 neighbourhood of the
+seed and of ``LIKES(X,Y) :- meets(X,Z,Y).``, plus the named LIKES rules.  It
+prints the ``more_general`` and ``skolemize`` calls of each phase (edges and
+pairs).  Times include the profiler's own per-call cost; use the benchmark
+for end-to-end timings.
 
 Run from a checkout: ``PYTHONPATH=src python scripts/profile_refine.py``
 """
@@ -22,7 +28,7 @@ from importlib import resources
 
 from ontorules.hybrid import more_general
 from ontorules.model import ROLE, Predicate
-from ontorules.parser import parse_bias, parse_kb
+from ontorules.parser import parse_bias, parse_kb, parse_rule
 from ontorules.refine import canonical_form, refine, seed_rule
 
 DEPTH = 3
@@ -32,6 +38,13 @@ COUNTED = (
     ("model.py", "skolemize"),
     ("model.py", "validate_safeness"),
     ("model.py", "is_linked"),
+)
+LIKES_RULES = (
+    "LIKES(X,Y) :- meets(X,Z,Y).",
+    "LIKES(X,Y) :- meets(X,Z,Y), happy(X).",
+    "LIKES(X,Y) :- meets(X,Z,Y), RICH(Z).",
+    "LIKES(X,Y) :- meets(X,Z,Y), LOVES(X,Z).",
+    "LIKES(X,Y) :- meets(X,Z,Y), WANTS-TO-MARRY(X,Z).",
 )
 
 
@@ -53,6 +66,29 @@ def refine_with_generality(kb, bias) -> tuple[int, int]:
     return edges, nongeneral
 
 
+def likes_space(kb, bias) -> list:
+    """The criterion-7 LIKES space, in canonical form, sorted by ``str``."""
+    seed = seed_rule(Predicate("LIKES", 2, ROLE))
+    named = [parse_rule(text, kb) for text in LIKES_RULES]
+    space = {canonical_form(seed)}
+    for rule in (seed, named[0]):
+        space.update(canonical_form(s.child) for s in refine(rule, bias, kb.tbox))
+    space.update(canonical_form(r) for r in named)
+    return sorted(space, key=str)
+
+
+def pairwise(space, kb) -> int:
+    """Ordered pairs of the space whose first rule is more general."""
+    return sum(more_general(a, b, kb) for a in space for b in space)
+
+
+def calls(stats, filename: str, name: str) -> int:
+    return sum(
+        nc for (path, _, func), (_, nc, *_) in stats.stats.items()
+        if func == name and path.endswith(filename)
+    )
+
+
 def main() -> None:
     data = resources.files("ontorules") / "data"
     kb = parse_kb((data / "family.okb").read_text(encoding="utf-8"), "family.okb")
@@ -66,24 +102,26 @@ def main() -> None:
     stats.sort_stats(pstats.SortKey.TIME).print_stats(25)
     print(out.getvalue())
     for filename, name in COUNTED:
-        calls = sum(
-            nc for (path, _, func), (_, nc, *_) in stats.stats.items()
-            if func == name and path.endswith(filename)
-        )
-        print(f"{name:>17} calls: {calls}")
+        print(f"{name:>17} calls: {calls(stats, filename, name)}")
     built = {
         caller[2]: nc
         for (path, _, func), (_, _, _, _, callers) in stats.stats.items()
         if func == "_canonical_rule" and path.endswith("refine.py")
         for caller, (_, nc, *_) in callers.items()
     }
-    forms = sum(
-        nc for (path, _, func), (_, nc, *_) in stats.stats.items()
-        if func == "canonical_form" and path.endswith("refine.py")
-    )
+    forms = calls(stats, "refine.py", "canonical_form")
     scratch = built.get("canonical_form", 0)  # any other caller is inside refine
     print(f"keys built by refine: {sum(built.values()) - scratch}, "
           f"from scratch: {scratch}, memo hits: {forms - scratch}")
+
+    space = likes_space(kb, bias)
+    pairs = cProfile.Profile()
+    related = pairs.runcall(pairwise, space, kb)
+    print(f"\nLIKES pairwise: {len(space)} rules, {related} of {len(space) ** 2} ordered pairs related")
+    print(f"{'phase':>6} {'more_general':>13} {'skolemize':>10}")
+    for phase, profile in (("edges", stats), ("pairs", pstats.Stats(pairs))):
+        print(f"{phase:>6} {calls(profile, 'hybrid.py', 'more_general'):>13} "
+              f"{calls(profile, 'model.py', 'skolemize'):>10}")
 
 
 if __name__ == "__main__":

@@ -52,6 +52,7 @@ from .model import (
     DATALOG,
     DEFAULT_GROUNDING_BUDGET,
     ROLE,
+    SKOLEM_RE,
 )
 
 #: Cap on guessable ontology atoms in the complete enumeration.
@@ -546,6 +547,29 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
     Positive literals are checked cautiously over the canonical models;
     a negated literal holds iff its atom is underivable in every admissible
     complete model.
+
+    Three things keep the test from redoing work:
+
+    * a syntactic fast path, when ``h1``'s head is ``h2``'s and its body a
+      subset of ``h2``'s, needs no model at all;
+    * the skolemized ``h2`` and what is read off it are prepared once per KB
+      (see :func:`_skolemized`), and the cautious truth of the augmented
+      theory, indexed by predicate, once per theory (:func:`_cautious_sets`);
+    * the grounding is found by a backtracking join (:func:`_join`) of
+      ``h1``'s positive body atoms against the cautious atoms, from the
+      binding of ``h1``'s head onto ``h2``'s.  It visits only bindings that
+      those atoms allow, with constants of the domain; the product over the
+      domain is taken only for variables that occur in no positive literal,
+      and the negated literals are checked last.  A grounding's body holds
+      iff it maps every positive atom into the cautious atoms, so the join
+      finds exactly the groundings that the product over the domain would
+      keep.
+
+    The candidate budget still bounds that product: when it exceeds
+    ``DEFAULT_THETA_BUDGET`` the test raises :class:`BudgetError` before
+    joining.  The complete models are built in exactly the cases where a
+    walk over the product, checking each grounding's body in order, would
+    build them, so the same tests exceed their guess budget.
     """
     if h1.head.pred != h2.head.pred:
         raise ModelError("generality is only defined for rules with the same head predicate")
@@ -555,74 +579,172 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
     # so after it exactly these pairs would match verbatim.
     if h1.head == h2.head and set(h1.body) <= set(h2.body):
         return True
-    from .model import skolemize  # local import to keep module load order simple
-
-    # relative to the intensional part only: constants from the rules, not the data
-    kb_constants: set[Const] = set()
-    for r in kb.rules:
-        kb_constants |= r.constants()
-    h2s, sigma = skolemize(h2, kb_constants | h1.constants() | h2.constants())
-
-    facts = frozenset(l.atom for l in h2s.body if not l.negated and l.atom.pred.kind == DATALOG)
-    abox = tuple(
-        sorted(
-            (l.atom for l in h2s.body if not l.negated and l.atom.pred.is_dl),
-            key=str,
-        )
-    )
-    forbidden = frozenset(l.atom for l in h2s.body if l.negated)
+    h1_constants = h1.constants()
+    head, sigma, facts, abox, forbidden, constants, domain = _skolemized(kb, h2, h1_constants)
+    if not h1_constants <= constants:
+        constants = constants | h1_constants
+        domain = tuple(sorted(constants))
 
     # the skolemization's own substitution, when it also maps h1's head onto h2's
-    h1_vars = set(h1.variables())
-    natural = {v: sigma[v] for v in h1_vars} if h1_vars <= set(sigma) else None
-    if natural is not None and h1.head.substitute(natural) != h2s.head:
+    h1_vars = h1.variables()
+    natural = {v: sigma[v] for v in h1_vars} if sigma.keys() >= set(h1_vars) else None
+    if natural is not None and h1.head.substitute(natural) != head:
         natural = None
 
     tbox, idb = kb.tbox, kb.rules
-    domain = tuple(sorted(kb_constants | h2s.constants() | h1.constants()))
     sets = _cautious_sets(tbox, abox, idb, facts, domain, forbidden)
     if sets is None:
         return True  # augmented theory admits no model: entailment is vacuous
-    cautious_d, cautious_dl = sets
+    cautious_d, cautious_dl, index = sets
 
     def possibly_d() -> frozenset[Atom]:
         return _possible_atoms(tbox, abox, idb, facts, domain, forbidden)
 
-    def body_holds(theta: dict[Var, Const]) -> bool:
-        return all(
-            _literal_holds(l.substitute(theta), cautious_d, cautious_dl, possibly_d)
-            for l in h1.body
-        )
-
     # that substitution first, against the models
-    if natural is not None and body_holds(natural):
+    if natural is not None and all(
+        _literal_holds(l.substitute(natural), cautious_d, cautious_dl, possibly_d) for l in h1.body
+    ):
         return True
 
     # head unification fixes the head variables
-    bound = _bind_head(h1.head, h2s.head)
+    bound = _bind_head(h1.head, head)
     if bound is None:
         return False
-    free = [v for v in h1.variables() if v not in bound]
+    free = [v for v in h1_vars if v not in bound]
     if len(domain) ** len(free) > DEFAULT_THETA_BUDGET:
         raise BudgetError("substitution search exceeds the candidate budget")
-    for combo in itertools.product(domain, repeat=len(free)):
-        theta = dict(bound)
-        theta.update(zip(free, combo))
-        if body_holds(theta):
-            return True
+    if free and not domain:
+        return False  # no grounding at all: the product over an empty domain is empty
+    positive = [l.atom for l in h1.body if not l.negated]
+    negated = [l.atom for l in h1.body if l.negated]
+    possible = frozenset()
+    if negated:
+        # checked in body order, a grounding reaches the first negated literal
+        # once the positive literals before it hold: build the complete models
+        # exactly when one does
+        first = next(i for i, l in enumerate(h1.body) if l.negated)
+        prefix = [l.atom for l in h1.body[:first]]
+        if next(_join(prefix, index, bound, constants), None) is None:
+            return False
+        possible = possibly_d()
+    bound_by_join = {v for a in positive for v in a.variables()}
+    rest = [v for v in free if v not in bound_by_join]
+    for theta in _join(positive, index, bound, constants):
+        for combo in itertools.product(domain, repeat=len(rest)):
+            full = dict(theta)
+            full.update(zip(rest, combo))
+            if not any(a.substitute(full) in possible for a in negated):
+                return True
     return False
+
+
+#: Entries a KB's generality memo holds before it is cleared.
+_MEMO_SIZE = 4096
+
+
+def _skolemized(kb: HybridKB, h2: Rule, h1_constants: set[Const]) -> tuple:
+    """``h2`` skolemized against the KB's rule constants and ``h1``'s, with
+    what the generality test reads off it: its head, the substitution
+    ``sigma``, its positive datalog atoms as facts, its positive ontology
+    atoms as an ABox sorted by ``str``, its negated atoms as constraints, and
+    the domain -- the KB's rule constants and the skolemized rule's -- as a
+    frozenset and as a sorted tuple.
+
+    The skolemization depends only on ``h2``, the KB and which reserved
+    ``sk<i>`` names ``h1`` holds, so it is kept in ``kb._generality``, with
+    the KB's rule constants, under the key (``h2``, those names).  Equal
+    rules whose bodies are listed in another order skolemize to renamings of
+    each other, which no verdict can tell apart.  The memo is cleared when it
+    reaches ``_MEMO_SIZE`` entries, as the ``lru_cache`` of
+    :func:`_cautious_sets` is bounded.  Threads that race to fill it store
+    equal values.
+    """
+    memo = kb._generality
+    if memo is None:
+        # relative to the intensional part only: constants from the rules, not the data
+        rule_constants: set[Const] = set()
+        for r in kb.rules:
+            rule_constants |= r.constants()
+        memo = (frozenset(rule_constants), {})
+        object.__setattr__(kb, "_generality", memo)
+    kb_constants, prepared = memo
+    key = (h2, frozenset([c for c in h1_constants if SKOLEM_RE.match(c.name)]))
+    entry = prepared.get(key)
+    if entry is None:
+        from .model import skolemize  # looked up per call, so it can be traced
+
+        h2s, sigma = skolemize(h2, kb_constants | key[1] | h2.constants())
+        facts = frozenset(l.atom for l in h2s.body if not l.negated and l.atom.pred.kind == DATALOG)
+        abox = tuple(
+            sorted(
+                (l.atom for l in h2s.body if not l.negated and l.atom.pred.is_dl),
+                key=str,
+            )
+        )
+        forbidden = frozenset(l.atom for l in h2s.body if l.negated)
+        constants = kb_constants | h2s.constants()
+        entry = (h2s.head, sigma, facts, abox, forbidden, constants, tuple(sorted(constants)))
+        if len(prepared) >= _MEMO_SIZE:
+            prepared.clear()
+        prepared[key] = entry
+    return entry
+
+
+def _join(atoms, index, theta, domain):
+    """Every extension of the substitution ``theta`` that maps each of
+    ``atoms`` onto an atom that ``index`` lists under its predicate, binding
+    variables only to constants in the set ``domain``.
+
+    A backtracking join: the atoms are matched in order, each against the
+    candidates of its predicate under the binding built so far, so only
+    bindings that the indexed atoms allow are visited, never the product over
+    the domain.  Each extension is yielded once, as a fresh dict (``theta``
+    itself when ``atoms`` is empty); its variables are those of ``theta`` and
+    of ``atoms``.
+    """
+    if not atoms:
+        yield theta
+        return
+    atom, rest = atoms[0], atoms[1:]
+    for fact in index.get(atom.pred, ()):
+        ext = theta
+        for t, c in zip(atom.args, fact.args):
+            if isinstance(t, Var):
+                value = ext.get(t)
+                if value is None:
+                    if c not in domain:
+                        break
+                    if ext is theta:
+                        ext = dict(theta)
+                    ext[t] = c
+                elif value != c:
+                    break
+            elif t != c:
+                break
+        else:
+            yield from _join(rest, index, ext, domain)
 
 
 @lru_cache(maxsize=4096)
 def _cautious_sets(tbox, abox, idb, facts, domain, forbidden):
     """Cautious datalog/ontology truth over the canonical models of the
-    skolemized augmented theory; None when the theory has no model."""
+    skolemized augmented theory, and those atoms indexed by predicate: each
+    ontology predicate lists its atoms of the ontology truth, each datalog
+    predicate its atoms of the datalog truth.  None when the theory has no
+    model.  The index is shared by every caller and never changed."""
     canonical = _canonical_models(tbox, abox, idb, facts, domain, forbidden=forbidden)
     if not canonical:
         return None
     cautious_d = frozenset.intersection(*[frozenset(m.datalog_model.true_atoms) for m in canonical])
     cautious_dl = frozenset.intersection(*[m.guess.true_atoms for m in canonical])
-    return cautious_d, cautious_dl
+    index: dict[Predicate, list[Atom]] = {}
+    for a in cautious_d:
+        if not a.pred.is_dl:
+            index.setdefault(a.pred, []).append(a)
+    for a in cautious_dl:
+        if a.pred.is_dl:
+            index.setdefault(a.pred, []).append(a)
+    return cautious_d, cautious_dl, index
 
 
 @lru_cache(maxsize=4096)

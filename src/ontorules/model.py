@@ -1,13 +1,15 @@
 """Core symbolic data model: terms, atoms, rules, ontology axioms and the hybrid KB.
 
 Every value here is immutable after construction and safe to share across
-concurrent workers; the module-level operations are pure functions.  The one
-exception is two write-once memo slots of :class:`Rule`: ``_hash``, its hash,
-filled on first use, and ``_canonical``, its canonical form, filled by
-:mod:`ontorules.refine`.  They are not fields: equality, hash, ``repr``,
-pickling and copying ignore them, and a pickled or copied rule starts with
-both empty.  Each is a pure function of the fields, so two threads that race
-to fill one store equal values, and a reader sees either nothing (and
+concurrent workers; the module-level operations are pure functions.  The
+exceptions are private memo slots: :class:`Rule` has two write-once ones,
+``_hash``, its hash, filled on first use, and ``_canonical``, its canonical
+form, filled by :mod:`ontorules.refine`; :class:`HybridKB` has
+``_generality``, which :func:`ontorules.hybrid.more_general` fills with what
+it prepares once per KB.  They are not fields: equality, hash, ``repr``,
+pickling and copying ignore them, and a pickled or copied value starts with
+them empty.  Each holds pure functions of the fields, so two threads that
+race to fill one store equal values, and a reader sees either nothing (and
 computes the value itself) or that value.
 
 Every value class derives from :class:`Record`, a slotted base (no
@@ -432,10 +434,17 @@ class HybridKB(Record):
     The intensional part is ``tbox + rules`` (tuples of axioms and rules); the
     extensional part is ``abox + facts`` (tuples of ground atoms).  The
     ``alphabet`` is the tuple of declared predicates.
+
+    The private slot ``_generality`` starts empty; the generality test keeps
+    its per-KB memo there (see :func:`ontorules.hybrid.more_general`).
     """
 
-    __slots__ = ("tbox", "abox", "rules", "facts", "alphabet")
-    _defaults = dict.fromkeys(__slots__, ())
+    __slots__ = ("tbox", "abox", "rules", "facts", "alphabet", "_generality")
+    _defaults = dict.fromkeys(("tbox", "abox", "rules", "facts", "alphabet"), ())
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        _set(self, "_generality", None)
 
     def _validate(self):
         for a in self.abox:

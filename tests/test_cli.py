@@ -171,6 +171,17 @@ def test_branch_budget_exit_code(capsys, tmp_path):
     assert err.startswith("budget exceeded:") and "Traceback" not in err
 
 
+def test_theta_budget_exit_code(capsys):
+    # after head unification rule1 has 6 free variables over the 9 skolem
+    # constants of rule2: 9^6 = 531,441 candidate substitutions exceed the
+    # budget, which is checked before the search, though a join would answer
+    code, out, err = run(capsys, "compare", "--kb", KB,
+                         "--rule1", "LONER(X) :- meets(X,Y,Z), meets(Z,W,V), meets(V,U,T).",
+                         "--rule2", "LONER(X) :- meets(X,A,B), meets(B,C,D), meets(D,E,F), meets(F,G,H).")
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exceeded:") and "Traceback" not in err
+
+
 def test_settled_loop_past_the_branch_budget(capsys, tmp_path):
     # the even loop of test_branch_budget_exit_code, with q also forced by f:
     # not stratified, 22 negated atoms, yet one model, where q holds everywhere
