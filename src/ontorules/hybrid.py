@@ -548,28 +548,20 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
     a negated literal holds iff its atom is underivable in every admissible
     complete model.
 
-    Three things keep the test from redoing work:
-
-    * a syntactic fast path, when ``h1``'s head is ``h2``'s and its body a
-      subset of ``h2``'s, needs no model at all;
-    * the skolemized ``h2`` and what is read off it are prepared once per KB
-      (see :func:`_skolemized`), and the cautious truth of the augmented
-      theory, indexed by predicate, once per theory (:func:`_cautious_sets`);
-    * the grounding is found by a backtracking join (:func:`_join`) of
-      ``h1``'s positive body atoms against the cautious atoms, from the
-      binding of ``h1``'s head onto ``h2``'s.  It visits only bindings that
-      those atoms allow, with constants of the domain; the product over the
-      domain is taken only for variables that occur in no positive literal,
-      and the negated literals are checked last.  A grounding's body holds
-      iff it maps every positive atom into the cautious atoms, so the join
-      finds exactly the groundings that the product over the domain would
-      keep.
-
-    The candidate budget still bounds that product: when it exceeds
-    ``DEFAULT_THETA_BUDGET`` the test raises :class:`BudgetError` before
-    joining.  The complete models are built in exactly the cases where a
-    walk over the product, checking each grounding's body in order, would
-    build them, so the same tests exceed their guess budget.
+    The skolemized ``h2`` is prepared once per KB (:func:`_skolemized`), and
+    the cautious truth of each augmented theory, indexed by predicate, is
+    computed once (:func:`_cautious_sets`).  The grounding is found by a
+    backtracking join (:func:`_join`) of ``h1``'s positive body atoms against
+    that truth, from the binding of ``h1``'s head onto ``h2``'s; only the
+    variables that occur in no positive literal range over the whole domain,
+    and the negated literals are checked last.  A grounding's body holds iff
+    it maps every positive atom into the cautious truth, so the join finds
+    exactly the groundings that the product over the domain would keep.
+    That product still bounds the search: past ``DEFAULT_THETA_BUDGET``
+    candidates the test raises :class:`BudgetError` before joining.  The
+    complete models are built exactly when a walk over the product, checking
+    each body in order, would build them, so the same tests exceed their
+    guess budget.
     """
     if h1.head.pred != h2.head.pred:
         raise ModelError("generality is only defined for rules with the same head predicate")
@@ -643,21 +635,18 @@ _MEMO_SIZE = 4096
 
 
 def _skolemized(kb: HybridKB, h2: Rule, h1_constants: set[Const]) -> tuple:
-    """``h2`` skolemized against the KB's rule constants and ``h1``'s, with
-    what the generality test reads off it: its head, the substitution
-    ``sigma``, its positive datalog atoms as facts, its positive ontology
-    atoms as an ABox sorted by ``str``, its negated atoms as constraints, and
-    the domain -- the KB's rule constants and the skolemized rule's -- as a
-    frozenset and as a sorted tuple.
+    """``h2`` skolemized apart from the KB's rule constants and ``h1``'s, and
+    what the generality test reads off it: its head, ``sigma``, its positive
+    datalog atoms (facts), its positive ontology atoms sorted by ``str``
+    (ABox), its negated atoms (constraints), and the KB's rule constants and
+    its own as a frozenset and as a sorted tuple (the domain).
 
-    The skolemization depends only on ``h2``, the KB and which reserved
-    ``sk<i>`` names ``h1`` holds, so it is kept in ``kb._generality``, with
-    the KB's rule constants, under the key (``h2``, those names).  Equal
-    rules whose bodies are listed in another order skolemize to renamings of
-    each other, which no verdict can tell apart.  The memo is cleared when it
-    reaches ``_MEMO_SIZE`` entries, as the ``lru_cache`` of
-    :func:`_cautious_sets` is bounded.  Threads that race to fill it store
-    equal values.
+    This depends only on ``h2``, the KB and the ``sk<i>`` names that ``h1``
+    holds, so it is memoized in ``kb._generality`` under (``h2``, those
+    names), next to the KB's rule constants.  Equal rules whose bodies are
+    listed in another order skolemize to renamings of each other, which no
+    verdict tells apart.  The memo is cleared at ``_MEMO_SIZE`` entries.
+    Threads that race to fill it store equal values.
     """
     memo = kb._generality
     if memo is None:
@@ -691,16 +680,14 @@ def _skolemized(kb: HybridKB, h2: Rule, h1_constants: set[Const]) -> tuple:
 
 
 def _join(atoms, index, theta, domain):
-    """Every extension of the substitution ``theta`` that maps each of
-    ``atoms`` onto an atom that ``index`` lists under its predicate, binding
-    variables only to constants in the set ``domain``.
+    """Every extension of the substitution ``theta`` to the variables of
+    ``atoms`` that maps each atom onto one that ``index`` lists under its
+    predicate, binding variables only to constants in the set ``domain``.
 
-    A backtracking join: the atoms are matched in order, each against the
-    candidates of its predicate under the binding built so far, so only
-    bindings that the indexed atoms allow are visited, never the product over
-    the domain.  Each extension is yielded once, as a fresh dict (``theta``
-    itself when ``atoms`` is empty); its variables are those of ``theta`` and
-    of ``atoms``.
+    The atoms are matched in order against their candidates under the
+    binding built so far, so only bindings that the indexed atoms allow are
+    visited, not the product over the domain.  Each extension is yielded
+    once, as a new dict (``theta`` itself when ``atoms`` is empty).
     """
     if not atoms:
         yield theta

@@ -180,8 +180,9 @@ def _rename(rule: Rule, rng) -> Rule:
 
 
 def _generalize(rule: Rule, rng) -> Rule:
-    """A rule that drops some of ``rule``'s body literals, splits one of its
-    variables in one literal, or turns one of its constants into a variable."""
+    """``rule`` with some body literals dropped and, half of the time, one
+    argument of one literal replaced by a fresh variable: an occurrence of a
+    variable split off, or a constant generalized."""
     body = [l for l in rule.body if rng.random() < 0.7] or list(rule.body[:1])
     i = rng.randrange(len(body))
     lit = body[i]
