@@ -8,8 +8,11 @@ calls ``more_general(parent, child, kb)`` on every edge, all under
 ``cProfile``, and prints the 25 functions with the most self time followed by
 the call counts of ``canonical_form``, ``more_general``, ``skolemize``,
 ``validate_safeness`` and ``is_linked``, and by where the canonical keys came
-from: built by ``refine`` from the parent's sorted literals, built from
-scratch by ``canonical_form``, or read back from the rule by it (a memo hit).
+from.  ``refine`` keys each child one of three ways: an added literal's child
+from the parent's key, or from scratch when the new literal's sort key ties
+with a parent literal's (or two of the parent's tie), and a specialized child
+from scratch.  Every other ``canonical_form`` call builds a key from scratch
+(the seed's) or reads back the key a rule already carries (a memo hit).
 
 It then runs the criterion-7 LIKES pairwise pass on the same KB: more_general
 over every ordered pair of the 60 rules of the depth-1 neighbourhood of the
@@ -103,16 +106,21 @@ def main() -> None:
     print(out.getvalue())
     for filename, name in COUNTED:
         print(f"{name:>17} calls: {calls(stats, filename, name)}")
-    built = {
-        caller[2]: nc
-        for (path, _, func), (_, _, _, _, callers) in stats.stats.items()
-        if func == "_canonical_rule" and path.endswith("refine.py")
-        for caller, (_, nc, *_) in callers.items()
-    }
-    forms = calls(stats, "refine.py", "canonical_form")
-    scratch = built.get("canonical_form", 0)  # any other caller is inside refine
-    print(f"keys built by refine: {sum(built.values()) - scratch}, "
-          f"from scratch: {scratch}, memo hits: {forms - scratch}")
+    def callers(name: str) -> dict[str, int]:
+        return {
+            caller[2]: nc
+            for (path, _, func), (_, _, _, _, by) in stats.stats.items()
+            if func == name and path.endswith("refine.py")
+            for caller, (_, nc, *_) in by.items()
+        }
+
+    forms = callers("canonical_form")
+    ties, specialized = forms.get("added_key", 0), forms.get("emit", 0)
+    scratch = sum(callers("_canonical_rule").values()) - ties - specialized
+    print(f"keys built by refine: {sum(callers('added_key').values()) - ties} from the parent's key, "
+          f"{ties} from scratch on a tie, {specialized} specialized")
+    print(f"other canonical_form calls: {scratch} from scratch, "
+          f"{sum(forms.values()) - ties - specialized - scratch} memo hits")
 
     space = likes_space(kb, bias)
     pairs = cProfile.Profile()

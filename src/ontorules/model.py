@@ -25,7 +25,9 @@ the million.  The first five compute their hash once, at construction, into a
 ``hash((name,))``, ``hash((name, arity, kind))``, ``hash((pred, args))`` and
 ``hash((atom, negated))`` -- so every set and dict of these objects iterates
 in the same order as with field-tuple hashes, and output that follows such an
-order stays the same.  The five are ordered by their field tuples.
+order stays the same.  The five are ordered by their field tuples.  The
+ontology axiom records -- ``ConceptInclusion``, ``RoleInclusion`` and
+``Existential`` -- cache the hash of their field tuple in the same way.
 """
 
 from __future__ import annotations
@@ -352,9 +354,12 @@ class Rule(Record):
         _set(self, "_hash", None)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Rule):
             return NotImplemented
-        return self.head == other.head and set(self.body) == set(other.body)
+        # canonical forms share their literals, so equal ones match in order
+        return self.head == other.head and (self.body == other.body or set(self.body) == set(other.body))
 
     def __hash__(self):
         h = self._hash
@@ -395,7 +400,22 @@ class Rule(Record):
 
 # --- ontology axioms --------------------------------------------------------
 
-class Existential(Record):
+class _HashedRecord(Record):
+    """A record whose hash, that of its field tuple, is computed once at
+    construction: the generality test's caches hash the whole TBox on every
+    call.  Pickling and copying rebuild the value, and so the hash."""
+
+    __slots__ = ("_hash",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        _set(self, "_hash", hash(self._values()))
+
+    def __hash__(self):
+        return self._hash
+
+
+class Existential(_HashedRecord):
     """The restriction "some role Top", optionally over the inverse role."""
 
     __slots__ = ("role", "inverse")  # str, bool
@@ -406,7 +426,7 @@ class Existential(Record):
         return f"some {r} Top"
 
 
-class ConceptInclusion(Record):
+class ConceptInclusion(_HashedRecord):
     """(C1 and ... and Cn) subclass D, with D atomic or an existential."""
 
     __slots__ = ("lhs", "rhs")  # tuple[str, ...], str | Existential
@@ -415,7 +435,7 @@ class ConceptInclusion(Record):
         return f"{' and '.join(self.lhs)} subclass {self.rhs}."
 
 
-class RoleInclusion(Record):
+class RoleInclusion(_HashedRecord):
     __slots__ = ("sub", "sup")  # role names
 
     def __str__(self) -> str:

@@ -232,10 +232,12 @@ def canonical_form(rule: Rule) -> Rule:
     :func:`_order_ties`.  The head and body literals are shared between
     canonical rules.
 
-    The form is computed once per rule object and kept in its ``_canonical``
-    slot, where :func:`refine` has already put it for every child it returns;
-    the form is its own form, so it is kept on the form too.  A copy of a rule,
-    or an equal rule built anew, computes it again.
+    This function computes the form from scratch; :func:`refine` builds most
+    of its children's forms from their parent's instead.  The form is
+    computed once per rule object and kept in its ``_canonical`` slot, where
+    :func:`refine` has already put it for every child it returns; the form is
+    its own form, so it is kept on the form too.  A copy of a rule, or an
+    equal rule built anew, computes it again.
     """
     key = rule._canonical
     if key is None:
@@ -260,10 +262,13 @@ def refine(
     and the arguments.
 
     Each step's ``key`` is its child's canonical form, and is also stored on
-    the child, so :func:`canonical_form` of a child costs a slot read.  For a
-    child that adds a literal, the key is built from ``h``'s body, sorted by
-    literal key once per call, with the new literal inserted in order; a
-    specialized child is keyed from scratch.
+    the child, so :func:`canonical_form` of a child costs a slot read.  A
+    child that adds a literal whose sort key ties with none of ``h``'s, to a
+    parent whose sort keys have no tie, is keyed from ``h``'s key: the new
+    literal goes in at its place in key order, the literals before it are kept
+    as they are, and those after it too, unless the new literal numbers a
+    variable first; then they are renumbered, once per call for each place and
+    such variables.  Every other child is keyed from scratch.
     """
     existing = h.variables()
     body_atoms = {l.atom for l in h.body}
@@ -272,20 +277,65 @@ def refine(
         if not l.negated:
             pos_vars.update(l.atom.variables())
     out: list[RefinementStep] = []
-    seen: set[Rule] = {canonical_form(h)}
+    parent_key = canonical_form(h)
+    seen: set[Rule] = {parent_key}
     check_children = not _admissible(h)
     head_ids = _head_ids(h.head)
     keyed_parent = _keyed_body(h.body, head_ids)
+    keys = [k for k, _ in keyed_parent]
+    tied = any(a == b for a, b in zip(keys, keys[1:]))
+    # with no tie, parent_key.body is h's body in key order, numbered by first
+    # occurrence: ids[v] is v's number and counts[p] how many are numbered
+    # after the first p sorted literals
+    ids = dict(head_ids)
+    counts = [len(ids)]
+    for _, l in keyed_parent:
+        for t in l.atom.args:
+            if isinstance(t, Var):
+                ids.setdefault(t, len(ids))
+        counts.append(len(ids))
+    suffixes: dict[tuple, tuple[Literal, ...]] = {}
+
+    def added_key(lit: Literal, child: Rule) -> Rule:
+        """The key of ``child``, whose body is h's plus ``lit``, which h lacks:
+        ``parent_key``'s body with ``lit`` inserted at its place in key order,
+        the literals after it renumbered if ``lit`` numbers a variable first."""
+        if tied:
+            return canonical_form(child)
+        k = _literal_key(lit, head_ids)
+        p = bisect.bisect_right(keys, k)
+        if p and keys[p - 1] == k:
+            return canonical_form(child)
+        n = counts[p]
+        rename: dict[Var, Var] = {}
+        new: list[Var] = []  # variables of lit first numbered at position p
+        for t in lit.atom.args:
+            if isinstance(t, Var) and t not in rename:
+                i = ids.get(t, n)
+                if i >= n:
+                    i = n + len(new)
+                    new.append(t)
+                rename[t] = _canonical_var(i)
+        if not new:
+            suffix = parent_key.body[p:]
+        else:
+            memo = (p, tuple(new))
+            suffix = suffixes.get(memo)
+            if suffix is None:
+                shifted = {v: _canonical_var(i) for v, i in ids.items() if i < n}
+                shifted.update((v, rename[v]) for v in new)
+                for _, l in keyed_parent[p:]:
+                    for t in l.atom.args:
+                        if isinstance(t, Var) and t not in shifted:
+                            shifted[t] = _canonical_var(len(shifted))
+                suffix = suffixes[memo] = tuple(_canonical_literal(l, shifted) for _, l in keyed_parent[p:])
+        body = parent_key.body[:p] + (_canonical_literal(lit, rename),) + suffix
+        return _remember(child, Rule(parent_key.head, body))
 
     def emit(label: str, lit: Literal, child: Rule, added: bool = True) -> None:
         if check_children and not _admissible(child):
             return
-        if added:  # the child's body is h's plus ``lit``, which h lacks
-            keyed = keyed_parent.copy()
-            bisect.insort(keyed, (_literal_key(lit, head_ids), lit), key=_first)
-            key = _remember(child, _canonical_rule(h.head, head_ids, keyed))
-        else:
-            key = canonical_form(child)
+        key = added_key(lit, child) if added else canonical_form(child)
         if key in seen:
             return
         seen.add(key)

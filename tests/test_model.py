@@ -1,14 +1,20 @@
+import copy
+import pickle
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ontorules.parser import parse_rule
 
 from ontorules.model import (
     Atom,
+    ConceptInclusion,
     Const,
+    Existential,
     Literal,
     ModelError,
     Predicate,
+    RoleInclusion,
     Rule,
     Var,
     CONCEPT,
@@ -161,6 +167,20 @@ def test_rule_hash_is_the_head_and_body_set_hash(kb):
     assert hash(Rule(Atom(C, (X,)))) == hash((Atom(C, (X,)), frozenset()))
 
 
+def test_axiom_records_cache_the_field_tuple_hash(kb):
+    # the generality test's caches hash whole TBoxes: the cached hash must be
+    # the field-tuple hash, so sets and dicts of axioms keep their order
+    axioms = list(kb.tbox) + [
+        Existential("R"), Existential("R", True), ConceptInclusion(("A", "B"), Existential("R")),
+        ConceptInclusion(("A",), "B"), RoleInclusion("R", "S"),
+    ]
+    assert {type(x) for x in axioms} == {ConceptInclusion, RoleInclusion, Existential}
+    for x in axioms:
+        assert hash(x) == x._hash == hash(tuple(getattr(x, n) for n in x._fields)), repr(x)
+        for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert twin == x and hash(twin) == hash(x) and twin._hash == x._hash
+
+
 def test_term_layer_has_no_instance_dict():
     rule = Rule(Atom(C, (X,)), (Literal(Atom(P, (X,))),))
     for x in _term_layer_sample() + [rule]:
@@ -235,3 +255,36 @@ def test_atoms_and_literals_compare_by_field_tuples(args1, args2, negated):
     assert (ls == lt) == (s == t and not negated)
     assert (ls <= lt) == ((s, negated) <= (t, False))
     assert hash(ls) == hash((s, negated))
+
+
+_BODY_LITERALS = st.lists(
+    st.builds(
+        Literal,
+        st.builds(Atom, st.just(Predicate("q", 2, DATALOG)), st.tuples(*[st.sampled_from((X, Y, Z, a))] * 2)),
+        st.booleans(),
+    ),
+    min_size=1, max_size=6, unique=True,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BODY_LITERALS, st.data())
+def test_rule_equality_ignores_body_order_only(body, data):
+    head = Atom(Predicate("T", 1, CONCEPT), (X,))
+    rule = Rule(head, tuple(body))
+    shuffled = Rule(head, tuple(data.draw(st.permutations(body))))
+    assert rule == rule and rule == Rule(head, tuple(body))
+    assert rule == shuffled and shuffled == rule
+    assert hash(rule) == hash(shuffled)
+    i = data.draw(st.integers(0, len(body) - 1))
+    lit = body[i]
+    flipped = Literal(lit.atom, not lit.negated)
+    other = data.draw(st.sampled_from((X, Y, Z, a)).filter(lambda t: t != lit.atom.args[0]))
+    changed = Literal(Atom(lit.atom.pred, (other,) + lit.atom.args[1:]), lit.negated)
+    for new in (flipped, changed):
+        if new in body:
+            continue
+        differs = Rule(head, tuple(body[:i]) + (new,) + tuple(body[i + 1 :]))
+        assert len(differs.body) == len(rule.body)
+        assert differs != rule and rule != differs
+        assert differs != shuffled and shuffled != differs

@@ -1,21 +1,38 @@
+import bisect
 import copy
 import pickle
 import sys
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from ontorules import parse_rule
-from ontorules.model import ModelError, Predicate, Rule, CONCEPT, DATALOG, ROLE, is_linked, validate_safeness
+from ontorules.model import (
+    ConceptInclusion,
+    LanguageBias,
+    ModelError,
+    Predicate,
+    Rule,
+    CONCEPT,
+    DATALOG,
+    ROLE,
+    is_linked,
+    validate_safeness,
+)
 from ontorules.refine import (
     ADD_DATALOG,
     ADD_NEGATED_DATALOG,
     ADD_ONTOLOGY,
     SPECIALIZE_ONTOLOGY,
+    _head_ids,
+    _literal_key,
     canonical_form,
     in_language,
     refine,
     seed_rule,
 )
+from test_canonical import PREDICATES, rules
 
 
 def _scratch(rule):
@@ -109,6 +126,58 @@ def test_every_depth3_key_is_the_from_scratch_form(kb, loner_bias, likes_bias):
         assert s.key.head is fresh.head
         assert len(s.key.body) == len(fresh.body)
         assert all(a is b for a, b in zip(s.key.body, fresh.body))
+
+
+def _of_kind(kind):
+    return frozenset(p for p in PREDICATES if p.kind == kind)
+
+
+#: Every predicate of the drawn rules, each datalog one under both polarities,
+#: and D below C, so that a C literal can be specialized.
+PROPERTY_BIAS = LanguageBias(_of_kind(CONCEPT), _of_kind(ROLE), _of_kind(DATALOG), _of_kind(DATALOG))
+PROPERTY_TBOX = (ConceptInclusion(("D",), "C"),)
+
+
+def _keying_path(step):
+    """How ``refine`` can key an added-literal child: from scratch when the
+    new literal's sort key, or two of the parent's, are equal; otherwise by
+    inserting the new literal into the parent's key, keeping the parent's
+    literals after it as they are ("prefix") or renumbered ("renamed")."""
+    ids = _head_ids(step.parent.head)
+    keys = sorted(_literal_key(l, ids) for l in step.parent.body)
+    k = _literal_key(step.literal, ids)
+    if k in keys or len(set(keys)) < len(keys):
+        return "tie"
+    p = bisect.bisect(keys, k)
+    kept = step.key.body[:p] + step.key.body[p + 1 :]
+    return "prefix" if kept == canonical_form(step.parent).body else "renamed"
+
+
+def test_added_literal_keys_are_the_from_scratch_form():
+    """Every step's key is its child's form computed afresh, literal for
+    literal, for parents with constants, negated literals, repeated head
+    variables and literals of equal sort key; and each way of keying an
+    added literal occurs.  Keys built with the parent's literals after the
+    new one not renumbered, with the new literal's tie checked against the
+    parent literal after it instead of before it, or with a tie within the
+    parent ignored, each fail here."""
+    paths = Counter()
+
+    @settings(max_examples=150, deadline=None)
+    @given(rules(max_body=4))
+    def check(parent):
+        for step in refine(parent, PROPERTY_BIAS, PROPERTY_TBOX):
+            fresh = _scratch(step.child)
+            assert step.key == fresh
+            assert str(step.key) == str(fresh)
+            assert step.key.head is fresh.head
+            assert len(step.key.body) == len(fresh.body)
+            assert all(a is b for a, b in zip(step.key.body, fresh.body))
+            if step.rule_applied != SPECIALIZE_ONTOLOGY:
+                paths[_keying_path(step)] += 1
+
+    check()
+    assert paths.keys() == {"prefix", "renamed", "tie"}, paths
 
 
 def test_children_carry_their_key(kb, likes_bias, likes_rules, monkeypatch):
