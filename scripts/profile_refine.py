@@ -13,6 +13,10 @@ from the parent's key, or from scratch when the new literal's sort key ties
 with a parent literal's (or two of the parent's tie), and a specialized child
 from scratch.  Every other ``canonical_form`` call builds a key from scratch
 (the seed's) or reads back the key a rule already carries (a memo hit).
+It also prints the ``cache_info()`` of the candidate-literal cache
+(``refine._added_literals``) and how many rules were built through the public
+``Rule`` constructor, which drops duplicate literals, and how many through the
+private ``Rule._distinct``, which does not.
 
 It then runs the criterion-7 LIKES pairwise pass on the same KB: more_general
 over every ordered pair of the 60 rules of the depth-1 neighbourhood of the
@@ -30,9 +34,9 @@ import pstats
 from importlib import resources
 
 from ontorules.hybrid import more_general
-from ontorules.model import ROLE, Predicate
+from ontorules.model import ROLE, Predicate, Rule
 from ontorules.parser import parse_bias, parse_kb, parse_rule
-from ontorules.refine import canonical_form, refine, seed_rule
+from ontorules.refine import _added_literals, canonical_form, refine, seed_rule
 
 DEPTH = 3
 COUNTED = (
@@ -92,6 +96,12 @@ def calls(stats, filename: str, name: str) -> int:
     )
 
 
+def code_calls(stats, code) -> int:
+    """Calls of the function with code object ``code``."""
+    where = (code.co_filename, code.co_firstlineno, code.co_name)
+    return sum(nc for site, (_, nc, *_) in stats.stats.items() if site == where)
+
+
 def main() -> None:
     data = resources.files("ontorules") / "data"
     kb = parse_kb((data / "family.okb").read_text(encoding="utf-8"), "family.okb")
@@ -121,6 +131,9 @@ def main() -> None:
           f"{ties} from scratch on a tie, {specialized} specialized")
     print(f"other canonical_form calls: {scratch} from scratch, "
           f"{sum(forms.values()) - ties - specialized - scratch} memo hits")
+    print(f"candidate literals: {_added_literals.cache_info()}")
+    print(f"rules built: {code_calls(stats, Rule.__init__.__code__)} public (dedupe), "
+          f"{code_calls(stats, Rule._distinct.__func__.__code__)} private (Rule._distinct)")
 
     space = likes_space(kb, bias)
     pairs = cProfile.Profile()

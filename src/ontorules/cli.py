@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 input error (including a KB with no model, except
 for ``check``, ``compare`` and ``query``, which report the verdict
-``inconsistent-kb``, a missing or malformed option, and a ``--max-body-len``
-or ``--depth`` below 1), 2 partial result, 3 budget exceeded.
+``inconsistent-kb``, a missing or malformed option, a ``--max-body-len``
+or ``--depth`` below 1, and an input file that is not UTF-8 text), 2 partial
+result, 3 budget exceeded.
 Output is deterministic for fixed inputs; there is no randomness anywhere, so
 no seed flag exists.
 """
@@ -29,8 +30,8 @@ EXIT_BUDGET = 3
 
 
 class UsageError(ValueError):
-    """A missing or malformed option, or a value outside the range the command
-    accepts."""
+    """A missing or malformed option, a value outside the range the command
+    accepts, or an input file that is not UTF-8 text."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -47,8 +48,11 @@ def _require_positive(option: str, value: int) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
 class _Report:

@@ -568,8 +568,9 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
     # syntactic fast path: h1's head is h2's and its body a subset of h2's, so
     # the identity substitution maps h1 into h2 -- no models needed.  The
     # skolemization below renames variables injectively onto fresh constants,
-    # so after it exactly these pairs would match verbatim.
-    if h1.head == h2.head and set(h1.body) <= set(h2.body):
+    # so after it exactly these pairs would match verbatim.  A child that adds
+    # a literal extends its parent's body tuple, so try a prefix first.
+    if h1.head == h2.head and (h2.body[: len(h1.body)] == h1.body or set(h1.body) <= set(h2.body)):
         return True
     h1_constants = h1.constants()
     head, sigma, facts, abox, forbidden, constants, domain = _skolemized(kb, h2, h1_constants)

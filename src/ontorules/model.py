@@ -18,14 +18,18 @@ per-instance ``__dict__``) whose fields are the public names in
 importing the package compiles no code at run time.
 
 The term layer -- ``Var``, ``Const``, ``Predicate``, ``Atom``, ``Literal`` and
-``Rule`` -- writes out its own constructor and comparisons, because
+``Rule`` -- writes out its own constructor, equality and hash, because
 refinement and the generality test build, compare and hash these objects by
 the million.  The first five compute their hash once, at construction, into a
 ``_hash`` slot.  Each cached hash equals the hash of the field tuple --
 ``hash((name,))``, ``hash((name, arity, kind))``, ``hash((pred, args))`` and
 ``hash((atom, negated))`` -- so every set and dict of these objects iterates
 in the same order as with field-tuple hashes, and output that follows such an
-order stays the same.  The five are ordered by their field tuples.  The
+order stays the same.  The five are ordered by their field tuples, through
+comparisons that :func:`_ordered` builds as closures over the field names.
+``Rule``'s public constructor drops duplicate body literals; its private
+``Rule._distinct`` stores a body that its caller knows to be duplicate-free
+as given.  The
 ontology axiom records -- ``ConceptInclusion``, ``RoleInclusion`` and
 ``Existential`` -- cache the hash of their field tuple in the same way.
 """
@@ -33,6 +37,7 @@ ontology axiom records -- ``ConceptInclusion``, ``RoleInclusion`` and
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 
 CONCEPT = "concept"
@@ -128,6 +133,27 @@ class Record:
         return type(self), self._values()
 
 
+def _ordered(cls):
+    """Give ``cls`` ``<``, ``<=``, ``>`` and ``>=`` by its field tuple, between
+    values of the same class, as closures: no code is compiled."""
+    fields = operator.attrgetter(*cls._fields)
+
+    def method(op):
+        def compare(self, other):
+            if other.__class__ is self.__class__:
+                return op(fields(self), fields(other))
+            return NotImplemented
+
+        compare.__name__ = name = f"__{op.__name__}__"
+        compare.__qualname__ = f"{cls.__qualname__}.{name}"
+        return name, compare
+
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        setattr(cls, *method(op))
+    return cls
+
+
+@_ordered
 class _Name(Record):
     """A variable or constant, identified by its name."""
 
@@ -143,26 +169,6 @@ class _Name(Record):
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.name,) == (other.name,)
-        return NotImplemented
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name,) < (other.name,)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name,) <= (other.name,)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name,) > (other.name,)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name,) >= (other.name,)
         return NotImplemented
 
 
@@ -182,6 +188,7 @@ def make_term(name: str) -> Term:
     return Var(name) if VARIABLE_RE.match(name) else Const(name)
 
 
+@_ordered
 class Predicate(Record):
     __slots__ = ("name", "arity", "kind", "_hash")  # kind: CONCEPT | ROLE | DATALOG
 
@@ -205,31 +212,12 @@ class Predicate(Record):
             return (self.name, self.arity, self.kind) == (other.name, other.arity, other.kind)
         return NotImplemented
 
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.arity, self.kind) < (other.name, other.arity, other.kind)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.arity, self.kind) <= (other.name, other.arity, other.kind)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.arity, self.kind) > (other.name, other.arity, other.kind)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.arity, self.kind) >= (other.name, other.arity, other.kind)
-        return NotImplemented
-
     @property
     def is_dl(self) -> bool:
         return self.kind in (CONCEPT, ROLE)
 
 
+@_ordered
 class Atom(Record):
     __slots__ = ("pred", "args", "_hash")
 
@@ -246,26 +234,6 @@ class Atom(Record):
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.pred, self.args) == (other.pred, other.args)
-        return NotImplemented
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.pred, self.args) < (other.pred, other.args)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.pred, self.args) <= (other.pred, other.args)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.pred, self.args) > (other.pred, other.args)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.pred, self.args) >= (other.pred, other.args)
         return NotImplemented
 
     def variables(self) -> tuple[Var, ...]:
@@ -287,6 +255,7 @@ class Atom(Record):
         return f"{self.pred.name}({','.join(t.name for t in self.args)})"
 
 
+@_ordered
 class Literal(Record):
     __slots__ = ("atom", "negated", "_hash")
 
@@ -305,26 +274,6 @@ class Literal(Record):
             return (self.atom, self.negated) == (other.atom, other.negated)
         return NotImplemented
 
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.atom, self.negated) < (other.atom, other.negated)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.atom, self.negated) <= (other.atom, other.negated)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.atom, self.negated) > (other.atom, other.negated)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.atom, self.negated) >= (other.atom, other.negated)
-        return NotImplemented
-
     def substitute(self, theta: dict[Var, Term]) -> "Literal":
         return Literal(self.atom.substitute(theta), self.negated)
 
@@ -334,7 +283,9 @@ class Literal(Record):
 
 class Rule(Record):
     """A clause ``head :- body``.  The body is stored as an ordered tuple but
-    compared as a set; duplicate literals are dropped at construction.
+    compared as a set.  The public constructor drops duplicate literals,
+    keeping the first of each; :meth:`_distinct` is a private constructor
+    that skips that pass, for a caller whose body holds no literal twice.
 
     Two private slots start empty and are each written at most once: ``_hash``
     by the first :meth:`__hash__`, and ``_canonical`` by
@@ -345,13 +296,23 @@ class Rule(Record):
     __slots__ = ("head", "body", "_canonical", "_hash")
 
     def __init__(self, head: Atom, body: tuple[Literal, ...] = ()):
-        seen: dict[Literal, None] = {}
-        for lit in body:
-            seen.setdefault(lit)
         _set(self, "head", head)
-        _set(self, "body", tuple(seen))
+        _set(self, "body", tuple(dict.fromkeys(body)))
         _set(self, "_canonical", None)
         _set(self, "_hash", None)
+
+    @classmethod
+    def _distinct(cls, head: Atom, body: tuple[Literal, ...]) -> Rule:
+        """The rule ``head :- body`` for a ``body`` tuple whose literals are
+        pairwise distinct, stored as given.  The caller guarantees that; a
+        duplicate would break equality and hashing, which treat the body as a
+        set of its literals."""
+        rule = object.__new__(cls)
+        _set(rule, "head", head)
+        _set(rule, "body", body)
+        _set(rule, "_canonical", None)
+        _set(rule, "_hash", None)
+        return rule
 
     def __eq__(self, other):
         if self is other:

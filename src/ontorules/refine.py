@@ -25,6 +25,7 @@ from .model import (
     Record,
     Rule,
     Var,
+    _set,
     CONCEPT,
     DATALOG,
     ROLE,
@@ -49,6 +50,13 @@ class RefinementStep(Record):
 
     __slots__ = ("rule_applied", "literal", "parent", "child", "key")
 
+    def __init__(self, rule_applied: str, literal: Literal, parent: Rule, child: Rule, key: Rule):
+        _set(self, "rule_applied", rule_applied)
+        _set(self, "literal", literal)
+        _set(self, "parent", parent)
+        _set(self, "child", child)
+        _set(self, "key", key)
+
 
 def seed_rule(target: Predicate) -> Rule:
     """The empty-bodied top element of the search; never emitted as learned."""
@@ -59,38 +67,10 @@ def seed_rule(target: Predicate) -> Rule:
 
 
 def _fresh_vars(used: set[Var], n: int) -> list[Var]:
-    out = []
-    for name in _FRESH_POOL:
-        v = Var(name)
-        if v not in used and v not in out:
-            out.append(v)
-            if len(out) == n:
-                return out
-    raise ModelError("fresh-variable pool exhausted")
-
-
-@functools.lru_cache(maxsize=1024)
-def _argument_tuples(arity: int, existing: tuple[Var, ...], max_new: int) -> tuple[tuple[Var, ...], ...]:
-    """Candidate argument tuples for an added literal: pairwise-distinct
-    variables, at least one already in the rule, at most ``max_new`` fresh.
-
-    Cached, so that parents with the same variables share the tuples their
-    children's new literals hold.
-    """
-    fresh = _fresh_vars(set(existing), min(max_new, arity))
-    pool = tuple(existing) + tuple(fresh)
-    out = []
-    for combo in itertools.permutations(pool, arity):
-        if not any(v in existing for v in combo):
-            continue
-        new = [v for v in combo if v not in existing]
-        if len(new) > max_new:
-            continue
-        # use fresh names in canonical order so permuted picks do not alias
-        if new != fresh[: len(new)]:
-            continue
-        out.append(combo)
-    return tuple(out)
+    out = [v for v in map(Var, _FRESH_POOL) if v not in used][:n]
+    if len(out) < n:
+        raise ModelError("fresh-variable pool exhausted")
+    return out
 
 
 def _admissible(child: Rule) -> bool:
@@ -111,6 +91,32 @@ def _literal_key(lit: Literal, head_vars: dict[Var, int]) -> tuple:
     )
     pred = lit.atom.pred
     return (lit.negated, pred.name, pred.arity, pred.kind, pattern)
+
+
+@functools.lru_cache(maxsize=1024)
+def _added_literals(
+    pred: Predicate, existing: tuple[Var, ...], head: Atom, max_new: int, negated: bool = False
+) -> tuple[tuple[Literal, tuple], ...]:
+    """Each literal over ``pred`` that refinement may add to a rule with head
+    ``head`` and variables ``existing``, with its :func:`_literal_key` under
+    the head's numbering.  The arguments are pairwise-distinct variables, at
+    least one in ``existing`` and at most ``max_new`` fresh; a negated
+    literal's come from ``existing`` alone, so its callers pass 0.
+
+    Cached, so that parents with the same variables and head share the
+    literals their children add and the literals' sort keys.
+    """
+    fresh = _fresh_vars(set(existing), min(max_new, pred.arity))
+    head_ids = _head_ids(head)
+    out = []
+    for combo in itertools.permutations(existing + tuple(fresh), pred.arity):
+        new = [v for v in combo if v not in existing]
+        # one existing variable at least; fresh names in canonical order, so
+        # that permuted picks do not alias
+        if len(new) < len(combo) and new == fresh[: len(new)]:
+            lit = Literal(Atom(pred, combo), negated)
+            out.append((lit, _literal_key(lit, head_ids)))
+    return tuple(out)
 
 
 #: Canonical variable ``V<i>`` by number ``i``, built once and shared by every
@@ -220,7 +226,9 @@ def _canonical_rule(head: Atom, head_ids: dict[Var, int], keyed: list[tuple]) ->
     else:  # first occurrence in sorted order is already the smallest numbering
         names, placed = range(len(ids)), range(len(keyed))
     rename = {v: _canonical_var(names[i]) for v, i in ids.items()}
-    return Rule(_canonical_head(head, rename), tuple(_canonical_literal(keyed[j][1], rename) for j in placed))
+    # renaming the distinct literals of a rule injectively keeps them distinct
+    body = tuple(_canonical_literal(keyed[j][1], rename) for j in placed)
+    return Rule._distinct(_canonical_head(head, rename), body)
 
 
 def canonical_form(rule: Rule) -> Rule:
@@ -269,13 +277,18 @@ def refine(
     as they are, and those after it too, unless the new literal numbers a
     variable first; then they are renumbered, once per call for each place and
     such variables.  Every other child is keyed from scratch.
+
+    The literals a child adds come from :func:`_added_literals`, with their
+    sort keys, so parents with the same head and variables share those
+    objects and keys; only the child's body tuple and rule are new.  Those
+    children, and the keys built from ``h``'s, skip the public constructor's
+    duplicate check (:meth:`Rule._distinct`): an added literal's atom is not
+    in ``h``'s body.  A specialized child goes through it, as the specialized
+    literal may already be in the body.
     """
     existing = h.variables()
     body_atoms = {l.atom for l in h.body}
-    pos_vars: set[Var] = set()
-    for l in h.body:
-        if not l.negated:
-            pos_vars.update(l.atom.variables())
+    pos_vars = tuple(sorted({v for l in h.body if not l.negated for v in l.atom.variables()}))
     out: list[RefinementStep] = []
     parent_key = canonical_form(h)
     seen: set[Rule] = {parent_key}
@@ -296,13 +309,13 @@ def refine(
         counts.append(len(ids))
     suffixes: dict[tuple, tuple[Literal, ...]] = {}
 
-    def added_key(lit: Literal, child: Rule) -> Rule:
-        """The key of ``child``, whose body is h's plus ``lit``, which h lacks:
-        ``parent_key``'s body with ``lit`` inserted at its place in key order,
-        the literals after it renumbered if ``lit`` numbers a variable first."""
+    def added_key(lit: Literal, k: tuple, child: Rule) -> Rule:
+        """The key of ``child``, whose body is h's plus ``lit``, which h lacks
+        and whose sort key is ``k``: ``parent_key``'s body with ``lit``
+        inserted at its place in key order, the literals after it renumbered
+        if ``lit`` numbers a variable first."""
         if tied:
             return canonical_form(child)
-        k = _literal_key(lit, head_ids)
         p = bisect.bisect_right(keys, k)
         if p and keys[p - 1] == k:
             return canonical_form(child)
@@ -330,35 +343,35 @@ def refine(
                             shifted[t] = _canonical_var(len(shifted))
                 suffix = suffixes[memo] = tuple(_canonical_literal(l, shifted) for _, l in keyed_parent[p:])
         body = parent_key.body[:p] + (_canonical_literal(lit, rename),) + suffix
-        return _remember(child, Rule(parent_key.head, body))
+        return _remember(child, Rule._distinct(parent_key.head, body))
 
-    def emit(label: str, lit: Literal, child: Rule, added: bool = True) -> None:
+    def emit(label: str, lit: Literal, child: Rule, k: tuple | None) -> None:
+        """Keep ``child`` unless it is inadmissible or a variant of a kept
+        one; ``k`` is the sort key of the literal it adds, or None for a
+        specialized child."""
         if check_children and not _admissible(child):
             return
-        key = added_key(lit, child) if added else canonical_form(child)
+        key = canonical_form(child) if k is None else added_key(lit, k, child)
         if key in seen:
             return
         seen.add(key)
         out.append(RefinementStep(label, lit, h, child, key))
 
+    def add(label: str, candidates: tuple[tuple[Literal, tuple], ...]) -> None:
+        # a literal whose atom h lacks is none of h's literals, so the child's
+        # body is distinct and needs no dedupe pass
+        for lit, k in candidates:
+            if lit.atom not in body_atoms:
+                emit(label, lit, Rule._distinct(h.head, h.body + (lit,)), k)
+
     for pred in sorted(bias.datalog_pos):
-        for args in _argument_tuples(pred.arity, existing, max_new_vars):
-            atom = Atom(pred, args)
-            if atom in body_atoms:
-                continue
-            lit = Literal(atom)
-            emit(ADD_DATALOG, lit, Rule(h.head, h.body + (lit,)))
+        add(ADD_DATALOG, _added_literals(pred, existing, h.head, max_new_vars))
 
     blocked_dl = {l.atom.pred for l in h.body if l.atom.pred.is_dl}
     for pred in sorted(bias.concepts | bias.roles):
         if any(subsumes(pred, b, tbox) for b in blocked_dl if b.kind == pred.kind):
             continue  # an existing ontology literal is already below this predicate
-        for args in _argument_tuples(pred.arity, existing, max_new_vars):
-            atom = Atom(pred, args)
-            if atom in body_atoms:
-                continue
-            lit = Literal(atom)
-            emit(ADD_ONTOLOGY, lit, Rule(h.head, h.body + (lit,)))
+        add(ADD_ONTOLOGY, _added_literals(pred, existing, h.head, max_new_vars))
 
     alphabet = bias.concepts | bias.roles
     for i, l in enumerate(h.body):
@@ -370,18 +383,12 @@ def refine(
             if not subsumes(l.atom.pred, pred, tbox):
                 continue
             lit = Literal(Atom(pred, l.atom.args))
+            # the public constructor: the new literal may already be in the body
             body = h.body[:i] + (lit,) + h.body[i + 1 :]
-            emit(SPECIALIZE_ONTOLOGY, lit, Rule(h.head, body), added=False)
+            emit(SPECIALIZE_ONTOLOGY, lit, Rule(h.head, body), None)
 
     for pred in sorted(bias.datalog_neg):
-        if pred.arity > len(pos_vars):
-            continue
-        for args in itertools.permutations(sorted(pos_vars), pred.arity):
-            atom = Atom(pred, args)
-            if atom in body_atoms:
-                continue
-            lit = Literal(atom, negated=True)
-            emit(ADD_NEGATED_DATALOG, lit, Rule(h.head, h.body + (lit,)))
+        add(ADD_NEGATED_DATALOG, _added_literals(pred, pos_vars, h.head, 0, True))
 
     return tuple(out)
 

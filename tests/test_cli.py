@@ -303,3 +303,14 @@ def test_malformed_kb_reports_location(capsys, tmp_path):
     code, _, err = run(capsys, "query", "--kb", str(bad), "--atom", "foo(a)")
     assert code == 1
     assert "bad.okb:2" in err
+
+
+@pytest.mark.parametrize("option", ["--kb", "--examples", "--bias"])
+def test_non_utf8_input_is_an_input_error(capsys, tmp_path, option):
+    files = {"--kb": KB, "--examples": str(DATA / "loner.oex"), "--bias": str(DATA / "loner.obias")}
+    bad = tmp_path / "utf16.txt"
+    bad.write_bytes(b"\xff\xfe" + "p(a).\n".encode("utf-16-le"))
+    files[option] = str(bad)
+    code, out, err = run(capsys, "learn", *(a for o, f in files.items() for a in (o, f)))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {bad} is not UTF-8 text (invalid start byte)"]

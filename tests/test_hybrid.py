@@ -23,8 +23,9 @@ from ontorules.hybrid import (
     more_general,
     nm_models,
 )
-from ontorules.model import Atom, Const, HybridKB, Literal, Predicate, Rule, DATALOG, ROLE
+from ontorules.model import Atom, Const, HybridKB, Literal, Predicate, Rule, CONCEPT, DATALOG, ROLE
 from ontorules.refine import SPECIALIZE_ONTOLOGY, refine, seed_rule
+from test_refine import _steps
 
 LONER_EXAMPLES = ["LONER(Mary)", "LONER(Joe)", "LONER(Paul)"]
 LIKES_EXAMPLES = ["LIKES(Mary,Italy)", "LIKES(Mary,Germany)", "LIKES(Joe,Italy)"]
@@ -179,6 +180,27 @@ def test_add_literal_edges_and_reflexivity_need_no_skolemization(kb, likes_bias,
     ):
         h = parse_rule(text, kb)
         assert more_general(h, h, kb)
+
+
+def test_every_walk_edge_is_general_by_prefix_and_by_set(kb, loner_bias, likes_bias):
+    # an added-literal child extends its parent's body tuple, so the fast path
+    # matches a prefix; with the new literal moved to the front it must match
+    # the same pairs as sets
+    prefix = 0
+    for target, bias, edges in ((Predicate("LONER", 1, CONCEPT), loner_bias, 4),
+                                (Predicate("LIKES", 2, ROLE), likes_bias, 324)):
+        steps = _steps(seed_rule(target), bias, kb.tbox, 2)
+        assert len(steps) == edges
+        for s in steps:
+            parent, child = s.parent, s.child
+            moved = Rule(child.head, child.body[-1:] + child.body[:-1])
+            assert more_general(parent, child, kb), str(child)
+            assert more_general(parent, moved, kb), str(moved)
+            n = len(parent.body)
+            if s.rule_applied != SPECIALIZE_ONTOLOGY and n:
+                assert child.body[:n] == parent.body and moved.body[:n] != parent.body
+                prefix += 1
+    assert prefix == 3 + 318
 
 
 @pytest.mark.parametrize("general, special", [

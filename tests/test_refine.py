@@ -25,6 +25,7 @@ from ontorules.refine import (
     ADD_NEGATED_DATALOG,
     ADD_ONTOLOGY,
     SPECIALIZE_ONTOLOGY,
+    _added_literals,
     _head_ids,
     _literal_key,
     canonical_form,
@@ -178,6 +179,37 @@ def test_added_literal_keys_are_the_from_scratch_form():
 
     check()
     assert paths.keys() == {"prefix", "renamed", "tie"}, paths
+
+
+def test_cached_candidate_literals_change_nothing():
+    """``refine`` gives the same steps, in the same order, with its cache of
+    candidate literals cleared and warm; a warm run reuses the cold run's
+    literal objects; and an added-literal child, built without the dedupe
+    pass, adds an atom its parent lacks under either polarity, has distinct
+    body literals and equals the publicly built rule."""
+
+    def steps(parent):
+        return [(s.rule_applied, s.literal, s.parent, s.child, s.key)
+                for s in refine(parent, PROPERTY_BIAS, PROPERTY_TBOX)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(rules(max_body=4))
+    def check(parent):
+        _added_literals.cache_clear()
+        cold = steps(parent)
+        warm = steps(parent)
+        assert warm == cold
+        assert repr(warm) == repr(cold)
+        for (label, lit, _, child, _), (_, warm_lit, *_) in zip(cold, warm):
+            if label == SPECIALIZE_ONTOLOGY:
+                continue
+            assert warm_lit is lit
+            assert lit.atom not in {l.atom for l in parent.body}  # nor its negation
+            assert len(set(child.body)) == len(child.body)
+            public = Rule(child.head, child.body)
+            assert public == child and public.body == child.body
+
+    check()
 
 
 def test_children_carry_their_key(kb, likes_bias, likes_rules, monkeypatch):
