@@ -7,36 +7,53 @@ deduplicated across expansions by their canonical form, as in criterion 4),
 calls ``more_general(parent, child, kb)`` on every edge, all under
 ``cProfile``, and prints the 25 functions with the most self time followed by
 the call counts of ``canonical_form``, ``more_general``, ``skolemize``,
-``validate_safeness`` and ``is_linked``, and by where the canonical keys came
-from.  ``refine`` keys each child one of three ways: an added literal's child
-from the parent's key, or from scratch when the new literal's sort key ties
-with a parent literal's (or two of the parent's tie), and a specialized child
-from scratch.  Every other ``canonical_form`` call builds a key from scratch
-(the seed's) or reads back the key a rule already carries (a memo hit).
-It also prints the ``cache_info()`` of the candidate-literal cache
-(``refine._added_literals``) and how many rules were built through the public
-``Rule`` constructor, which drops duplicate literals, and how many through the
-private ``Rule._distinct``, which does not.
+``validate_safeness`` and ``is_linked``, and by how the steps' keys were
+built.  ``refine`` keys a child that adds a literal from the parent's key:
+the new literal is inserted into it, or, when the child's sorted body has a
+tie before the new literal's place (the new literal's sort key equals a
+parent literal's, or two of the parent's are equal), the literals from the
+first tie on are keyed afresh (the tail; its mean length is printed).  A
+specialized child is keyed from scratch.  The paths are read off the
+returned steps after the run, so children dropped as variants are not
+counted.  ``canonical_form`` calls either build a key from scratch (the
+parents', the specialized children's, the seed's) or read back the key a rule
+already carries (a memo hit).  It also prints the ``cache_info()`` of the
+candidate-literal cache (``refine._added_literals``) and how many rules were
+built through the public ``Rule`` constructor, which drops duplicate
+literals, and how many through the private ``Rule._distinct``, which does
+not.
 
 It then runs the criterion-7 LIKES pairwise pass on the same KB: more_general
 over every ordered pair of the 60 rules of the depth-1 neighbourhood of the
 seed and of ``LIKES(X,Y) :- meets(X,Z,Y).``, plus the named LIKES rules.  It
 prints the ``more_general`` and ``skolemize`` calls of each phase (edges and
-pairs).  Times include the profiler's own per-call cost; use the benchmark
-for end-to-end timings.
+pairs), and for each phase how many ``h1`` rules the generality test
+prepared (``hybrid._premises``) and how many times it found one already
+prepared in the KB's memo.  Times include the profiler's own per-call cost;
+use the benchmark for end-to-end timings.
 
 Run from a checkout: ``PYTHONPATH=src python scripts/profile_refine.py``
 """
 
+import bisect
 import cProfile
 import io
 import pstats
+from collections import Counter
 from importlib import resources
 
 from ontorules.hybrid import more_general
 from ontorules.model import ROLE, Predicate, Rule
 from ontorules.parser import parse_bias, parse_kb, parse_rule
-from ontorules.refine import _added_literals, canonical_form, refine, seed_rule
+from ontorules.refine import (
+    SPECIALIZE_ONTOLOGY,
+    _added_literals,
+    _head_ids,
+    _literal_key,
+    canonical_form,
+    refine,
+    seed_rule,
+)
 
 DEPTH = 3
 COUNTED = (
@@ -55,8 +72,9 @@ LIKES_RULES = (
 )
 
 
-def refine_with_generality(kb, bias) -> tuple[int, int]:
-    """Edges walked and edges on which the parent is not more general."""
+def refine_with_generality(kb, bias, steps: list) -> tuple[int, int]:
+    """Edges walked and edges on which the parent is not more general; the
+    steps are appended to ``steps``."""
     frontier = [seed_rule(Predicate("LIKES", 2, ROLE))]
     seen = {canonical_form(frontier[0])}
     edges = nongeneral = 0
@@ -64,6 +82,7 @@ def refine_with_generality(kb, bias) -> tuple[int, int]:
         nxt = []
         for parent in frontier:
             for step in refine(parent, bias, kb.tbox):
+                steps.append(step)
                 edges += 1
                 nongeneral += not more_general(parent, step.child, kb)
                 if step.key not in seen:
@@ -71,6 +90,20 @@ def refine_with_generality(kb, bias) -> tuple[int, int]:
                     nxt.append(step.child)
         frontier = nxt
     return edges, nongeneral
+
+
+def keying_path(step) -> tuple[str, int]:
+    """How ``refine`` keyed the step's child, and the length of the tail it
+    keyed afresh (0 unless tail-keyed)."""
+    if step.rule_applied == SPECIALIZE_ONTOLOGY:
+        return "specialized", 0
+    ids = _head_ids(step.parent.head)
+    keys = sorted(_literal_key(l, ids) for l in step.parent.body)
+    k = _literal_key(step.literal, ids)
+    p = bisect.bisect_right(keys, k)
+    tie = next((i for i, (a, b) in enumerate(zip(keys, keys[1:])) if a == b), len(keys))
+    s = min(tie, bisect.bisect_left(keys, k))
+    return ("tail", len(keys) + 1 - s) if s < p else ("inserted", 0)
 
 
 def likes_space(kb, bias) -> list:
@@ -108,7 +141,8 @@ def main() -> None:
     bias = parse_bias((data / "likes.obias").read_text(encoding="utf-8"), kb)
 
     profiler = cProfile.Profile()
-    edges, nongeneral = profiler.runcall(refine_with_generality, kb, bias)
+    steps: list = []
+    edges, nongeneral = profiler.runcall(refine_with_generality, kb, bias, steps)
     out = io.StringIO()
     stats = pstats.Stats(profiler, stream=out)
     print(f"LIKES depth {DEPTH}: {edges} edges, {nongeneral} with a parent not more general")
@@ -116,21 +150,21 @@ def main() -> None:
     print(out.getvalue())
     for filename, name in COUNTED:
         print(f"{name:>17} calls: {calls(stats, filename, name)}")
-    def callers(name: str) -> dict[str, int]:
-        return {
-            caller[2]: nc
-            for (path, _, func), (_, _, _, _, by) in stats.stats.items()
-            if func == name and path.endswith("refine.py")
-            for caller, (_, nc, *_) in by.items()
-        }
-
-    forms = callers("canonical_form")
-    ties, specialized = forms.get("added_key", 0), forms.get("emit", 0)
-    scratch = sum(callers("_canonical_rule").values()) - ties - specialized
-    print(f"keys built by refine: {sum(callers('added_key').values()) - ties} from the parent's key, "
-          f"{ties} from scratch on a tie, {specialized} specialized")
-    print(f"other canonical_form calls: {scratch} from scratch, "
-          f"{sum(forms.values()) - ties - specialized - scratch} memo hits")
+    paths, tails = Counter(), 0
+    for step in steps:
+        path, length = keying_path(step)
+        paths[path] += 1
+        tails += length
+    print(f"keys of the steps: {paths['inserted']} inserted into the parent's key, "
+          f"{paths['tail']} tail-keyed on a tie (mean tail {tails / max(paths['tail'], 1):.2f} literals), "
+          f"{paths['specialized']} specialized")
+    forms = calls(stats, "refine.py", "canonical_form")
+    scratch = sum(
+        nc for (path, _, func), (_, _, _, _, by) in stats.stats.items()
+        if func == "_canonical_tail" and path.endswith("refine.py")
+        for caller, (_, nc, *_) in by.items() if caller[2] == "canonical_form"
+    )
+    print(f"canonical_form calls: {scratch} from scratch, {forms - scratch} memo hits")
     print(f"candidate literals: {_added_literals.cache_info()}")
     print(f"rules built: {code_calls(stats, Rule.__init__.__code__)} public (dedupe), "
           f"{code_calls(stats, Rule._distinct.__func__.__code__)} private (Rule._distinct)")
@@ -139,10 +173,13 @@ def main() -> None:
     pairs = cProfile.Profile()
     related = pairs.runcall(pairwise, space, kb)
     print(f"\nLIKES pairwise: {len(space)} rules, {related} of {len(space) ** 2} ordered pairs related")
-    print(f"{'phase':>6} {'more_general':>13} {'skolemize':>10}")
+    print(f"{'phase':>6} {'more_general':>13} {'skolemize':>10} {'h1 prepared':>12} {'h1 memo hits':>13}")
     for phase, profile in (("edges", stats), ("pairs", pstats.Stats(pairs))):
+        # past the syntactic fast path, more_general looks h1 and h2 up once each
+        prepared = calls(profile, "hybrid.py", "_premises")
         print(f"{phase:>6} {calls(profile, 'hybrid.py', 'more_general'):>13} "
-              f"{calls(profile, 'model.py', 'skolemize'):>10}")
+              f"{calls(profile, 'model.py', 'skolemize'):>10} {prepared:>12} "
+              f"{calls(profile, 'hybrid.py', '_prepared') // 2 - prepared:>13}")
 
 
 if __name__ == "__main__":

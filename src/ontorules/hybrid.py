@@ -296,7 +296,6 @@ def _canonical_models(
     settles in the fast path on its single model."""
     counters["canonical_runs"] += 1
     instances = _partial_ground(rules, facts, domain, DEFAULT_GROUNDING_BUDGET, extensional_predicates(rules))
-    base = _dl_base(instances, abox, tbox, domain)
     naf_atoms = sorted({a for i in instances for a in i.naf})
 
     def least_model(truth):
@@ -304,7 +303,7 @@ def _canonical_models(
         return frozenset(dtrue), frozenset(gtrue), frozenset(exists)
 
     return [
-        NMModel(DLGuess(gtrue, base - gtrue), Interpretation(dtrue), exists)
+        NMModel(DLGuess(gtrue), Interpretation(dtrue), exists)
         for dtrue, gtrue, exists in branch_search(naf_atoms, least_model)
         if not forbidden & dtrue
     ]
@@ -395,7 +394,9 @@ def nm_models(
     extra_facts: tuple[Atom, ...] = (),
 ) -> list[NMModel]:
     """Canonical models of the KB extended with extra rules and ground facts:
-    the family that entailment and coverage quantify over."""
+    the family that entailment and coverage quantify over.  A canonical
+    model's ontology part is its true atoms alone: ``guess.false_atoms`` is
+    empty, as every other atom is false in it."""
     rules, abox, facts, domain = _combine(kb, extra_rules, extra_facts)
     return _canonical_models(kb.tbox, abox, rules, facts, domain)
 
@@ -549,12 +550,14 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
     complete model.
 
     The skolemized ``h2`` is prepared once per KB (:func:`_skolemized`), and
-    the cautious truth of each augmented theory, indexed by predicate, is
-    computed once (:func:`_cautious_sets`).  The grounding is found by a
-    backtracking join (:func:`_join`) of ``h1``'s positive body atoms against
-    that truth, from the binding of ``h1``'s head onto ``h2``'s; only the
-    variables that occur in no positive literal range over the whole domain,
-    and the negated literals are checked last.  A grounding's body holds iff
+    so is what the test reads off ``h1`` (:func:`_premises`), both in the
+    KB's bounded memo (:func:`_prepared`); a pair that the syntactic fast
+    path decides adds no entry.  The cautious truth of each augmented theory,
+    indexed by predicate, is computed once (:func:`_cautious_sets`).  The
+    grounding is found by a backtracking join (:func:`_join`) of ``h1``'s
+    positive body atoms against that truth, from the binding of ``h1``'s
+    head onto ``h2``'s; only the variables that occur in no positive literal
+    range over the whole domain, and the negated literals are checked last.  A grounding's body holds iff
     it maps every positive atom into the cautious truth, so the join finds
     exactly the groundings that the product over the domain would keep.
     That product still bounds the search: past ``DEFAULT_THETA_BUDGET``
@@ -572,15 +575,15 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
     # a literal extends its parent's body tuple, so try a prefix first.
     if h1.head == h2.head and (h2.body[: len(h1.body)] == h1.body or set(h1.body) <= set(h2.body)):
         return True
-    h1_constants = h1.constants()
-    head, sigma, facts, abox, forbidden, constants, domain = _skolemized(kb, h2, h1_constants)
+    premises = _prepared(kb, (h1, h1.body), _premises)
+    h1_constants, skolem_names, h1_vars, h1_var_set, positive, negated, prefix, unbound = premises
+    head, sigma, facts, abox, forbidden, constants, domain = _prepared(kb, (h2, skolem_names), _skolemized)
     if not h1_constants <= constants:
         constants = constants | h1_constants
         domain = tuple(sorted(constants))
 
     # the skolemization's own substitution, when it also maps h1's head onto h2's
-    h1_vars = h1.variables()
-    natural = {v: sigma[v] for v in h1_vars} if sigma.keys() >= set(h1_vars) else None
+    natural = {v: sigma[v] for v in h1_vars} if sigma.keys() >= h1_var_set else None
     if natural is not None and h1.head.substitute(natural) != head:
         natural = None
 
@@ -608,20 +611,15 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
         raise BudgetError("substitution search exceeds the candidate budget")
     if free and not domain:
         return False  # no grounding at all: the product over an empty domain is empty
-    positive = [l.atom for l in h1.body if not l.negated]
-    negated = [l.atom for l in h1.body if l.negated]
     possible = frozenset()
     if negated:
         # checked in body order, a grounding reaches the first negated literal
         # once the positive literals before it hold: build the complete models
         # exactly when one does
-        first = next(i for i, l in enumerate(h1.body) if l.negated)
-        prefix = [l.atom for l in h1.body[:first]]
         if next(_join(prefix, index, bound, constants), None) is None:
             return False
         possible = possibly_d()
-    bound_by_join = {v for a in positive for v in a.variables()}
-    rest = [v for v in free if v not in bound_by_join]
+    rest = [v for v in unbound if v not in bound]
     for theta in _join(positive, index, bound, constants):
         for combo in itertools.product(domain, repeat=len(rest)):
             full = dict(theta)
@@ -635,20 +633,12 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
 _MEMO_SIZE = 4096
 
 
-def _skolemized(kb: HybridKB, h2: Rule, h1_constants: set[Const]) -> tuple:
-    """``h2`` skolemized apart from the KB's rule constants and ``h1``'s, and
-    what the generality test reads off it: its head, ``sigma``, its positive
-    datalog atoms (facts), its positive ontology atoms sorted by ``str``
-    (ABox), its negated atoms (constraints), and the KB's rule constants and
-    its own as a frozenset and as a sorted tuple (the domain).
-
-    This depends only on ``h2``, the KB and the ``sk<i>`` names that ``h1``
-    holds, so it is memoized in ``kb._generality`` under (``h2``, those
-    names), next to the KB's rule constants.  Equal rules whose bodies are
-    listed in another order skolemize to renamings of each other, which no
-    verdict tells apart.  The memo is cleared at ``_MEMO_SIZE`` entries.
-    Threads that race to fill it store equal values.
-    """
+def _prepared(kb: HybridKB, key: tuple, build) -> tuple:
+    """What the generality test prepares once per KB: the entry under ``key``
+    in the dict that ``kb._generality`` holds next to the KB's rule
+    constants, built on a miss as ``build(rule constants, key)``.  The dict is
+    cleared at ``_MEMO_SIZE`` entries.  Threads that race to fill it store
+    equal values."""
     memo = kb._generality
     if memo is None:
         # relative to the intensional part only: constants from the rules, not the data
@@ -658,26 +648,54 @@ def _skolemized(kb: HybridKB, h2: Rule, h1_constants: set[Const]) -> tuple:
         memo = (frozenset(rule_constants), {})
         object.__setattr__(kb, "_generality", memo)
     kb_constants, prepared = memo
-    key = (h2, frozenset([c for c in h1_constants if SKOLEM_RE.match(c.name)]))
     entry = prepared.get(key)
     if entry is None:
-        from .model import skolemize  # looked up per call, so it can be traced
-
-        h2s, sigma = skolemize(h2, kb_constants | key[1] | h2.constants())
-        facts = frozenset(l.atom for l in h2s.body if not l.negated and l.atom.pred.kind == DATALOG)
-        abox = tuple(
-            sorted(
-                (l.atom for l in h2s.body if not l.negated and l.atom.pred.is_dl),
-                key=str,
-            )
-        )
-        forbidden = frozenset(l.atom for l in h2s.body if l.negated)
-        constants = kb_constants | h2s.constants()
-        entry = (h2s.head, sigma, facts, abox, forbidden, constants, tuple(sorted(constants)))
+        entry = build(kb_constants, key)
         if len(prepared) >= _MEMO_SIZE:
             prepared.clear()
         prepared[key] = entry
     return entry
+
+
+def _premises(kb_constants: frozenset[Const], key: tuple) -> tuple:
+    """What the generality test reads off ``h1`` whatever ``h2`` is: its
+    constants, those named like skolem constants, its variables as a tuple
+    and as a set, its positive and its negated body atoms, the body atoms
+    before its first negated literal, and the variables that no positive
+    literal binds, in the tuple's order.  ``key`` is (``h1``, its body
+    tuple): the body order decides when the complete models are built."""
+    h1 = key[0]
+    constants = frozenset(h1.constants())
+    variables = h1.variables()
+    positive = tuple(l.atom for l in h1.body if not l.negated)
+    negated = tuple(l.atom for l in h1.body if l.negated)
+    first = next((i for i, l in enumerate(h1.body) if l.negated), 0)
+    bound_by_join = {v for a in positive for v in a.variables()}
+    skolem_names = frozenset([c for c in constants if SKOLEM_RE.match(c.name)])
+    prefix = tuple(l.atom for l in h1.body[:first])
+    unbound = tuple(v for v in variables if v not in bound_by_join)
+    return constants, skolem_names, variables, frozenset(variables), positive, negated, prefix, unbound
+
+
+def _skolemized(kb_constants: frozenset[Const], key: tuple) -> tuple:
+    """``h2`` skolemized apart from the KB's rule constants and from the
+    ``sk<i>`` names that ``h1`` holds, under ``key`` (``h2``, those names),
+    and what the generality test reads off it: its head, ``sigma``, its
+    positive datalog atoms (facts), its positive ontology atoms sorted by
+    ``str`` (ABox), its negated atoms (constraints), and the KB's rule
+    constants and its own as a frozenset and as a sorted tuple (the domain).
+    Equal rules whose bodies are listed in another order skolemize to
+    renamings of each other, which no verdict tells apart.
+    """
+    from .model import skolemize  # looked up per call, so it can be traced
+
+    h2, reserved = key
+    h2s, sigma = skolemize(h2, kb_constants | reserved | h2.constants())
+    facts = frozenset(l.atom for l in h2s.body if not l.negated and l.atom.pred.kind == DATALOG)
+    abox = tuple(sorted((l.atom for l in h2s.body if not l.negated and l.atom.pred.is_dl), key=str))
+    forbidden = frozenset(l.atom for l in h2s.body if l.negated)
+    constants = kb_constants | h2s.constants()
+    return h2s.head, sigma, facts, abox, forbidden, constants, tuple(sorted(constants))
 
 
 def _join(atoms, index, theta, domain):

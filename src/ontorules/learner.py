@@ -162,7 +162,8 @@ def _learn_one(
         steps = refine(current.rule, bias, models.kb.tbox)
         if not steps:
             return None
-        evaluated = [_coverage(models, s.child, positives, negatives) for s in steps]
+        # every move specializes, so a child covers only what its parent covers
+        evaluated = [_coverage(models, s.child, current.pos, current.neg) for s in steps]
         evaluated.sort(key=lambda e: _rank_key(e, current, params.laplace))
         best = evaluated[0]
         if not best.pos:

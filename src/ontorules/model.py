@@ -417,7 +417,8 @@ class HybridKB(Record):
     ``alphabet`` is the tuple of declared predicates.
 
     The private slot ``_generality`` starts empty; the generality test keeps
-    its per-KB memo there (see :func:`ontorules.hybrid.more_general`).
+    there the KB's rule constants and a bounded memo of the rules it prepared
+    as ``h1`` and skolemized as ``h2`` (see :func:`ontorules.hybrid.more_general`).
     """
 
     __slots__ = ("tbox", "abox", "rules", "facts", "alphabet", "_generality")

@@ -159,19 +159,21 @@ def _canonical_head(head: Atom, rename: dict[Var, Var]) -> Atom:
 
 
 def _order_ties(
-    keys: list[tuple], occ: list[tuple[int, ...]], n_head: int
+    keys: list[tuple], occ: list[tuple[int, ...]], n_fixed: int
 ) -> tuple[dict[int, int], tuple[int, ...]]:
     """The number of each variable id and the body order, as positions in the
-    sorted body, for a body in which some literals have equal keys.
+    sorted body, for a body in which some literals have equal keys; variable
+    ids below ``n_fixed`` keep their number.
 
     Only literals with equal keys are reordered, and the ordering whose
     variables, numbered by first occurrence, read smallest wins.  It is built
     one literal at a time: only the partial orderings with the smallest
     numbering so far are extended, and two that leave the same literals to
     place, with the same numbers on their variables, are extended once.
+    Through untied literals, one ordering is extended, by first occurrence.
     """
     # (number of each variable id, body positions placed, positions left)
-    states = [({i: i for i in range(n_head)}, (), tuple(range(len(keys))))]
+    states = [({i: i for i in range(n_fixed)}, (), tuple(range(len(keys))))]
     for _ in keys:
         best, extended = None, {}
         for names, placed, left in states:
@@ -208,27 +210,25 @@ def _keyed_body(body: tuple[Literal, ...], head_ids: dict[Var, int]) -> list[tup
     return sorted(((_literal_key(l, head_ids), l) for l in body), key=_first)
 
 
-def _remember(rule: Rule, key: Rule) -> Rule:
-    """Store ``key`` as the canonical form of ``rule`` and of itself."""
-    object.__setattr__(key, "_canonical", key)
-    object.__setattr__(rule, "_canonical", key)
-    return key
+#: Stores a rule's canonical form in its ``_canonical`` slot.
+_set_canonical = Rule._canonical.__set__
 
 
-def _canonical_rule(head: Atom, head_ids: dict[Var, int], keyed: list[tuple]) -> Rule:
-    """The canonical form of the rule with ``head`` and the body in ``keyed``,
-    as :func:`_keyed_body` returns it for ``head_ids``."""
-    ids = dict(head_ids)
+def _canonical_tail(ids: dict[Var, int], keyed: list[tuple]) -> tuple[dict[Var, Var], tuple[Literal, ...]]:
+    """The renaming and canonical literals of the sorted literals ``keyed``
+    after a prefix, whose variables ``ids`` numbers 0, 1, ... (the head's, for
+    a whole body), and which it extends.  If the prefix has no tie, the
+    canonical body is its literals' followed by these (see :func:`_order_ties`)."""
+    n_fixed = len(ids)
     keys = [k for k, _ in keyed]
     occ = [tuple(ids.setdefault(t, len(ids)) for t in l.atom.args if isinstance(t, Var)) for _, l in keyed]
     if any(a == b for a, b in zip(keys, keys[1:])):
-        names, placed = _order_ties(keys, occ, len(head_ids))
+        names, placed = _order_ties(keys, occ, n_fixed)
     else:  # first occurrence in sorted order is already the smallest numbering
         names, placed = range(len(ids)), range(len(keyed))
     rename = {v: _canonical_var(names[i]) for v, i in ids.items()}
     # renaming the distinct literals of a rule injectively keeps them distinct
-    body = tuple(_canonical_literal(keyed[j][1], rename) for j in placed)
-    return Rule._distinct(_canonical_head(head, rename), body)
+    return rename, tuple(_canonical_literal(keyed[j][1], rename) for j in placed)
 
 
 def canonical_form(rule: Rule) -> Rule:
@@ -240,8 +240,8 @@ def canonical_form(rule: Rule) -> Rule:
     :func:`_order_ties`.  The head and body literals are shared between
     canonical rules.
 
-    This function computes the form from scratch; :func:`refine` builds most
-    of its children's forms from their parent's instead.  The form is
+    This function computes the form from scratch; :func:`refine` builds its
+    added-literal children's forms from their parent's instead.  The form is
     computed once per rule object and kept in its ``_canonical`` slot, where
     :func:`refine` has already put it for every child it returns; the form is
     its own form, so it is kept on the form too.  A copy of a rule, or an
@@ -250,7 +250,10 @@ def canonical_form(rule: Rule) -> Rule:
     key = rule._canonical
     if key is None:
         ids = _head_ids(rule.head)
-        key = _remember(rule, _canonical_rule(rule.head, ids, _keyed_body(rule.body, ids)))
+        rename, body = _canonical_tail(ids, _keyed_body(rule.body, ids))
+        key = Rule._distinct(_canonical_head(rule.head, rename), body)
+        _set_canonical(key, key)
+        _set_canonical(rule, key)
     return key
 
 
@@ -271,35 +274,38 @@ def refine(
 
     Each step's ``key`` is its child's canonical form, and is also stored on
     the child, so :func:`canonical_form` of a child costs a slot read.  A
-    child that adds a literal whose sort key ties with none of ``h``'s, to a
-    parent whose sort keys have no tie, is keyed from ``h``'s key: the new
-    literal goes in at its place in key order, the literals before it are kept
-    as they are, and those after it too, unless the new literal numbers a
-    variable first; then they are renumbered, once per call for each place and
-    such variables.  Every other child is keyed from scratch.
+    child that adds a literal is keyed from ``h``'s key, whose literals
+    before the child's first tie (among ``h``'s literals or with the new one)
+    it keeps.  If that tie comes before the new literal's place in key order,
+    the rest is keyed afresh (:func:`_canonical_tail`).  Otherwise the new
+    literal goes in at its place, and the literals after it are kept too,
+    unless it numbers a variable first; then they are keyed afresh, once per
+    call for each place and such variables.  A specialized child is keyed
+    from scratch.
 
     The literals a child adds come from :func:`_added_literals`, with their
     sort keys, so parents with the same head and variables share those
     objects and keys; only the child's body tuple and rule are new.  Those
-    children, and the keys built from ``h``'s, skip the public constructor's
-    duplicate check (:meth:`Rule._distinct`): an added literal's atom is not
-    in ``h``'s body.  A specialized child goes through it, as the specialized
-    literal may already be in the body.
+    children, and their keys, skip the public constructor's duplicate check
+    (:meth:`Rule._distinct`): an added literal's atom is not in ``h``'s
+    body.  A specialized child goes through it, as the specialized literal
+    may already be in the body.
     """
+    head, body = h.head, h.body
     existing = h.variables()
-    body_atoms = {l.atom for l in h.body}
-    pos_vars = tuple(sorted({v for l in h.body if not l.negated for v in l.atom.variables()}))
+    body_atoms = {l.atom for l in body}
+    pos_vars = tuple(sorted({v for l in body if not l.negated for v in l.atom.variables()}))
     out: list[RefinementStep] = []
     parent_key = canonical_form(h)
     seen: set[Rule] = {parent_key}
     check_children = not _admissible(h)
-    head_ids = _head_ids(h.head)
-    keyed_parent = _keyed_body(h.body, head_ids)
+    head_ids = _head_ids(head)
+    keyed_parent = _keyed_body(body, head_ids)
     keys = [k for k, _ in keyed_parent]
-    tied = any(a == b for a, b in zip(keys, keys[1:]))
-    # with no tie, parent_key.body is h's body in key order, numbered by first
-    # occurrence: ids[v] is v's number and counts[p] how many are numbered
-    # after the first p sorted literals
+    tie = next((i for i, (a, b) in enumerate(zip(keys, keys[1:])) if a == b), len(keys))
+    # before the first tie, parent_key.body is h's body in key order, numbered
+    # by first occurrence: ids[v] is v's number there, and counts[p] how many
+    # are numbered after the first p sorted literals
     ids = dict(head_ids)
     counts = [len(ids)]
     for _, l in keyed_parent:
@@ -309,87 +315,78 @@ def refine(
         counts.append(len(ids))
     suffixes: dict[tuple, tuple[Literal, ...]] = {}
 
-    def added_key(lit: Literal, k: tuple, child: Rule) -> Rule:
-        """The key of ``child``, whose body is h's plus ``lit``, which h lacks
-        and whose sort key is ``k``: ``parent_key``'s body with ``lit``
-        inserted at its place in key order, the literals after it renumbered
-        if ``lit`` numbers a variable first."""
-        if tied:
-            return canonical_form(child)
-        p = bisect.bisect_right(keys, k)
-        if p and keys[p - 1] == k:
-            return canonical_form(child)
-        n = counts[p]
-        rename: dict[Var, Var] = {}
-        new: list[Var] = []  # variables of lit first numbered at position p
-        for t in lit.atom.args:
-            if isinstance(t, Var) and t not in rename:
-                i = ids.get(t, n)
-                if i >= n:
-                    i = n + len(new)
-                    new.append(t)
-                rename[t] = _canonical_var(i)
-        if not new:
-            suffix = parent_key.body[p:]
-        else:
-            memo = (p, tuple(new))
-            suffix = suffixes.get(memo)
-            if suffix is None:
-                shifted = {v: _canonical_var(i) for v, i in ids.items() if i < n}
-                shifted.update((v, rename[v]) for v in new)
-                for _, l in keyed_parent[p:]:
-                    for t in l.atom.args:
-                        if isinstance(t, Var) and t not in shifted:
-                            shifted[t] = _canonical_var(len(shifted))
-                suffix = suffixes[memo] = tuple(_canonical_literal(l, shifted) for _, l in keyed_parent[p:])
-        body = parent_key.body[:p] + (_canonical_literal(lit, rename),) + suffix
-        return _remember(child, Rule._distinct(parent_key.head, body))
+    def add(label: str, preds, variables: tuple[Var, ...], max_new: int, negated: bool = False) -> None:
+        """Keep each admissible child, not a variant of a kept one, that adds
+        a literal of :func:`_added_literals` over one of ``preds``."""
+        for pred in preds:
+            for lit, k in _added_literals(pred, variables, head, max_new, negated):
+                if lit.atom in body_atoms:
+                    continue  # in h's body, under either polarity
+                # a literal whose atom h lacks is none of h's literals, so the
+                # child's body is distinct and needs no dedupe pass
+                child = Rule._distinct(head, body + (lit,))
+                if check_children and not _admissible(child):
+                    continue
+                p = bisect.bisect_right(keys, k)
+                # the child's first tie: h's, or lit's with the literal before it
+                # (any other literal with lit's key is tied before that)
+                s = min(tie, p - 1 if p and keys[p - 1] == k else p)
+                if s < p:
+                    tail = keyed_parent[s:p] + [(k, lit)] + keyed_parent[p:]
+                    prefix = dict(itertools.islice(ids.items(), counts[s]))
+                    key_body = parent_key.body[:s] + _canonical_tail(prefix, tail)[1]
+                else:
+                    n = counts[p]
+                    args, new = [], []  # new: variables of lit first numbered at p
+                    for v in lit.atom.args:  # pairwise-distinct variables
+                        i = ids.get(v, n)
+                        if i >= n:
+                            i = n + len(new)
+                            new.append(v)
+                        args.append(_CANONICAL_VARS.get(i) or _canonical_var(i))
+                    args = tuple(args)
+                    canon = _CANONICAL_LITERALS.get((lit.atom.pred, args, lit.negated))
+                    if canon is None:
+                        canon = _canonical_literal(lit, dict(zip(lit.atom.args, args)))
+                    suffix = suffixes.get((p, *new)) if new else parent_key.body[p:]
+                    if suffix is None:
+                        shifted = dict(itertools.islice(ids.items(), n))
+                        shifted.update((v, n + i) for i, v in enumerate(new))
+                        suffix = suffixes[(p, *new)] = _canonical_tail(shifted, keyed_parent[p:])[1]
+                    key_body = parent_key.body[:p] + (canon,) + suffix
+                key = Rule._distinct(parent_key.head, key_body)
+                if key not in seen:
+                    seen.add(key)
+                    _set_canonical(key, key)
+                    _set_canonical(child, key)
+                    out.append(RefinementStep(label, lit, h, child, key))
 
-    def emit(label: str, lit: Literal, child: Rule, k: tuple | None) -> None:
-        """Keep ``child`` unless it is inadmissible or a variant of a kept
-        one; ``k`` is the sort key of the literal it adds, or None for a
-        specialized child."""
-        if check_children and not _admissible(child):
-            return
-        key = canonical_form(child) if k is None else added_key(lit, k, child)
-        if key in seen:
-            return
-        seen.add(key)
-        out.append(RefinementStep(label, lit, h, child, key))
+    add(ADD_DATALOG, sorted(bias.datalog_pos), existing, max_new_vars)
+    ontology = sorted(bias.concepts | bias.roles)
+    blocked_dl = {l.atom.pred for l in body if l.atom.pred.is_dl}
+    # none that an existing ontology literal already lies below
+    unblocked = [p for p in ontology if not any(subsumes(p, b, tbox) for b in blocked_dl if b.kind == p.kind)]
+    add(ADD_ONTOLOGY, unblocked, existing, max_new_vars)
 
-    def add(label: str, candidates: tuple[tuple[Literal, tuple], ...]) -> None:
-        # a literal whose atom h lacks is none of h's literals, so the child's
-        # body is distinct and needs no dedupe pass
-        for lit, k in candidates:
-            if lit.atom not in body_atoms:
-                emit(label, lit, Rule._distinct(h.head, h.body + (lit,)), k)
-
-    for pred in sorted(bias.datalog_pos):
-        add(ADD_DATALOG, _added_literals(pred, existing, h.head, max_new_vars))
-
-    blocked_dl = {l.atom.pred for l in h.body if l.atom.pred.is_dl}
-    for pred in sorted(bias.concepts | bias.roles):
-        if any(subsumes(pred, b, tbox) for b in blocked_dl if b.kind == pred.kind):
-            continue  # an existing ontology literal is already below this predicate
-        add(ADD_ONTOLOGY, _added_literals(pred, existing, h.head, max_new_vars))
-
-    alphabet = bias.concepts | bias.roles
-    for i, l in enumerate(h.body):
+    for i, l in enumerate(body):
         if not l.atom.pred.is_dl:
             continue
-        for pred in sorted(alphabet):
+        for pred in ontology:
             if pred == l.atom.pred or pred.kind != l.atom.pred.kind:
                 continue
             if not subsumes(l.atom.pred, pred, tbox):
                 continue
             lit = Literal(Atom(pred, l.atom.args))
             # the public constructor: the new literal may already be in the body
-            body = h.body[:i] + (lit,) + h.body[i + 1 :]
-            emit(SPECIALIZE_ONTOLOGY, lit, Rule(h.head, body), None)
+            child = Rule(head, body[:i] + (lit,) + body[i + 1 :])
+            if check_children and not _admissible(child):
+                continue
+            key = canonical_form(child)
+            if key not in seen:
+                seen.add(key)
+                out.append(RefinementStep(SPECIALIZE_ONTOLOGY, lit, h, child, key))
 
-    for pred in sorted(bias.datalog_neg):
-        add(ADD_NEGATED_DATALOG, _added_literals(pred, pos_vars, h.head, 0, True))
-
+    add(ADD_NEGATED_DATALOG, sorted(bias.datalog_neg), pos_vars, 0, True)
     return tuple(out)
 
 

@@ -1,15 +1,18 @@
 """Differential tests: coverage as a query over the KB's canonical models
 (`KBModels`) against full entailment over the models of KB + rule (`covers`)."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import target_atom
+from genhybrid import CONCEPTS, D, E, IDB, ROLES, random_hybrid_kb
 from ontorules import parse_bias, parse_kb, parse_rule
 from ontorules.hybrid import InconsistentKBError, KBModels, covers
 from ontorules.learner import choose_best, gain, learn
-from ontorules.model import Atom, Const, ExampleSet, ModelError, Predicate, CONCEPT
+from ontorules.model import Atom, Const, ExampleSet, LanguageBias, ModelError, Predicate, CONCEPT, ROLE
 from ontorules.refine import refine, seed_rule
 from test_acceptance import LIKES_EXAMPLES, LONER_EXAMPLES, _random_kb_from_template
 
@@ -58,6 +61,36 @@ def test_random_template_kbs_agree_with_covers():
         bias = parse_bias(LONER_BIAS, rkb)
         examples = [Atom(LONER, (Const(p),)) for p in people]
         assert _disagreements(rkb, _space(rkb, bias, LONER, 2), examples) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from((LONER, Predicate("LIKES", 2, ROLE))),
+    st.sets(st.sampled_from(CONCEPTS)),
+    st.sets(st.sampled_from(ROLES)),
+    st.sets(st.sampled_from((D, E, *IDB))),
+    st.sets(st.sampled_from((D, *IDB))),
+)
+def test_a_child_covers_a_subset_of_what_its_parent_covers(seed, target, concepts, roles, pos, neg):
+    """The learner evaluates a child only on the examples its parent covers;
+    that holds as long as every refinement move specializes."""
+    kb = random_hybrid_kb(random.Random(seed))
+    bias = LanguageBias(frozenset(concepts), frozenset(roles), frozenset(pos), frozenset(neg))
+    examples = [Atom(target, args) for args in itertools.product(sorted(kb.constants()), repeat=target.arity)]
+    models = KBModels(kb, target)
+    try:
+        frontier = [(seed_rule(target), models.covered(seed_rule(target), examples))]
+    except InconsistentKBError:
+        return
+    for _ in range(2):
+        nxt = []
+        for parent, covered in frontier:
+            for step in refine(parent, bias, kb.tbox):
+                child = models.covered(step.child, examples)
+                assert child <= covered, (parent, step.child)
+                nxt.append((step.child, child))
+        frontier = nxt
 
 
 def test_example_constant_absent_from_kb(kb, loner_rules):

@@ -31,7 +31,7 @@ from ontorules.model import (
     skolemize,
 )
 from ontorules.parser import parse_kb, parse_rule
-from ontorules.refine import canonical_form, refine, seed_rule
+from ontorules.refine import SPECIALIZE_ONTOLOGY, canonical_form, refine, seed_rule
 
 from conftest import data_text
 
@@ -348,6 +348,57 @@ def test_the_pairwise_pass_skolemizes_each_rule_at_most_once(monkeypatch):
     assert related == sum(reference_more_general(a, b, kb) for a in space for b in space)
 
 
+def _entries(kb) -> dict:
+    """The KB's memo of prepared rules, empty before the first use."""
+    return kb._generality[1] if kb._generality else {}
+
+
+def _h1_entries(kb):
+    """The memo's keys of prepared ``h1`` rules: (rule, body tuple), where a
+    skolemized ``h2`` has (rule, frozenset of names)."""
+    return [k for k in _entries(kb) if isinstance(k[1], tuple)]
+
+
+def test_the_pairwise_pass_prepares_each_h1_at_most_once(monkeypatch):
+    kb = _fresh_kb()
+    space = _likes_space(kb)
+    calls = Counter()
+    real = hybrid._premises
+
+    def counting(kb_constants, key):
+        calls[key] += 1
+        return real(kb_constants, key)
+
+    monkeypatch.setattr(hybrid, "_premises", counting)
+    related = [more_general(a, b, kb) for a in space for b in space]
+    assert calls and max(calls.values()) == 1
+    assert sorted(_h1_entries(kb), key=str) == sorted(calls, key=str)
+    monkeypatch.setattr(hybrid, "_premises", real)
+    fresh = _fresh_kb()
+    assert related == [more_general(a, b, fresh) for a in space for b in space]
+
+
+def test_an_edge_that_adds_a_literal_prepares_nothing():
+    """The syntactic fast path decides every edge to a child that adds a
+    literal, so those edges leave the memo empty; an edge to a specialized
+    child prepares its parent as ``h1``."""
+    kb = _fresh_kb()
+    bias = parse_bias(data_text("likes.obias"), kb)
+    frontier, edges = [parse_rule("LIKES(X,Y) :- meets(X,Z,Y), LOVES(X,Z).", kb)], []
+    for _ in range(2):
+        level = [(parent, s) for parent in frontier for s in refine(parent, bias, kb.tbox)]
+        edges += level
+        frontier = [s.child for _, s in level]
+    added = [(p, s) for p, s in edges if s.rule_applied != SPECIALIZE_ONTOLOGY]
+    specialized = [(p, s) for p, s in edges if s.rule_applied == SPECIALIZE_ONTOLOGY]
+    assert len(added) > 300 and specialized
+    assert all(more_general(p, s.child, kb) for p, s in added)
+    assert not _entries(kb)
+    for p, s in specialized:
+        more_general(p, s.child, kb)
+    assert set(_h1_entries(kb)) == {(p, p.body) for p, _ in specialized}
+
+
 def test_the_memo_is_not_part_of_the_kb():
     kb, fresh = _fresh_kb(), _fresh_kb()
     h1 = parse_rule("LIKES(Y,X) :- meets(Y,Z,X).", kb)
@@ -382,7 +433,16 @@ def test_the_memo_is_cleared_at_its_bound(monkeypatch):
     monkeypatch.setattr(hybrid, "_MEMO_SIZE", 4)
     kb = _fresh_kb()
     space = _likes_space(kb)[:10]
+    verdicts, kinds = [], Counter()
     for a in space:
         for b in space:
-            more_general(a, b, kb)
-    assert len(kb._generality[1]) <= 4
+            verdicts.append(more_general(a, b, kb))
+            assert len(_entries(kb)) <= 4
+            h1_entries = len(_h1_entries(kb))
+            kinds["h1"] += h1_entries > 0
+            kinds["h2"] += len(_entries(kb)) > h1_entries
+    # both kinds were stored, and the clearing lost no verdict
+    assert kinds["h1"] and kinds["h2"]
+    monkeypatch.setattr(hybrid, "_MEMO_SIZE", 4096)
+    fresh = _fresh_kb()
+    assert verdicts == [more_general(a, b, fresh) for a in space for b in space]

@@ -5,15 +5,18 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from ontorules import parse_rule
 from ontorules.model import (
+    Atom,
     ConceptInclusion,
     LanguageBias,
+    Literal,
     ModelError,
     Predicate,
     Rule,
+    Var,
     CONCEPT,
     DATALOG,
     ROLE,
@@ -139,35 +142,73 @@ PROPERTY_BIAS = LanguageBias(_of_kind(CONCEPT), _of_kind(ROLE), _of_kind(DATALOG
 PROPERTY_TBOX = (ConceptInclusion(("D",), "C"),)
 
 
+def _tail_parents():
+    """Parents whose children take each tail-keying path: ``q(X,Z)`` ties
+    with the parent's ``q(X,Y)`` at place 0, and at place 1 after ``C(X)``;
+    and a child that adds a later literal to two tied ``q`` literals."""
+    x, y, z = Var("X"), Var("Y"), Var("Z")
+    pred = {p.name: p for p in PREDICATES}
+    head = Atom(Predicate("T", 1, CONCEPT), (x,))
+    q_xy, q_xz = Literal(Atom(pred["q"], (x, y))), Literal(Atom(pred["q"], (x, z)))
+    return [Rule(head, (q_xy,)), Rule(head, (Literal(Atom(pred["C"], (x,))), q_xy)), Rule(head, (q_xy, q_xz))]
+
+
 def _keying_path(step):
-    """How ``refine`` can key an added-literal child: from scratch when the
-    new literal's sort key, or two of the parent's, are equal; otherwise by
-    inserting the new literal into the parent's key, keeping the parent's
-    literals after it as they are ("prefix") or renumbered ("renamed")."""
+    """How ``refine`` keys an added-literal child.  Let ``p`` be the new
+    literal's place among the parent's sorted literals, after those with its
+    sort key, and ``s`` the first place of a tie, among the parent's literals
+    or with the new one.  When ``s`` comes before ``p``, the literals from
+    ``s`` on are keyed afresh: after a tie with the new literal ("tie", or
+    "tie at 0" when ``s`` is 0) or inside the parent ("parent tie").
+    Otherwise the new literal is inserted into the parent's key, and the
+    parent's literals after it are kept as they are ("prefix") or keyed
+    afresh ("renamed")."""
     ids = _head_ids(step.parent.head)
     keys = sorted(_literal_key(l, ids) for l in step.parent.body)
     k = _literal_key(step.literal, ids)
-    if k in keys or len(set(keys)) < len(keys):
-        return "tie"
-    p = bisect.bisect(keys, k)
+    p = bisect.bisect_right(keys, k)
+    tie = next((i for i, (a, b) in enumerate(zip(keys, keys[1:])) if a == b), len(keys))
+    s = min(tie, bisect.bisect_left(keys, k))
+    if s < p:
+        if s < tie:
+            return "tie at 0" if s == 0 else "tie"
+        return "parent tie"
     kept = step.key.body[:p] + step.key.body[p + 1 :]
     return "prefix" if kept == canonical_form(step.parent).body else "renamed"
 
 
-def test_added_literal_keys_are_the_from_scratch_form():
+def test_added_literal_keys_are_the_from_scratch_form(monkeypatch):
     """Every step's key is its child's form computed afresh, literal for
     literal, for parents with constants, negated literals, repeated head
-    variables and literals of equal sort key; and each way of keying an
-    added literal occurs.  Keys built with the parent's literals after the
-    new one not renumbered, with the new literal's tie checked against the
-    parent literal after it instead of before it, or with a tie within the
-    parent ignored, each fail here."""
+    variables and literals of equal sort key; each way of keying an added
+    literal occurs; and ``refine`` computes no form from scratch but its
+    parent's and its specialized children's.  Keys built with the parent's
+    literals after the new one not renumbered, with the new literal's tie
+    checked against the parent literal after it instead of before it, or
+    with a tie within the parent ignored, each fail here."""
     paths = Counter()
+    module = sys.modules["ontorules.refine"]
+    formed = []
+
+    def recorded(rule):
+        formed.append(rule)
+        return canonical_form(rule)
+
+    monkeypatch.setattr(module, "canonical_form", recorded)
 
     @settings(max_examples=150, deadline=None)
     @given(rules(max_body=4))
+    @example(_tail_parents()[0])
+    @example(_tail_parents()[1])
+    @example(_tail_parents()[2])
     def check(parent):
-        for step in refine(parent, PROPERTY_BIAS, PROPERTY_TBOX):
+        formed.clear()
+        steps = refine(parent, PROPERTY_BIAS, PROPERTY_TBOX)
+        # a specialized child has no more literals than its parent; an
+        # added-literal child has one more
+        assert formed[0] is parent
+        assert all(len(r.body) <= len(parent.body) for r in formed[1:])
+        for step in steps:
             fresh = _scratch(step.child)
             assert step.key == fresh
             assert str(step.key) == str(fresh)
@@ -178,7 +219,7 @@ def test_added_literal_keys_are_the_from_scratch_form():
                 paths[_keying_path(step)] += 1
 
     check()
-    assert paths.keys() == {"prefix", "renamed", "tie"}, paths
+    assert paths.keys() == {"prefix", "renamed", "tie", "tie at 0", "parent tie"}, paths
 
 
 def test_cached_candidate_literals_change_nothing():
