@@ -26,11 +26,12 @@ not.
 It then runs the criterion-7 LIKES pairwise pass on the same KB: more_general
 over every ordered pair of the 60 rules of the depth-1 neighbourhood of the
 seed and of ``LIKES(X,Y) :- meets(X,Z,Y).``, plus the named LIKES rules.  It
-prints the ``more_general`` and ``skolemize`` calls of each phase (edges and
-pairs), and for each phase how many ``h1`` rules the generality test
-prepared (``hybrid._premises``) and how many times it found one already
-prepared in the KB's memo.  Times include the profiler's own per-call cost;
-use the benchmark for end-to-end timings.
+prints, for each phase (edges and pairs), the ``more_general`` calls, how
+many augmented theories the generality test prepared (``hybrid._Theory``,
+one ``skolemize`` each) and how many canonical model runs those took
+(``hybrid.counters``).  The pairs reuse the theories that the edges left in
+the KB's memo.  Times include the profiler's own per-call cost; use the
+benchmark for end-to-end timings.
 
 Run from a checkout: ``PYTHONPATH=src python scripts/profile_refine.py``
 """
@@ -42,7 +43,7 @@ import pstats
 from collections import Counter
 from importlib import resources
 
-from ontorules.hybrid import more_general
+from ontorules.hybrid import _Theory, counters, more_general
 from ontorules.model import ROLE, Predicate, Rule
 from ontorules.parser import parse_bias, parse_kb, parse_rule
 from ontorules.refine import (
@@ -142,7 +143,9 @@ def main() -> None:
 
     profiler = cProfile.Profile()
     steps: list = []
+    runs = [counters["canonical_runs"]]
     edges, nongeneral = profiler.runcall(refine_with_generality, kb, bias, steps)
+    runs.append(counters["canonical_runs"])
     out = io.StringIO()
     stats = pstats.Stats(profiler, stream=out)
     print(f"LIKES depth {DEPTH}: {edges} edges, {nongeneral} with a parent not more general")
@@ -172,15 +175,13 @@ def main() -> None:
     space = likes_space(kb, bias)
     pairs = cProfile.Profile()
     related = pairs.runcall(pairwise, space, kb)
+    runs.append(counters["canonical_runs"])
     print(f"\nLIKES pairwise: {len(space)} rules, {related} of {len(space) ** 2} ordered pairs related")
-    print(f"{'phase':>6} {'more_general':>13} {'skolemize':>10} {'h1 prepared':>12} {'h1 memo hits':>13}")
-    for phase, profile in (("edges", stats), ("pairs", pstats.Stats(pairs))):
-        # past the syntactic fast path, more_general looks h1 and h2 up once each
-        prepared = calls(profile, "hybrid.py", "_premises")
+    print(f"{'phase':>6} {'more_general':>13} {'theories':>9} {'canonical runs':>15}")
+    phases = (("edges", stats, runs[1] - runs[0]), ("pairs", pstats.Stats(pairs), runs[2] - runs[1]))
+    for phase, profile, ran in phases:
         print(f"{phase:>6} {calls(profile, 'hybrid.py', 'more_general'):>13} "
-              f"{calls(profile, 'model.py', 'skolemize'):>10} {prepared:>12} "
-              f"{calls(profile, 'hybrid.py', '_prepared') // 2 - prepared:>13}")
-
+              f"{code_calls(profile, _Theory.__init__.__code__):>9} {ran:>15}")
 
 if __name__ == "__main__":
     main()

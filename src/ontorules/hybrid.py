@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import datalog
 from .datalog import (
@@ -52,7 +52,6 @@ from .model import (
     DATALOG,
     DEFAULT_GROUNDING_BUDGET,
     ROLE,
-    SKOLEM_RE,
 )
 
 #: Cap on guessable ontology atoms in the complete enumeration.
@@ -549,22 +548,23 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
     a negated literal holds iff its atom is underivable in every admissible
     complete model.
 
-    The skolemized ``h2`` is prepared once per KB (:func:`_skolemized`), and
-    so is what the test reads off ``h1`` (:func:`_premises`), both in the
-    KB's bounded memo (:func:`_prepared`); a pair that the syntactic fast
-    path decides adds no entry.  The cautious truth of each augmented theory,
-    indexed by predicate, is computed once (:func:`_cautious_sets`).  The
-    grounding is found by a backtracking join (:func:`_join`) of ``h1``'s
-    positive body atoms against that truth, from the binding of ``h1``'s
-    head onto ``h2``'s; only the variables that occur in no positive literal
-    range over the whole domain, and the negated literals are checked last.  A grounding's body holds iff
-    it maps every positive atom into the cautious truth, so the join finds
-    exactly the groundings that the product over the domain would keep.
-    That product still bounds the search: past ``DEFAULT_THETA_BUDGET``
-    candidates the test raises :class:`BudgetError` before joining.  The
-    complete models are built exactly when a walk over the product, checking
-    each body in order, would build them, so the same tests exceed their
-    guess budget.
+    Everything the test prepares lives in the KB's bounded memo
+    (:func:`_prepared`), and a pair that the syntactic fast path decides adds
+    no entry: what it reads off ``h1`` (:func:`_premises`), once per KB, and
+    the augmented theory (:class:`_Theory`), once per ``h2`` and set of
+    ``h1``'s constants, with its cautious truth indexed by predicate and,
+    once a negated literal needs them, its possible atoms.  The grounding is
+    found by a backtracking join (:func:`_join`) of ``h1``'s positive body
+    atoms against that truth, from the binding of ``h1``'s head onto
+    ``h2``'s; only the variables that occur in no positive literal range
+    over the whole domain, and the negated literals are checked last.  A
+    grounding's body holds iff it maps every positive atom into the cautious
+    truth, so the join finds exactly the groundings that the product over the
+    domain would keep.  That product still bounds the search: past
+    ``DEFAULT_THETA_BUDGET`` candidates the test raises :class:`BudgetError`
+    before joining.  The complete models are built exactly when a walk over
+    the product, checking each body in order, would build them, so the same
+    tests exceed their guess budget.
     """
     if h1.head.pred != h2.head.pred:
         raise ModelError("generality is only defined for rules with the same head predicate")
@@ -576,29 +576,18 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
     if h1.head == h2.head and (h2.body[: len(h1.body)] == h1.body or set(h1.body) <= set(h2.body)):
         return True
     premises = _prepared(kb, (h1, h1.body), _premises)
-    h1_constants, skolem_names, h1_vars, h1_var_set, positive, negated, prefix, unbound = premises
-    head, sigma, facts, abox, forbidden, constants, domain = _prepared(kb, (h2, skolem_names), _skolemized)
-    if not h1_constants <= constants:
-        constants = constants | h1_constants
-        domain = tuple(sorted(constants))
-
-    # the skolemization's own substitution, when it also maps h1's head onto h2's
-    natural = {v: sigma[v] for v in h1_vars} if sigma.keys() >= h1_var_set else None
-    if natural is not None and h1.head.substitute(natural) != head:
-        natural = None
-
-    tbox, idb = kb.tbox, kb.rules
-    sets = _cautious_sets(tbox, abox, idb, facts, domain, forbidden)
-    if sets is None:
+    h1_constants, h1_vars, h1_var_set, positive, negated, prefix, unbound = premises
+    theory = _prepared(kb, (h2, h1_constants), _Theory)
+    if theory.truth is None:
         return True  # augmented theory admits no model: entailment is vacuous
-    cautious_d, cautious_dl, index = sets
+    cautious_d, cautious_dl, index = theory.truth
+    head, sigma, constants, domain = theory.head, theory.sigma, theory.constants, theory.domain
 
-    def possibly_d() -> frozenset[Atom]:
-        return _possible_atoms(tbox, abox, idb, facts, domain, forbidden)
-
-    # that substitution first, against the models
-    if natural is not None and all(
-        _literal_holds(l.substitute(natural), cautious_d, cautious_dl, possibly_d) for l in h1.body
+    # first the skolemization's own substitution, when it also maps h1's
+    # head onto h2's, against the models
+    natural = {v: sigma[v] for v in h1_vars} if sigma.keys() >= h1_var_set else None
+    if natural is not None and h1.head.substitute(natural) == head and all(
+        _literal_holds(l.substitute(natural), cautious_d, cautious_dl, theory.possible) for l in h1.body
     ):
         return True
 
@@ -618,7 +607,7 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
         # exactly when one does
         if next(_join(prefix, index, bound, constants), None) is None:
             return False
-        possible = possibly_d()
+        possible = theory.possible()
     rest = [v for v in unbound if v not in bound]
     for theta in _join(positive, index, bound, constants):
         for combo in itertools.product(domain, repeat=len(rest)):
@@ -633,12 +622,12 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
 _MEMO_SIZE = 4096
 
 
-def _prepared(kb: HybridKB, key: tuple, build) -> tuple:
+def _prepared(kb: HybridKB, key: tuple, build):
     """What the generality test prepares once per KB: the entry under ``key``
     in the dict that ``kb._generality`` holds next to the KB's rule
-    constants, built on a miss as ``build(rule constants, key)``.  The dict is
-    cleared at ``_MEMO_SIZE`` entries.  Threads that race to fill it store
-    equal values."""
+    constants, built on a miss as ``build(kb, rule constants, key)``.  The
+    dict is cleared at ``_MEMO_SIZE`` entries.  Threads that race to fill it
+    store equal values."""
     memo = kb._generality
     if memo is None:
         # relative to the intensional part only: constants from the rules, not the data
@@ -650,52 +639,87 @@ def _prepared(kb: HybridKB, key: tuple, build) -> tuple:
     kb_constants, prepared = memo
     entry = prepared.get(key)
     if entry is None:
-        entry = build(kb_constants, key)
+        entry = build(kb, kb_constants, key)
         if len(prepared) >= _MEMO_SIZE:
             prepared.clear()
         prepared[key] = entry
     return entry
 
 
-def _premises(kb_constants: frozenset[Const], key: tuple) -> tuple:
+def _premises(kb: HybridKB, kb_constants: frozenset[Const], key: tuple) -> tuple:
     """What the generality test reads off ``h1`` whatever ``h2`` is: its
-    constants, those named like skolem constants, its variables as a tuple
-    and as a set, its positive and its negated body atoms, the body atoms
-    before its first negated literal, and the variables that no positive
-    literal binds, in the tuple's order.  ``key`` is (``h1``, its body
-    tuple): the body order decides when the complete models are built."""
+    constants, its variables as a tuple and as a set, its positive and its
+    negated body atoms, the body atoms before its first negated literal, and
+    the variables that no positive literal binds, in the tuple's order.
+    ``key`` is (``h1``, its body tuple): the body order decides when the
+    complete models are built."""
     h1 = key[0]
-    constants = frozenset(h1.constants())
     variables = h1.variables()
     positive = tuple(l.atom for l in h1.body if not l.negated)
     negated = tuple(l.atom for l in h1.body if l.negated)
     first = next((i for i, l in enumerate(h1.body) if l.negated), 0)
     bound_by_join = {v for a in positive for v in a.variables()}
-    skolem_names = frozenset([c for c in constants if SKOLEM_RE.match(c.name)])
     prefix = tuple(l.atom for l in h1.body[:first])
     unbound = tuple(v for v in variables if v not in bound_by_join)
-    return constants, skolem_names, variables, frozenset(variables), positive, negated, prefix, unbound
+    return frozenset(h1.constants()), variables, frozenset(variables), positive, negated, prefix, unbound
 
 
-def _skolemized(kb_constants: frozenset[Const], key: tuple) -> tuple:
-    """``h2`` skolemized apart from the KB's rule constants and from the
-    ``sk<i>`` names that ``h1`` holds, under ``key`` (``h2``, those names),
-    and what the generality test reads off it: its head, ``sigma``, its
-    positive datalog atoms (facts), its positive ontology atoms sorted by
-    ``str`` (ABox), its negated atoms (constraints), and the KB's rule
-    constants and its own as a frozenset and as a sorted tuple (the domain).
-    Equal rules whose bodies are listed in another order skolemize to
-    renamings of each other, which no verdict tells apart.
+class _Theory:
+    """The theory that the generality test augments with ``h2``, under
+    ``key`` (``h2``, the constants of ``h1``).
+
+    ``h2`` is skolemized apart from the KB's rule constants and ``h1``'s; its
+    positive datalog atoms become facts, its positive ontology atoms, sorted
+    by ``str``, assertions, and its negated atoms constraints.  It keeps the
+    skolemized ``head`` and ``sigma``, the ``constants`` of the KB's rules,
+    ``h1`` and the skolemized ``h2`` as a frozenset and as a sorted tuple
+    (``domain``), and ``truth``: the cautious datalog and ontology truth over
+    the canonical models and those atoms indexed by predicate (each ontology
+    predicate lists its atoms of the ontology truth, each datalog predicate
+    its atoms of the datalog truth), or None when the theory has no model.
+    :meth:`possible` builds the complete models on its first call.  Equal
+    rules whose bodies are listed in another order skolemize to renamings of
+    each other, which no verdict tells apart.
     """
-    from .model import skolemize  # looked up per call, so it can be traced
 
-    h2, reserved = key
-    h2s, sigma = skolemize(h2, kb_constants | reserved | h2.constants())
-    facts = frozenset(l.atom for l in h2s.body if not l.negated and l.atom.pred.kind == DATALOG)
-    abox = tuple(sorted((l.atom for l in h2s.body if not l.negated and l.atom.pred.is_dl), key=str))
-    forbidden = frozenset(l.atom for l in h2s.body if l.negated)
-    constants = kb_constants | h2s.constants()
-    return h2s.head, sigma, facts, abox, forbidden, constants, tuple(sorted(constants))
+    __slots__ = ("head", "sigma", "constants", "domain", "truth", "_parts", "_possible")
+
+    def __init__(self, kb: HybridKB, kb_constants: frozenset[Const], key: tuple):
+        from .model import skolemize  # looked up per call, so it can be traced
+
+        h2, h1_constants = key
+        h2s, sigma = skolemize(h2, kb_constants | h1_constants | h2.constants())
+        facts = frozenset(l.atom for l in h2s.body if not l.negated and l.atom.pred.kind == DATALOG)
+        abox = tuple(sorted((l.atom for l in h2s.body if not l.negated and l.atom.pred.is_dl), key=str))
+        forbidden = frozenset(l.atom for l in h2s.body if l.negated)
+        self.head, self.sigma = h2s.head, sigma
+        self.constants = kb_constants | h1_constants | h2s.constants()
+        self.domain = tuple(sorted(self.constants))
+        # the theory as the model builders take it
+        self._parts = (kb.tbox, abox, kb.rules, facts, self.domain, forbidden)
+        self._possible = None
+        canonical = _canonical_models(*self._parts)
+        self.truth = None
+        if canonical:
+            cautious_d = frozenset.intersection(*[frozenset(m.datalog_model.true_atoms) for m in canonical])
+            cautious_dl = frozenset.intersection(*[m.guess.true_atoms for m in canonical])
+            index: dict[Predicate, list[Atom]] = {}
+            for a in cautious_d:
+                if not a.pred.is_dl:
+                    index.setdefault(a.pred, []).append(a)
+            for a in cautious_dl:
+                if a.pred.is_dl:
+                    index.setdefault(a.pred, []).append(a)
+            self.truth = cautious_d, cautious_dl, index
+
+    def possible(self) -> frozenset[Atom]:
+        """Atoms derivable in at least one admissible complete model."""
+        if self._possible is None:
+            atoms: set[Atom] = set()
+            for m in _complete_models(*self._parts):
+                atoms |= m.datalog_model.true_atoms
+            self._possible = frozenset(atoms)
+        return self._possible
 
 
 def _join(atoms, index, theta, domain):
@@ -729,38 +753,6 @@ def _join(atoms, index, theta, domain):
                 break
         else:
             yield from _join(rest, index, ext, domain)
-
-
-@lru_cache(maxsize=4096)
-def _cautious_sets(tbox, abox, idb, facts, domain, forbidden):
-    """Cautious datalog/ontology truth over the canonical models of the
-    skolemized augmented theory, and those atoms indexed by predicate: each
-    ontology predicate lists its atoms of the ontology truth, each datalog
-    predicate its atoms of the datalog truth.  None when the theory has no
-    model.  The index is shared by every caller and never changed."""
-    canonical = _canonical_models(tbox, abox, idb, facts, domain, forbidden=forbidden)
-    if not canonical:
-        return None
-    cautious_d = frozenset.intersection(*[frozenset(m.datalog_model.true_atoms) for m in canonical])
-    cautious_dl = frozenset.intersection(*[m.guess.true_atoms for m in canonical])
-    index: dict[Predicate, list[Atom]] = {}
-    for a in cautious_d:
-        if not a.pred.is_dl:
-            index.setdefault(a.pred, []).append(a)
-    for a in cautious_dl:
-        if a.pred.is_dl:
-            index.setdefault(a.pred, []).append(a)
-    return cautious_d, cautious_dl, index
-
-
-@lru_cache(maxsize=4096)
-def _possible_atoms(tbox, abox, idb, facts, domain, forbidden) -> frozenset[Atom]:
-    """Atoms derivable in at least one admissible complete model."""
-    models = _complete_models(tbox, abox, idb, facts, domain, forbidden=forbidden)
-    atoms: set[Atom] = set()
-    for m in models:
-        atoms |= m.datalog_model.true_atoms
-    return frozenset(atoms)
 
 
 def compare(h1: Rule, h2: Rule, kb: HybridKB) -> GeneralityVerdict:

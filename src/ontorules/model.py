@@ -5,12 +5,14 @@ concurrent workers; the module-level operations are pure functions.  The
 exceptions are private memo slots: :class:`Rule` has two write-once ones,
 ``_hash``, its hash, filled on first use, and ``_canonical``, its canonical
 form, filled by :mod:`ontorules.refine`; :class:`HybridKB` has
-``_generality``, which :func:`ontorules.hybrid.more_general` fills with what
-it prepares once per KB.  They are not fields: equality, hash, ``repr``,
-pickling and copying ignore them, and a pickled or copied value starts with
-them empty.  Each holds pure functions of the fields, so two threads that
-race to fill one store equal values, and a reader sees either nothing (and
-computes the value itself) or that value.
+``_generality``, which :func:`ontorules.hybrid.more_general` fills with all
+of its state for that KB: the KB's rule constants and a bounded memo of the
+rules it read as ``h1`` and of the theories it augmented with an ``h2``.
+They are not fields: equality, hash, ``repr``, pickling and copying ignore
+them, and a pickled or copied value starts with them empty.  Each holds pure
+functions of the fields, so two threads that race to fill one store equal
+values, and a reader sees either nothing (and computes the value itself) or
+that value.
 
 Every value class derives from :class:`Record`, a slotted base (no
 per-instance ``__dict__``) whose fields are the public names in
@@ -29,9 +31,9 @@ order stays the same.  The five are ordered by their field tuples, through
 comparisons that :func:`_ordered` builds as closures over the field names.
 ``Rule``'s public constructor drops duplicate body literals; its private
 ``Rule._distinct`` stores a body that its caller knows to be duplicate-free
-as given.  The
-ontology axiom records -- ``ConceptInclusion``, ``RoleInclusion`` and
-``Existential`` -- cache the hash of their field tuple in the same way.
+as given.  The ontology axiom records -- ``ConceptInclusion``,
+``RoleInclusion`` and ``Existential`` -- keep :class:`Record`'s hash of the
+field tuple, computed per call: no cache hashes a whole TBox.
 """
 
 from __future__ import annotations
@@ -361,22 +363,7 @@ class Rule(Record):
 
 # --- ontology axioms --------------------------------------------------------
 
-class _HashedRecord(Record):
-    """A record whose hash, that of its field tuple, is computed once at
-    construction: the generality test's caches hash the whole TBox on every
-    call.  Pickling and copying rebuild the value, and so the hash."""
-
-    __slots__ = ("_hash",)
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        _set(self, "_hash", hash(self._values()))
-
-    def __hash__(self):
-        return self._hash
-
-
-class Existential(_HashedRecord):
+class Existential(Record):
     """The restriction "some role Top", optionally over the inverse role."""
 
     __slots__ = ("role", "inverse")  # str, bool
@@ -387,7 +374,7 @@ class Existential(_HashedRecord):
         return f"some {r} Top"
 
 
-class ConceptInclusion(_HashedRecord):
+class ConceptInclusion(Record):
     """(C1 and ... and Cn) subclass D, with D atomic or an existential."""
 
     __slots__ = ("lhs", "rhs")  # tuple[str, ...], str | Existential
@@ -396,7 +383,7 @@ class ConceptInclusion(_HashedRecord):
         return f"{' and '.join(self.lhs)} subclass {self.rhs}."
 
 
-class RoleInclusion(_HashedRecord):
+class RoleInclusion(Record):
     __slots__ = ("sub", "sup")  # role names
 
     def __str__(self) -> str:
@@ -417,8 +404,10 @@ class HybridKB(Record):
     ``alphabet`` is the tuple of declared predicates.
 
     The private slot ``_generality`` starts empty; the generality test keeps
-    there the KB's rule constants and a bounded memo of the rules it prepared
-    as ``h1`` and skolemized as ``h2`` (see :func:`ontorules.hybrid.more_general`).
+    all of its state for the KB there: the KB's rule constants and a bounded
+    memo of the rules it prepared as ``h1`` and of the theories it built per
+    ``h2`` and ``h1``'s constants, each with its cautious truth and, once
+    needed, its possible atoms (see :func:`ontorules.hybrid.more_general`).
     """
 
     __slots__ = ("tbox", "abox", "rules", "facts", "alphabet", "_generality")
@@ -452,9 +441,6 @@ class HybridKB(Record):
         if self.predicate(pred.name) is not None:
             return self
         return HybridKB(self.tbox, self.abox, self.rules, self.facts, self.alphabet + (pred,))
-
-    def predicates_of_kind(self, kind: str) -> tuple[Predicate, ...]:
-        return tuple(p for p in self.alphabet if p.kind == kind)
 
     def constants(self) -> set[Const]:
         out: set[Const] = set()

@@ -192,13 +192,20 @@ def _parse_literal(stream: _TokenStream, builder: _KBBuilder) -> Literal:
     return Literal(atom, negated)
 
 
-def _parse_rule_body(stream: _TokenStream, builder: _KBBuilder) -> tuple[Literal, ...]:
+def _parse_clause(stream: _TokenStream, builder: _KBBuilder) -> tuple[Atom, tuple[Literal, ...]]:
+    """A head atom, then ``.`` or ``:-`` and a body ended by ``.``."""
+    head = _parse_atom(stream, builder)
+    tok = stream.next()
+    if tok.text == ".":
+        return head, ()
+    if tok.text != ":-":
+        raise ParseError(f"expected ':-' or '.', found {tok.text!r}", tok.loc)
     body: list[Literal] = []
     while True:
         body.append(_parse_literal(stream, builder))
         tok = stream.next()
         if tok.text == ".":
-            return tuple(body)
+            return head, tuple(body)
         if tok.text != ",":
             raise ParseError(f"expected ',' or '.', found {tok.text!r}", tok.loc)
 
@@ -300,15 +307,7 @@ def parse_kb(text: str, filename: str = "<kb>") -> HybridKB:
         if section == "#tbox":
             builder.tbox.append(_parse_axiom(stream, builder))
         elif section == "#rules":
-            head = _parse_atom(stream, builder)
-            nxt = stream.next()
-            if nxt.text == ".":
-                body: tuple[Literal, ...] = ()
-            elif nxt.text == ":-":
-                body = _parse_rule_body(stream, builder)
-            else:
-                raise ParseError(f"expected ':-' or '.', found {nxt.text!r}", nxt.loc)
-            builder.rules.append(_build_rule(head, body, tok.loc))
+            builder.rules.append(_build_rule(*_parse_clause(stream, builder), tok.loc))
         elif section == "#facts":
             atom = _parse_atom(stream, builder)
             stream.expect(".")
@@ -337,14 +336,7 @@ def parse_rule(text: str, kb: HybridKB, filename: str = "<rule>") -> Rule:
     name = stream.peek()
     if name.kind == "ident" and name.text not in builder.predicates:
         builder.predicates[name.text] = _target_predicate(name.text, text, name.loc)
-    head = _parse_atom(stream, builder)
-    nxt = stream.next()
-    if nxt.text == ".":
-        body: tuple[Literal, ...] = ()
-    elif nxt.text == ":-":
-        body = _parse_rule_body(stream, builder)
-    else:
-        raise ParseError(f"expected ':-' or '.', found {nxt.text!r}", nxt.loc)
+    head, body = _parse_clause(stream, builder)
     if stream.peek().kind != "end":
         raise ParseError(f"trailing input {stream.peek().text!r}", stream.peek().loc)
     return Rule(head, body)
@@ -453,6 +445,8 @@ def parse_bias(text: str, kb: HybridKB, filename: str = "<bias>") -> LanguageBia
                     raise ParseError(f"undeclared predicate {name.strip()!r}", loc)
                 if pred.kind != _BIAS_KEYS[key]:
                     raise ParseError(f"{pred.name!r} is not in the {key!r} alphabet", loc)
+                if slash and not _INT_RE.fullmatch(arity.strip()):
+                    raise ParseError(f"malformed arity {arity.strip()!r} for {pred.name!r}", loc)
                 if slash and int(arity) != pred.arity:
                     raise ParseError(f"arity mismatch for {pred.name!r}", loc)
                 sets[key].add(pred)

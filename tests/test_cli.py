@@ -202,6 +202,16 @@ def test_check_undeclared_predicate(capsys):
     assert "undeclared" in err
 
 
+@pytest.mark.parametrize("arity", ["x", ""])
+def test_malformed_bias_arity_is_an_input_error(capsys, tmp_path, arity):
+    bias = tmp_path / "bad.obias"
+    bias.write_text(f"concepts = RICH/1\ndatalog+ = happy/1, meets/{arity}\n")
+    code, out, err = run(capsys, "learn", "--kb", KB, "--examples", str(DATA / "likes.oex"),
+                         "--bias", str(bias))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {bias}:2:1: malformed arity {arity!r} for 'meets'"]
+
+
 def test_compare(capsys):
     code, out, _ = run(capsys, "compare", "--kb", KB,
                        "--rule1", "LONER(X) :- famous(X).",

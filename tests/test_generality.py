@@ -4,7 +4,8 @@ memo.
 ``reference_more_general`` is the test as it stood before the join: it
 skolemizes ``h2`` on every call and tries every substitution of ``h1``'s free
 variables over the domain.  It computes its cautious sets with the canonical
-models directly, not through ``hybrid._cautious_sets``.
+models directly, and its possible atoms with the complete models, through
+``hybrid._complete_models`` and a memo of its own that lasts one call.
 """
 
 import copy
@@ -16,7 +17,7 @@ from collections import Counter
 
 from genhybrid import CONCEPTS, D, E, IDB, ROLES, random_hybrid_kb
 from ontorules import hybrid, model, parse_bias
-from ontorules.hybrid import DEFAULT_THETA_BUDGET, _canonical_models, _join, _possible_atoms, more_general
+from ontorules.hybrid import DEFAULT_THETA_BUDGET, _canonical_models, _join, more_general
 from ontorules.model import (
     DATALOG,
     Atom,
@@ -92,8 +93,11 @@ def reference_more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
     cautious_d = frozenset.intersection(*[frozenset(m.datalog_model.true_atoms) for m in canonical])
     cautious_dl = frozenset.intersection(*[m.guess.true_atoms for m in canonical])
 
+    @functools.cache
     def possibly_d():
-        return _possible_atoms(tbox, abox, idb, facts, domain, forbidden)
+        # looked up per call, so that a patched guess budget applies
+        models = hybrid._complete_models(tbox, abox, idb, facts, domain, forbidden=forbidden)
+        return frozenset(a for m in models for a in m.datalog_model.true_atoms)
 
     def body_holds(theta):
         return all(
@@ -355,8 +359,13 @@ def _entries(kb) -> dict:
 
 def _h1_entries(kb):
     """The memo's keys of prepared ``h1`` rules: (rule, body tuple), where a
-    skolemized ``h2`` has (rule, frozenset of names)."""
+    theory has (``h2``, frozenset of ``h1``'s constants)."""
     return [k for k in _entries(kb) if isinstance(k[1], tuple)]
+
+
+def _theories(kb):
+    """The memo's theory entries."""
+    return [v for k, v in _entries(kb).items() if isinstance(k[1], frozenset)]
 
 
 def test_the_pairwise_pass_prepares_each_h1_at_most_once(monkeypatch):
@@ -365,9 +374,9 @@ def test_the_pairwise_pass_prepares_each_h1_at_most_once(monkeypatch):
     calls = Counter()
     real = hybrid._premises
 
-    def counting(kb_constants, key):
+    def counting(kb, kb_constants, key):
         calls[key] += 1
-        return real(kb_constants, key)
+        return real(kb, kb_constants, key)
 
     monkeypatch.setattr(hybrid, "_premises", counting)
     related = [more_general(a, b, kb) for a in space for b in space]
@@ -432,17 +441,35 @@ def test_a_skolem_constant_in_h1_is_not_confused_with_the_memo():
 def test_the_memo_is_cleared_at_its_bound(monkeypatch):
     monkeypatch.setattr(hybrid, "_MEMO_SIZE", 4)
     kb = _fresh_kb()
-    space = _likes_space(kb)[:10]
+    # a negated literal in h1 makes its theories build their possible atoms
+    space = _likes_space(kb)[:10] + [parse_rule("LIKES(X,Y) :- meets(X,Z,Y), not happy(X).", kb)]
     verdicts, kinds = [], Counter()
     for a in space:
         for b in space:
             verdicts.append(more_general(a, b, kb))
             assert len(_entries(kb)) <= 4
-            h1_entries = len(_h1_entries(kb))
-            kinds["h1"] += h1_entries > 0
-            kinds["h2"] += len(_entries(kb)) > h1_entries
-    # both kinds were stored, and the clearing lost no verdict
-    assert kinds["h1"] and kinds["h2"]
+            kinds["h1"] += bool(_h1_entries(kb))
+            kinds["theory"] += bool(_theories(kb))
+            kinds["possible"] += any(t._possible is not None for t in _theories(kb))
+    # every kind was stored, and the clearing lost no verdict
+    assert kinds["h1"] and kinds["theory"] and kinds["possible"]
     monkeypatch.setattr(hybrid, "_MEMO_SIZE", 4096)
     fresh = _fresh_kb()
     assert verdicts == [more_general(a, b, fresh) for a in space for b in space]
+
+
+def test_an_equal_kb_builds_its_own_theories():
+    """No state outlives a KB or is shared between KBs: an equal KB that the
+    generality test has not seen builds its theory afresh."""
+    h1 = parse_rule("LIKES(Y,X) :- meets(Y,Z,X).", _fresh_kb())
+    h2 = parse_rule("LIKES(X,Y) :- meets(X,Z,Y), happy(X).", _fresh_kb())
+    first, second = _fresh_kb(), _fresh_kb()
+    assert first == second
+    runs = hybrid.counters["canonical_runs"]
+    assert more_general(h1, h2, first)
+    assert hybrid.counters["canonical_runs"] == runs + 1
+    assert more_general(h1, h2, first)  # the KB's own memo answers
+    assert hybrid.counters["canonical_runs"] == runs + 1
+    assert more_general(h1, h2, second)
+    assert hybrid.counters["canonical_runs"] == runs + 2
+    assert len(_theories(first)) == len(_theories(second)) == 1
