@@ -1,20 +1,21 @@
-"""Command-line interface: learn, check, compare, refine, query.
+"""Command-line interface: ``ontorules COMMAND OPTIONS`` for learn, check,
+compare, refine and query, parsed from the table ``COMMANDS`` as argparse
+would (``--opt value`` or ``--opt=value``, unique prefixes, its messages).
 
-Exit codes: 0 success, 1 input error (including a KB with no model, except
-for ``check``, ``compare`` and ``query``, which report the verdict
-``inconsistent-kb``, a missing or malformed option, a ``--max-body-len``
-or ``--depth`` below 1, and an input file that is not UTF-8 text), 2 partial
-result, 3 budget exceeded.
-Output is deterministic for fixed inputs; there is no randomness anywhere, so
-no seed flag exists.
+Exit codes: 0 success, 1 input error (a missing or malformed option, an int
+option below 1, an input file that is not UTF-8 text, with or without a BOM,
+or a KB with no model, except for ``check``, ``compare`` and ``query``, which
+report the verdict ``inconsistent-kb``), 2 partial result, 3 budget exceeded.
+Output is deterministic; there is no randomness anywhere, so no seed flag.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 import time
+from types import SimpleNamespace
 
 from . import hybrid
 from .hybrid import InconsistentKBError, compare, covers, entails, nm_models
@@ -34,22 +35,9 @@ class UsageError(ValueError):
     accepts, or an input file that is not UTF-8 text."""
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Raises :class:`UsageError` where argparse would exit 2, the code this
-    CLI keeps for a partial result."""
-
-    def error(self, message: str):
-        raise UsageError(message)
-
-
-def _require_positive(option: str, value: int) -> None:
-    if value < 1:
-        raise UsageError(f"{option} must be at least 1, got {value}")
-
-
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path} is not UTF-8 text ({exc.reason})") from None
@@ -87,7 +75,6 @@ def _emit(report: _Report, fmt: str, text_lines: list[str], out_path: str | None
 
 
 def cmd_learn(args) -> int:
-    _require_positive("--max-body-len", args.max_body_len)
     report = _Report("learn")
     kb = parse_kb(_read(args.kb), args.kb)
     examples = parse_examples(_read(args.examples), kb, args.examples)
@@ -145,7 +132,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    _require_positive("--depth", args.depth)
     report = _Report("refine")
     kb = parse_kb(_read(args.kb), args.kb)
     bias = parse_bias(_read(args.bias), kb, args.bias)
@@ -155,6 +141,8 @@ def cmd_refine(args) -> int:
     frontier: list[Rule] = [rule]
     seen = {canonical_form(rule)}
     for depth in range(1, args.depth + 1):
+        if not frontier:
+            break
         nxt: list[Rule] = []
         for parent in frontier:
             for step in refine(parent, bias, kb.tbox):
@@ -184,55 +172,102 @@ def cmd_query(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="ontorules",
-        description="Learn and analyse rule-based definitions over hybrid ontology + datalog KBs",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()
+#: Options every command takes, first.  An option maps to its help, its type
+#: (``str``, ``int`` at least 1, or a tuple of choices) and its default, or
+#: ``REQUIRED``.
+_SHARED = {"--kb": ("knowledge base file (.okb)", str, REQUIRED),
+           "--format": ("report format: text or json", ("text", "json"), "text")}
+#: For each command: its function, help line and options.
+COMMANDS = {
+    "learn": (cmd_learn, "learn a rule set from labelled examples", {
+        "--examples": ("examples file (.oex)", str, REQUIRED), "--bias": ("bias file (.obias)", str, REQUIRED),
+        "--max-body-len": ("most body literals a rule may have", int, 5),
+        "--out": ("also write the JSON report here", str, None)}),
+    "check": (cmd_check, "does a rule cover an example?",
+              {"--rule": ("the rule", str, REQUIRED), "--example": ("a ground atom of its head", str, REQUIRED)}),
+    "compare": (cmd_compare, "generality verdict between two rules",
+                {"--rule1": ("the first rule", str, REQUIRED), "--rule2": ("the second rule", str, REQUIRED)}),
+    "refine": (cmd_refine, "list refinements of a rule", {
+        "--bias": ("bias file (.obias)", str, REQUIRED), "--rule": ("the rule to refine", str, REQUIRED),
+        "--depth": ("refinement steps, stopping early when one adds no rule", int, 1)}),
+    "query": (cmd_query, "cautious entailment of a ground atom", {"--atom": ("the atom", str, REQUIRED)}),
+}
 
-    def common(p):
-        p.add_argument("--kb", required=True, help="knowledge base file (.okb)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("learn", help="learn a rule set from labelled examples")
-    common(p)
-    p.add_argument("--examples", required=True, help="examples file (.oex)")
-    p.add_argument("--bias", required=True, help="language bias file (.obias)")
-    p.add_argument("--max-body-len", type=int, default=5)
-    p.add_argument("--out", help="also write the JSON report here")
-    p.set_defaults(fn=cmd_learn)
+def _is_option(token: str) -> bool:
+    """argparse's test: a negative number or a token with a space is a value."""
+    return (token[:1] == "-" and len(token) > 1 and " " not in token
+            and not re.match(r"-\d+$|-\d*\.\d+$", token))
 
-    p = sub.add_parser("check", help="does a rule cover an example?")
-    common(p)
-    p.add_argument("--rule", required=True)
-    p.add_argument("--example", required=True)
-    p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("compare", help="generality verdict between two rules")
-    common(p)
-    p.add_argument("--rule1", required=True)
-    p.add_argument("--rule2", required=True)
-    p.set_defaults(fn=cmd_compare)
+def _help(commands):
+    lines = ["usage: ontorules COMMAND OPTIONS   (-h or --help prints this help)"]
+    for name in commands:
+        lines += ["", f"{name}: {COMMANDS[name][1]}"]
+        for flag, (text, _, default) in {**_SHARED, **COMMANDS[name][2]}.items():
+            lines.append(f"  {flag}  {text} ({'required' if default is REQUIRED else f'default: {default}'})")
+    print("\n".join(lines))
+    raise SystemExit(0)
 
-    p = sub.add_parser("refine", help="list refinements of a rule")
-    common(p)
-    p.add_argument("--bias", required=True)
-    p.add_argument("--rule", required=True)
-    p.add_argument("--depth", type=int, default=1)
-    p.set_defaults(fn=cmd_refine)
 
-    p = sub.add_parser("query", help="cautious entailment of a ground atom")
-    common(p)
-    p.add_argument("--atom", required=True)
-    p.set_defaults(fn=cmd_query)
-
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Parses ``COMMAND OPTIONS`` against :data:`COMMANDS` with argparse's
+    rules and messages (see README); the options become attributes, with
+    ``fn`` the command's function."""
+    command = argv[0] if argv else "-"
+    if command in ("-h", "--help"):
+        _help(COMMANDS)
+    if command[:1] == "-":
+        raise UsageError("the following arguments are required: command")
+    if command not in COMMANDS:
+        raise UsageError(f"argument command: invalid choice: {command!r} "
+                         f"(choose from {', '.join(map(repr, COMMANDS))})")
+    fn, _, options = COMMANDS[command]
+    options = {**_SHARED, **options}
+    flags = ("-h", "--help", *options)
+    values = {flag: default for flag, (_, _, default) in options.items()}
+    extras = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        found = [flag] if flag in flags else [f for f in flags if f.startswith(flag)]
+        if token == "--" or not _is_option(token) or not found:
+            extras.append(token)
+            continue
+        if len(found) > 1:
+            raise UsageError(f"ambiguous option: {token} could match {', '.join(found)}")
+        flag = found[0]
+        if flag in ("-h", "--help"):
+            _help([command])
+        if not eq:
+            value = next(tokens, "--")  # with no token left, the same error
+            if _is_option(value):
+                raise UsageError(f"argument {flag}: expected one argument")
+        kind = options[flag][1]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"argument {flag}: invalid int value: {value!r}") from None
+        elif kind is not str and value not in kind:
+            raise UsageError(f"argument {flag}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, kind))})")
+        values[flag] = value
+    missing = [flag for flag, value in values.items() if value is REQUIRED]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    for flag, value in values.items():
+        if options[flag][1] is int and value < 1:
+            raise UsageError(f"{flag} must be at least 1, got {value}")
+    return SimpleNamespace(fn=fn, **{flag[2:].replace("-", "_"): value for flag, value in values.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.fn(args)
     except (ParseError, ModelError, InconsistentKBError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

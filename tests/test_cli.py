@@ -83,13 +83,16 @@ def test_learn_out_to_unwritable_path_prints_no_report(capsys, tmp_path):
 
 
 def test_cli_import_generates_no_code():
-    """Importing the CLI pulls in neither ``dataclasses`` nor ``inspect``:
-    each command runs in a fresh process, so their import and code
-    generation would be paid on every call."""
+    """A bundled ``check`` through the CLI loads none of ``dataclasses``,
+    ``inspect``, ``argparse``, ``gettext`` or ``locale``: each command runs
+    in a fresh process, so their import, code generation and parser set-up
+    would be paid on every call."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    probe = "import sys, ontorules.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    argv = ["check", "--kb", KB, "--rule", "LONER(X) :- famous(X).", "--example", "LONER(Mary)"]
+    probe = ("import sys, ontorules.cli; assert ontorules.cli.main(sys.argv[1:]) == 0; "
+             "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["covers", "[]"]
 
 
 def test_text_and_json_report_same_rules(capsys):
@@ -253,6 +256,17 @@ def test_refine_lists_no_alphabetic_variants(capsys, kb):
     assert len(forms) == len(set(forms)) == 294
 
 
+def test_refine_stops_at_the_first_empty_frontier(capsys):
+    # the LONER space ends at depth 3; a run that kept looping would time out
+    args = ("--kb", KB, "--bias", str(DATA / "loner.obias"), "--rule", "LONER(X) :- famous(X).", "--format", "json")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-m", "ontorules.cli", "refine", *args, "--depth", str(10**30)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    _, payload = run_json(capsys, "refine", *args[:-2], "--depth", "3")
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["children"] == payload["children"]
+
+
 @pytest.mark.parametrize("depth", ["0", "-1"])
 def test_refine_depth_below_one_is_an_input_error(capsys, depth):
     code, out, err = run(
@@ -263,14 +277,44 @@ def test_refine_depth_below_one_is_an_input_error(capsys, depth):
     assert err == f"error: --depth must be at least 1, got {depth}"
 
 
+CHECK = ("check", "--kb", KB, "--rule", "LONER(X) :- famous(X).", "--example", "LONER(Mary)")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("refine", "--kb", KB, "--bias", "b", "--rule", "r", "--depth", "abc"),
      "error: argument --depth: invalid int value: 'abc'"),
     (("refine", "--bias", "b", "--rule", "r"), "error: the following arguments are required: --kb"),
-], ids=["depth-not-an-int", "missing-kb"])
+    ((), "error: the following arguments are required: command"),
+    (("frobnicate",), "error: argument command: invalid choice: 'frobnicate' "
+                      "(choose from 'learn', 'check', 'compare', 'refine', 'query')"),
+    ((*CHECK, "--format", "xml"), "error: argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
+    (("check", "--kb"), "error: argument --kb: expected one argument"),
+    ((*CHECK, "extra"), "error: unrecognized arguments: extra"),
+    ((*CHECK, "--bogus", "1"), "error: unrecognized arguments: --bogus 1"),
+    (("compare", "--kb", KB, "--rule", "r"), "error: ambiguous option: --rule could match --rule1, --rule2"),
+    (("check", "--rule", "r", "extra"), "error: the following arguments are required: --kb, --example"),
+], ids=["depth-not-an-int", "missing-kb", "no-command", "unknown-command", "bad-choice", "missing-value",
+        "extra-token", "unknown-option", "ambiguous-prefix", "missing-before-unrecognized"])
 def test_bad_option_is_an_input_error(capsys, argv, message):
     # argparse alone would exit 2, the code for a partial result
     assert run(capsys, *argv) == (1, "", message)
+
+
+def test_accepted_option_forms(capsys):
+    learn = ("learn", f"--kb={KB}", "--examples", str(DATA / "loner.oex"), "--bias", str(DATA / "loner.obias"))
+    # a unique prefix, and the last of repeated values: max_body_len=1 leaves positives uncovered
+    code, out, _ = run(capsys, *learn, "--max-body", "7", "--max-body-len=1")
+    assert (code, out.splitlines()[-1]) == (2, "status: partial")
+    refine_loner = ("refine", "--kb", KB, "--bias", str(DATA / "loner.obias"), "--rule", "LONER(X) :- famous(X).")
+    assert run(capsys, *refine_loner, "--depth", "-1") == (1, "", "error: --depth must be at least 1, got -1")
+    code, out, _ = run(capsys, *refine_loner, "--depth", "3", "--fo=json", "--depth=1")
+    assert code == 0 and {c["depth"] for c in json.loads(out)["children"]} == {1}
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(command in out for command in ("learn", "check", "compare", "refine", "query"))
 
 
 def test_help_exits_zero(capsys):
@@ -313,6 +357,17 @@ def test_malformed_kb_reports_location(capsys, tmp_path):
     code, _, err = run(capsys, "query", "--kb", str(bad), "--atom", "foo(a)")
     assert code == 1
     assert "bad.okb:2" in err
+
+
+@pytest.mark.parametrize("option", ["--kb", "--examples", "--bias"])
+def test_utf8_input_with_a_byte_order_mark_is_read(capsys, tmp_path, option):
+    files = {"--kb": KB, "--examples": str(DATA / "loner.oex"), "--bias": str(DATA / "loner.obias")}
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(files[option]).read_bytes())
+    files[option] = str(bom)
+    code, out, err = run(capsys, "learn", *(a for o, f in files.items() for a in (o, f)))
+    assert (code, err) == (0, "")
+    assert "LONER(X) :- famous(X), UNMARRIED(X)." in out
 
 
 @pytest.mark.parametrize("option", ["--kb", "--examples", "--bias"])
