@@ -195,54 +195,68 @@ COMMANDS = {
 }
 
 
-def _is_option(token: str) -> bool:
-    """argparse's test: a negative number or a token with a space is a value."""
-    return (token[:1] == "-" and len(token) > 1 and " " not in token
-            and not re.match(r"-\d+$|-\d*\.\d+$", token))
+def _option(token: str, flags) -> tuple | None:
+    """argparse's reading of a token: None for a value, else the option it
+    names (None for an unknown one) and the value after its ``=`` or ``-h``."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    flag, eq, value = token.partition("=")
+    if token in flags or eq and flag in flags:
+        return (token, None) if token in flags else (flag, value)
+    found = [f for f in flags if f.startswith(flag)] if token[1] == "-" else []
+    if len(found) > 1:
+        raise UsageError(f"ambiguous option: {token} could match {', '.join(found)}")
+    if found or token[:2] in flags:
+        return (found[0], value if eq else None) if found else (token[:2], token[2:])
+    return None if " " in token or re.match(r"-\d+$|-\d*\.\d+$", token) else (None, None)
 
 
-def _help(commands):
+def _help(commands, flag: str, value: str | None) -> None:
+    """Lists the options of ``commands`` and exits 0; ``-hh`` is ``-h -h``, other values are errors."""
+    if value is not None and (flag != "-h" or not value or value.strip("h")):
+        raise UsageError(f"argument -h/--help: ignored explicit argument "
+                         f"{value.lstrip('h') if flag == '-h' else value!r}")
     lines = ["usage: ontorules COMMAND OPTIONS   (-h or --help prints this help)"]
     for name in commands:
         lines += ["", f"{name}: {COMMANDS[name][1]}"]
-        for flag, (text, _, default) in {**_SHARED, **COMMANDS[name][2]}.items():
-            lines.append(f"  {flag}  {text} ({'required' if default is REQUIRED else f'default: {default}'})")
+        for option, (text, _, default) in {**_SHARED, **COMMANDS[name][2]}.items():
+            lines.append(f"  {option}  {text} ({'required' if default is REQUIRED else f'default: {default}'})")
     print("\n".join(lines))
     raise SystemExit(0)
 
 
 def parse_args(argv: list[str]) -> SimpleNamespace:
-    """Parses ``COMMAND OPTIONS`` against :data:`COMMANDS` with argparse's
-    rules and messages (see README); the options become attributes, with
-    ``fn`` the command's function."""
-    command = argv[0] if argv else "-"
-    if command in ("-h", "--help"):
-        _help(COMMANDS)
-    if command[:1] == "-":
+    """Parses ``COMMAND OPTIONS`` against :data:`COMMANDS` as argparse does:
+    every token is classified (an ambiguous prefix fails first) before values
+    are read in order; unknown options, also before ``COMMAND``, and tokens
+    after ``--`` are unrecognized.  Returns the options and ``fn``, the command."""
+    at = 0
+    while at < len(argv) and (option := _option(argv[at], ("-h", "--help"))):
+        if option[0]:
+            _help(COMMANDS, *option)
+        at += 1
+    if argv[at:] in ([], ["--"]):
         raise UsageError("the following arguments are required: command")
+    command, extras, rest = argv[at], argv[:at], argv[at + 1:]
     if command not in COMMANDS:
         raise UsageError(f"argument command: invalid choice: {command!r} "
                          f"(choose from {', '.join(map(repr, COMMANDS))})")
     fn, _, options = COMMANDS[command]
     options = {**_SHARED, **options}
-    flags = ("-h", "--help", *options)
     values = {flag: default for flag, (_, _, default) in options.items()}
-    extras = []
-    tokens = iter(argv[1:])
-    for token in tokens:
-        flag, eq, value = token.partition("=")
-        found = [flag] if flag in flags else [f for f in flags if f.startswith(flag)]
-        if token == "--" or not _is_option(token) or not found:
+    end = rest.index("--") if "--" in rest else len(rest)
+    read = [_option(token, ("-h", "--help", *options)) for token in rest[:end]]
+    tokens = iter(zip(rest, read))
+    for token, option in tokens:
+        flag, value = option or (None, None)
+        if not flag:
             extras.append(token)
             continue
-        if len(found) > 1:
-            raise UsageError(f"ambiguous option: {token} could match {', '.join(found)}")
-        flag = found[0]
         if flag in ("-h", "--help"):
-            _help([command])
-        if not eq:
-            value = next(tokens, "--")  # with no token left, the same error
-            if _is_option(value):
+            _help([command], flag, value)
+        if value is None:
+            value, option = next(tokens, ("", True))  # with none left, as if an option followed
+            if option:
                 raise UsageError(f"argument {flag}: expected one argument")
         kind = options[flag][1]
         if kind is int:
@@ -257,8 +271,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     missing = [flag for flag, value in values.items() if value is REQUIRED]
     if missing:
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    if extras + rest[end:]:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras + rest[end:])}")
     for flag, value in values.items():
         if options[flag][1] is int and value < 1:
             raise UsageError(f"{flag} must be at least 1, got {value}")

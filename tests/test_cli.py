@@ -1,5 +1,9 @@
+import argparse
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -8,7 +12,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from ontorules.cli import main
+from ontorules.cli import _SHARED, COMMANDS, REQUIRED, UsageError, main, parse_args
 from ontorules.parser import parse_rule
 from ontorules.refine import canonical_form
 
@@ -293,8 +297,16 @@ CHECK = ("check", "--kb", KB, "--rule", "LONER(X) :- famous(X).", "--example", "
     ((*CHECK, "--bogus", "1"), "error: unrecognized arguments: --bogus 1"),
     (("compare", "--kb", KB, "--rule", "r"), "error: ambiguous option: --rule could match --rule1, --rule2"),
     (("check", "--rule", "r", "extra"), "error: the following arguments are required: --kb, --example"),
+    (("compare", "--kb", KB, "--format", "xml", "--rule", "r"),
+     "error: ambiguous option: --rule could match --rule1, --rule2"),
+    (("compare", "--kb", KB, "--rule=a b"), "error: ambiguous option: --rule=a b could match --rule1, --rule2"),
+    ((*CHECK, "--", "--format", "json"), "error: unrecognized arguments: -- --format json"),
+    (("-x", *CHECK), "error: unrecognized arguments: -x"),
+    ((*CHECK, "-hx"), "error: argument -h/--help: ignored explicit argument 'x'"),
 ], ids=["depth-not-an-int", "missing-kb", "no-command", "unknown-command", "bad-choice", "missing-value",
-        "extra-token", "unknown-option", "ambiguous-prefix", "missing-before-unrecognized"])
+        "extra-token", "unknown-option", "ambiguous-prefix", "missing-before-unrecognized",
+        "ambiguity-before-values", "ambiguous-prefix-with-value", "after-double-dash", "unknown-before-command",
+        "help-with-value"])
 def test_bad_option_is_an_input_error(capsys, argv, message):
     # argparse alone would exit 2, the code for a partial result
     assert run(capsys, *argv) == (1, "", message)
@@ -307,6 +319,9 @@ def test_accepted_option_forms(capsys):
     assert (code, out.splitlines()[-1]) == (2, "status: partial")
     refine_loner = ("refine", "--kb", KB, "--bias", str(DATA / "loner.obias"), "--rule", "LONER(X) :- famous(X).")
     assert run(capsys, *refine_loner, "--depth", "-1") == (1, "", "error: --depth must be at least 1, got -1")
+    # an = value or a prefix's = value may hold spaces, as a rule does
+    for rule in ("--rule=LONER(X) :- famous(X).", "--ru=LONER(X) :- famous(X)."):
+        assert run(capsys, "check", f"--kb={KB}", rule, "--example", "LONER(Mary)") == (0, "covers", "")
     code, out, _ = run(capsys, *refine_loner, "--depth", "3", "--fo=json", "--depth=1")
     assert code == 0 and {c["depth"] for c in json.loads(out)["children"]} == {1}
     for flag in ("-h", "--help"):
@@ -315,6 +330,67 @@ def test_accepted_option_forms(capsys):
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert all(command in out for command in ("learn", "check", "compare", "refine", "query"))
+
+
+def _argparse_from_table():
+    """The argparse parser that ``COMMANDS`` describes: the reference the
+    CLI's own parser must agree with."""
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
+    parser = Parser(prog="ontorules")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, text, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for flag, (help_text, kind, default) in {**_SHARED, **options}.items():
+            command.add_argument(flag, help=help_text, required=default is REQUIRED,
+                                 default=None if default is REQUIRED else default, type=int if kind is int else str,
+                                 choices=kind if isinstance(kind, tuple) else None)
+        command.set_defaults(fn=fn)
+    return parser
+
+
+def _outcome(parse, argv):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            parsed = vars(parse(argv))
+    except UsageError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code  # help: its text is laid out differently
+    parsed.pop("command", None)
+    return "ok", parsed
+
+
+def test_option_parser_agrees_with_argparse():
+    # random edits of valid command lines with options, prefixes, = values,
+    # values with spaces, --, -h forms, negative numbers and stray tokens
+    rule = "LONER(X) :- famous(X)."
+    pool = ["--kb", "k", "--kb=k x", "--format", "json", "xml", "--fo", "--f=text", "--", "-", "-1", "-2.5", "-h",
+            "-hh", "-hx", "-h=", "--he", "--help=x", "extra", "--bogus", "--bogus=1", "-b", "--rule", rule,
+            f"--rule={rule}", f"--ru={rule}", "--r", "--r=a b", "--rule1", "--rule2", "--example", "LONER(Mary)",
+            "--depth", "2", "0", "abc", "--dep=-1", "--bias", "b", "--atom", "a", "--x y", "-x y", "--max-body-len",
+            "--max", "--out", "o", "--examples", "e", "=", "--=x", "-=", ""]
+    valid = {name: [token for flag, (_, kind, _) in {**_SHARED, **options}.items()
+                    for token in (flag, "json" if isinstance(kind, tuple) else "1" if kind is int else rule)]
+             for name, (_, _, options) in COMMANDS.items()}
+    reference, rng, checked = _argparse_from_table(), random.Random(0), 0
+    for _ in range(3000):
+        argv = [rng.choice([*COMMANDS, "-h", "x", "-x", "--"])]
+        argv += valid.get(argv[0], [])
+        for _ in range(rng.randint(0, 4)):
+            if rng.random() < 0.5:
+                argv.insert(rng.randint(0, len(argv)), rng.choice(pool))
+            elif argv:
+                del argv[rng.randrange(len(argv))]
+        ours, theirs = _outcome(parse_args, argv), _outcome(reference.parse_args, argv)
+        if ours[0] == "error" and "must be at least 1" in ours[1]:  # the CLI's own check, after argparse's
+            assert theirs[0] == "ok" and min(v for v in theirs[1].values() if isinstance(v, int)) < 1, argv
+        else:
+            assert ours == theirs, argv
+            checked += theirs[0] == "ok"
+    assert checked > 300  # enough of the edits still parse
 
 
 def test_help_exits_zero(capsys):
