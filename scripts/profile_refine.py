@@ -27,11 +27,12 @@ It then runs the criterion-7 LIKES pairwise pass on the same KB: more_general
 over every ordered pair of the 60 rules of the depth-1 neighbourhood of the
 seed and of ``LIKES(X,Y) :- meets(X,Z,Y).``, plus the named LIKES rules.  It
 prints, for each phase (edges and pairs), the ``more_general`` calls, how
-many augmented theories the generality test prepared (``hybrid._Theory``,
-one ``skolemize`` each) and how many canonical model runs those took
-(``hybrid.counters``).  The pairs reuse the theories that the edges left in
-the KB's memo.  Times include the profiler's own per-call cost; use the
-benchmark for end-to-end timings.
+many augmented theories the generality test prepared (calls of
+``hybrid._augmented``, one ``skolemize`` and one ground ``hybrid._Theory``
+each) and how many canonical model runs those took (``hybrid.counters``).
+The pairs reuse the theories that the edges left in the KB's memo.  Times
+include the profiler's own per-call cost; use the benchmark for end-to-end
+timings.
 
 Run from a checkout: ``PYTHONPATH=src python scripts/profile_refine.py``
 """
@@ -43,7 +44,7 @@ import pstats
 from collections import Counter
 from importlib import resources
 
-from ontorules.hybrid import _Theory, counters, more_general
+from ontorules.hybrid import _augmented, counters, more_general
 from ontorules.model import ROLE, Predicate, Rule
 from ontorules.parser import parse_bias, parse_kb, parse_rule
 from ontorules.refine import (
@@ -181,7 +182,7 @@ def main() -> None:
     phases = (("edges", stats, runs[1] - runs[0]), ("pairs", pstats.Stats(pairs), runs[2] - runs[1]))
     for phase, profile, ran in phases:
         print(f"{phase:>6} {calls(profile, 'hybrid.py', 'more_general'):>13} "
-              f"{code_calls(profile, _Theory.__init__.__code__):>9} {ran:>15}")
+              f"{code_calls(profile, _augmented.__code__):>9} {ran:>15}")
 
 if __name__ == "__main__":
     main()

@@ -1,7 +1,10 @@
 """Model enumeration, entailment, coverage and the generality order for
 hybrid KBs.
 
-Two model families are used:
+Both model families are built over one private :class:`_Theory`: a KB, or a
+KB's rules and TBox, plus some additions (a hypothesis rule, the constants of
+a query, a skolemized rule body), ground once.
+
 
 * the *canonical* family contains, per stable assignment of the negated
   datalog atoms, the model whose ontology guess holds exactly the forced
@@ -14,9 +17,10 @@ Two model families are used:
   fast path on its single model instead of trying all 2^n assignments.
 
 * the *complete* family enumerates every consistent open-world guess over the
-  relevant ground ontology atoms.  It backs the negation-as-failure side of
-  the generality test, where "not u" must mean that u cannot be made true in
-  any admissible completion.
+  relevant ground ontology atoms, at most ``DEFAULT_GUESS_BUDGET`` of them
+  (read at call time).  It backs the negation-as-failure side of the
+  generality test, where "not u" must mean that u cannot be made true in any
+  admissible completion.  A theory builds it on demand from its instances.
 """
 
 from __future__ import annotations
@@ -282,74 +286,78 @@ def _joint_fixpoint(
             return dtrue, gtrue, exists
 
 
-def _canonical_models(
-    tbox: tuple[Axiom, ...],
-    abox: tuple[Atom, ...],
-    rules: tuple[Rule, ...],
-    facts: frozenset[Atom],
-    domain: tuple[Const, ...],
-    forbidden: frozenset[Atom] = frozenset(),
-) -> list[NMModel]:
-    """One model per stable assignment of the negated atoms (see
+class _Theory:
+    """A hybrid theory ground once: the TBox, the assertions ``abox``, the
+    ``rules`` over the datalog ``facts`` and the sorted ``domain``, whose
+    canonical models may not make an atom of ``forbidden`` true.
+
+    The constructor grounds the rules (``instances``) and builds ``models``,
+    one canonical model per stable assignment of the negated atoms (see
     :func:`datalog.branch_search`); a stratified KB, its axioms read as rules,
-    settles in the fast path on its single model."""
-    counters["canonical_runs"] += 1
-    instances = _partial_ground(rules, facts, domain, DEFAULT_GROUNDING_BUDGET, extensional_predicates(rules))
-    naf_atoms = sorted({a for i in instances for a in i.naf})
+    settles in the fast path on its single model.  :meth:`possible` builds
+    the complete models from the same instances on its first call.
+    """
 
-    def least_model(truth):
-        dtrue, gtrue, exists = _joint_fixpoint(instances, truth, facts, abox, tbox, domain)
-        return frozenset(dtrue), frozenset(gtrue), frozenset(exists)
+    __slots__ = ("tbox", "abox", "facts", "domain", "forbidden", "instances", "models", "_possible")
 
-    return [
-        NMModel(DLGuess(gtrue), Interpretation(dtrue), exists)
-        for dtrue, gtrue, exists in branch_search(naf_atoms, least_model)
-        if not forbidden & dtrue
-    ]
-
-
-def _complete_models(
-    tbox: tuple[Axiom, ...],
-    abox: tuple[Atom, ...],
-    rules: tuple[Rule, ...],
-    facts: frozenset[Atom],
-    domain: tuple[Const, ...],
-    forbidden: frozenset[Atom] = frozenset(),
-    guess_budget: int = DEFAULT_GUESS_BUDGET,
-) -> list[NMModel]:
-    counters["complete_runs"] += 1
-    instances = _partial_ground(rules, facts, domain, DEFAULT_GROUNDING_BUDGET, extensional_predicates(rules))
-    base = _dl_base(instances, abox, tbox, domain)
-    forced = frozenset(abox)
-    guessable = sorted(base - forced)
-    if len(guessable) > guess_budget:
-        raise BudgetError(
-            f"{len(guessable)} guessable ontology atoms exceed the budget of {guess_budget}"
+    def __init__(self, tbox, abox, rules, facts, domain, forbidden=frozenset()):
+        counters["canonical_runs"] += 1
+        self.tbox, self.abox, self.facts, self.domain, self.forbidden = tbox, abox, facts, domain, forbidden
+        self.instances = instances = _partial_ground(
+            rules, facts, domain, DEFAULT_GROUNDING_BUDGET, extensional_predicates(rules)
         )
+        self._possible = None
+        naf_atoms = sorted({a for i in instances for a in i.naf})
+
+        def least_model(truth):
+            dtrue, gtrue, exists = _joint_fixpoint(instances, truth, facts, abox, tbox, domain)
+            return frozenset(dtrue), frozenset(gtrue), frozenset(exists)
+
+        self.models = [
+            NMModel(DLGuess(gtrue), Interpretation(dtrue), exists)
+            for dtrue, gtrue, exists in branch_search(naf_atoms, least_model)
+            if not forbidden & dtrue
+        ]
+
+    def possible(self) -> frozenset[Atom]:
+        """Datalog atoms true in at least one admissible complete model."""
+        if self._possible is None:
+            atoms: set[Atom] = set()
+            for m in _complete_models(self):
+                atoms |= m.datalog_model.true_atoms
+            self._possible = frozenset(atoms)
+        return self._possible
+
+
+def _complete_models(theory: _Theory) -> list[NMModel]:
+    """The complete models of the theory: every consistent guess over its
+    relevant ground ontology atoms, at most ``DEFAULT_GUESS_BUDGET`` of them,
+    with the stable models of the datalog part it reduces to."""
+    counters["complete_runs"] += 1
+    tbox, domain, instances = theory.tbox, theory.domain, theory.instances
+    base = _dl_base(instances, theory.abox, tbox, domain)
+    forced = frozenset(theory.abox)
+    guessable = sorted(base - forced)
+    if len(guessable) > DEFAULT_GUESS_BUDGET:
+        raise BudgetError(f"{len(guessable)} guessable ontology atoms exceed the budget of {DEFAULT_GUESS_BUDGET}")
     models: list[NMModel] = []
     for bits in itertools.product((False, True), repeat=len(guessable)):
         true = set(forced) | {a for a, b in zip(guessable, bits) if b}
-        closed, exists = close(true, tbox)
-        if closed - true:
+        gtrue, exists = close(true, tbox)
+        if gtrue - true:
             continue  # closure forces an atom the guess declares false
-        gtrue = closed
         # reduce the datalog part under this guess
         reduced: list[Rule] = []
-        dl_ok = True
         for inst in instances:
-            if inst.head.pred.is_dl:
-                continue
-            if not all(a in gtrue for a in inst.dl_ground):
+            if inst.head.pred.is_dl or not all(a in gtrue for a in inst.dl_ground):
                 continue
             if not _open_satisfied(inst.dl_open, gtrue, exists, domain):
                 continue
-            body = tuple(
-                [Literal(a) for a in inst.pos_datalog] + [Literal(a, True) for a in inst.naf]
-            )
-            reduced.append(Rule(inst.head, body))
-        program = GroundProgram(tuple(reduced), facts)
+            body = [Literal(a) for a in inst.pos_datalog] + [Literal(a, True) for a in inst.naf]
+            reduced.append(Rule(inst.head, tuple(body)))
+        program = GroundProgram(tuple(reduced), theory.facts)
         for m in stable_models(program):
-            if forbidden & m.true_atoms:
+            if theory.forbidden & m.true_atoms:
                 continue
             # every ontology-headed rule that fires must have its head guessed true
             if not any(
@@ -358,33 +366,21 @@ def _complete_models(
                 and _body_holds(inst, m.true_atoms, gtrue, exists, domain)
                 for inst in instances
             ):
-                models.append(
-                    NMModel(
-                        guess=DLGuess(frozenset(gtrue), frozenset(base - gtrue)),
-                        datalog_model=m,
-                        existentials=frozenset(exists),
-                    )
-                )
+                guess = DLGuess(frozenset(gtrue), frozenset(base - gtrue))
+                models.append(NMModel(guess, m, frozenset(exists)))
     return models
 
 
 # --- public operations ------------------------------------------------------
 
-def _combine(kb: HybridKB, extra_rules, extra_facts):
-    rules = kb.rules + tuple(extra_rules)
-    abox = list(kb.abox)
-    facts = set(kb.facts)
-    for a in extra_facts:
-        if a.pred.is_dl:
-            abox.append(a)
-        else:
-            facts.add(a)
-    domain: set[Const] = set(kb.constants())
-    for a in extra_facts:
-        domain.update(t for t in a.args if isinstance(t, Const))
-    for r in extra_rules:
-        domain.update(r.constants())
-    return rules, tuple(abox), frozenset(facts), tuple(sorted(domain))
+def _kb_theory(kb: HybridKB, extra_rules=(), extra_facts=(), constants=()) -> _Theory:
+    """The KB extended with extra rules and ground facts, over the KB's
+    constants, theirs and ``constants``."""
+    abox = tuple(kb.abox) + tuple(a for a in extra_facts if a.pred.is_dl)
+    facts = frozenset(kb.facts).union(a for a in extra_facts if not a.pred.is_dl)
+    domain = set(kb.constants()).union(constants, *(r.constants() for r in extra_rules))
+    domain.update(t for a in extra_facts for t in a.args if isinstance(t, Const))
+    return _Theory(kb.tbox, abox, kb.rules + tuple(extra_rules), facts, tuple(sorted(domain)))
 
 
 def nm_models(
@@ -396,8 +392,7 @@ def nm_models(
     the family that entailment and coverage quantify over.  A canonical
     model's ontology part is its true atoms alone: ``guess.false_atoms`` is
     empty, as every other atom is false in it."""
-    rules, abox, facts, domain = _combine(kb, extra_rules, extra_facts)
-    return _canonical_models(kb.tbox, abox, rules, facts, domain)
+    return _kb_theory(kb, extra_rules, extra_facts).models
 
 
 def entails(
@@ -409,11 +404,7 @@ def entails(
     """Cautious ground entailment over the canonical model family."""
     if not query.is_ground():
         raise ModelError(f"query {query} is not ground")
-    rules, abox, facts, domain = _combine(kb, extra_rules, extra_facts)
-    for t in query.args:
-        if t not in domain:
-            domain = tuple(sorted(set(domain) | {t}))
-    models = _canonical_models(kb.tbox, abox, rules, facts, domain)
+    models = _kb_theory(kb, extra_rules, extra_facts, query.args).models
     if not models:
         return Entailment.INCONSISTENT
     if query.pred.is_dl:
@@ -495,9 +486,7 @@ class KBModels:
     @cached_property
     def _truths(self) -> list[tuple]:
         """Datalog, ontology and existential truth of each canonical model."""
-        kb = self.kb
-        domain = tuple(sorted(self._constants))
-        models = _canonical_models(kb.tbox, kb.abox, kb.rules, self._facts, domain)
+        models = _kb_theory(self.kb).models
         if not models:
             raise InconsistentKBError("background theory has no model")
         return [(m.datalog_model.true_atoms, m.guess.true_atoms, m.existentials) for m in models]
@@ -551,9 +540,10 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
     Everything the test prepares lives in the KB's bounded memo
     (:func:`_prepared`), and a pair that the syntactic fast path decides adds
     no entry: what it reads off ``h1`` (:func:`_premises`), once per KB, and
-    the augmented theory (:class:`_Theory`), once per ``h2`` and set of
-    ``h1``'s constants, with its cautious truth indexed by predicate and,
-    once a negated literal needs them, its possible atoms.  The grounding is
+    the augmented theory (:func:`_augmented`), once per ``h2`` and set of
+    ``h1``'s constants: one :class:`_Theory`, ground once, with its cautious
+    truth indexed by predicate and, once a negated literal needs them, its
+    possible atoms, built from the same instances.  The grounding is
     found by a backtracking join (:func:`_join`) of ``h1``'s positive body
     atoms against that truth, from the binding of ``h1``'s head onto
     ``h2``'s; only the variables that occur in no positive literal range
@@ -564,7 +554,7 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
     ``DEFAULT_THETA_BUDGET`` candidates the test raises :class:`BudgetError`
     before joining.  The complete models are built exactly when a walk over
     the product, checking each body in order, would build them, so the same
-    tests exceed their guess budget.
+    tests exceed the guess budget, ``DEFAULT_GUESS_BUDGET``.
     """
     if h1.head.pred != h2.head.pred:
         raise ModelError("generality is only defined for rules with the same head predicate")
@@ -577,11 +567,11 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
         return True
     premises = _prepared(kb, (h1, h1.body), _premises)
     h1_constants, h1_vars, h1_var_set, positive, negated, prefix, unbound = premises
-    theory = _prepared(kb, (h2, h1_constants), _Theory)
-    if theory.truth is None:
+    head, sigma, constants, truth, theory = _prepared(kb, (h2, h1_constants), _augmented)
+    if truth is None:
         return True  # augmented theory admits no model: entailment is vacuous
-    cautious_d, cautious_dl, index = theory.truth
-    head, sigma, constants, domain = theory.head, theory.sigma, theory.constants, theory.domain
+    cautious_d, cautious_dl, index = truth
+    domain = theory.domain
 
     # first the skolemization's own substitution, when it also maps h1's
     # head onto h2's, against the models
@@ -625,9 +615,11 @@ _MEMO_SIZE = 4096
 def _prepared(kb: HybridKB, key: tuple, build):
     """What the generality test prepares once per KB: the entry under ``key``
     in the dict that ``kb._generality`` holds next to the KB's rule
-    constants, built on a miss as ``build(kb, rule constants, key)``.  The
-    dict is cleared at ``_MEMO_SIZE`` entries.  Threads that race to fill it
-    store equal values."""
+    constants, built on a miss as ``build(kb, rule constants, key)``, where
+    ``build`` is :func:`_premises` or :func:`_augmented`, whose entry holds
+    the one :class:`_Theory` the test grounds per key.  The dict is cleared
+    at ``_MEMO_SIZE`` entries.  Threads that race to fill it store equal
+    values."""
     memo = kb._generality
     if memo is None:
         # relative to the intensional part only: constants from the rules, not the data
@@ -664,62 +656,44 @@ def _premises(kb: HybridKB, kb_constants: frozenset[Const], key: tuple) -> tuple
     return frozenset(h1.constants()), variables, frozenset(variables), positive, negated, prefix, unbound
 
 
-class _Theory:
+def _augmented(kb: HybridKB, kb_constants: frozenset[Const], key: tuple) -> tuple:
     """The theory that the generality test augments with ``h2``, under
-    ``key`` (``h2``, the constants of ``h1``).
+    ``key`` (``h2``, the constants of ``h1``): (skolemized head, ``sigma``,
+    ``constants``, ``truth``, :class:`_Theory`).
 
     ``h2`` is skolemized apart from the KB's rule constants and ``h1``'s; its
     positive datalog atoms become facts, its positive ontology atoms, sorted
-    by ``str``, assertions, and its negated atoms constraints.  It keeps the
-    skolemized ``head`` and ``sigma``, the ``constants`` of the KB's rules,
-    ``h1`` and the skolemized ``h2`` as a frozenset and as a sorted tuple
-    (``domain``), and ``truth``: the cautious datalog and ontology truth over
-    the canonical models and those atoms indexed by predicate (each ontology
-    predicate lists its atoms of the ontology truth, each datalog predicate
-    its atoms of the datalog truth), or None when the theory has no model.
-    :meth:`possible` builds the complete models on its first call.  Equal
-    rules whose bodies are listed in another order skolemize to renamings of
-    each other, which no verdict tells apart.
+    by ``str``, assertions, and its negated atoms constraints of one theory
+    over the KB's rules and TBox.  ``constants`` are those of the KB's rules,
+    ``h1`` and the skolemized ``h2``.  ``truth`` is the cautious datalog and
+    ontology truth over the canonical models and those atoms indexed by
+    predicate (each ontology predicate lists its atoms of the ontology truth,
+    each datalog predicate its atoms of the datalog truth), or None when the
+    theory has no model.  Equal rules whose bodies are listed in another
+    order skolemize to renamings of each other, which no verdict tells apart.
     """
+    from .model import skolemize  # looked up per call, so it can be traced
 
-    __slots__ = ("head", "sigma", "constants", "domain", "truth", "_parts", "_possible")
-
-    def __init__(self, kb: HybridKB, kb_constants: frozenset[Const], key: tuple):
-        from .model import skolemize  # looked up per call, so it can be traced
-
-        h2, h1_constants = key
-        h2s, sigma = skolemize(h2, kb_constants | h1_constants | h2.constants())
-        facts = frozenset(l.atom for l in h2s.body if not l.negated and l.atom.pred.kind == DATALOG)
-        abox = tuple(sorted((l.atom for l in h2s.body if not l.negated and l.atom.pred.is_dl), key=str))
-        forbidden = frozenset(l.atom for l in h2s.body if l.negated)
-        self.head, self.sigma = h2s.head, sigma
-        self.constants = kb_constants | h1_constants | h2s.constants()
-        self.domain = tuple(sorted(self.constants))
-        # the theory as the model builders take it
-        self._parts = (kb.tbox, abox, kb.rules, facts, self.domain, forbidden)
-        self._possible = None
-        canonical = _canonical_models(*self._parts)
-        self.truth = None
-        if canonical:
-            cautious_d = frozenset.intersection(*[frozenset(m.datalog_model.true_atoms) for m in canonical])
-            cautious_dl = frozenset.intersection(*[m.guess.true_atoms for m in canonical])
-            index: dict[Predicate, list[Atom]] = {}
-            for a in cautious_d:
-                if not a.pred.is_dl:
-                    index.setdefault(a.pred, []).append(a)
-            for a in cautious_dl:
-                if a.pred.is_dl:
-                    index.setdefault(a.pred, []).append(a)
-            self.truth = cautious_d, cautious_dl, index
-
-    def possible(self) -> frozenset[Atom]:
-        """Atoms derivable in at least one admissible complete model."""
-        if self._possible is None:
-            atoms: set[Atom] = set()
-            for m in _complete_models(*self._parts):
-                atoms |= m.datalog_model.true_atoms
-            self._possible = frozenset(atoms)
-        return self._possible
+    h2, h1_constants = key
+    h2s, sigma = skolemize(h2, kb_constants | h1_constants | h2.constants())
+    facts = frozenset(l.atom for l in h2s.body if not l.negated and l.atom.pred.kind == DATALOG)
+    abox = tuple(sorted((l.atom for l in h2s.body if not l.negated and l.atom.pred.is_dl), key=str))
+    forbidden = frozenset(l.atom for l in h2s.body if l.negated)
+    constants = kb_constants | h1_constants | h2s.constants()
+    theory = _Theory(kb.tbox, abox, kb.rules, facts, tuple(sorted(constants)), forbidden)
+    truth = None
+    if theory.models:
+        cautious_d = frozenset.intersection(*[frozenset(m.datalog_model.true_atoms) for m in theory.models])
+        cautious_dl = frozenset.intersection(*[m.guess.true_atoms for m in theory.models])
+        index: dict[Predicate, list[Atom]] = {}
+        for a in cautious_d:
+            if not a.pred.is_dl:
+                index.setdefault(a.pred, []).append(a)
+        for a in cautious_dl:
+            if a.pred.is_dl:
+                index.setdefault(a.pred, []).append(a)
+        truth = cautious_d, cautious_dl, index
+    return h2s.head, sigma, constants, truth, theory
 
 
 def _join(atoms, index, theta, domain):

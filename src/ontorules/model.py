@@ -405,9 +405,10 @@ class HybridKB(Record):
 
     The private slot ``_generality`` starts empty; the generality test keeps
     all of its state for the KB there: the KB's rule constants and a bounded
-    memo of the rules it prepared as ``h1`` and of the theories it built per
-    ``h2`` and ``h1``'s constants, each with its cautious truth and, once
-    needed, its possible atoms (see :func:`ontorules.hybrid.more_general`).
+    memo of the rules it prepared as ``h1`` and of its theory entries, one per
+    ``h2`` and set of ``h1``'s constants, each holding the skolemized ``h2``,
+    its cautious truth and the one ground theory that also builds its
+    possible atoms once needed (see :func:`ontorules.hybrid.more_general`).
     """
 
     __slots__ = ("tbox", "abox", "rules", "facts", "alphabet", "_generality")

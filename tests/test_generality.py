@@ -17,7 +17,7 @@ from collections import Counter
 
 from genhybrid import CONCEPTS, D, E, IDB, ROLES, random_hybrid_kb
 from ontorules import hybrid, model, parse_bias
-from ontorules.hybrid import DEFAULT_THETA_BUDGET, _canonical_models, _join, more_general
+from ontorules.hybrid import DEFAULT_THETA_BUDGET, _join, _Theory, more_general
 from ontorules.model import (
     DATALOG,
     Atom,
@@ -87,7 +87,8 @@ def reference_more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
 
     tbox, idb = kb.tbox, kb.rules
     domain = tuple(sorted(kb_constants | h2s.constants() | h1.constants()))
-    canonical = _canonical_models(tbox, abox, idb, facts, domain, forbidden=forbidden)
+    theory = _Theory(tbox, abox, idb, facts, domain, forbidden=forbidden)
+    canonical = theory.models
     if not canonical:
         return True
     cautious_d = frozenset.intersection(*[frozenset(m.datalog_model.true_atoms) for m in canonical])
@@ -95,8 +96,8 @@ def reference_more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
 
     @functools.cache
     def possibly_d():
-        # looked up per call, so that a patched guess budget applies
-        models = hybrid._complete_models(tbox, abox, idb, facts, domain, forbidden=forbidden)
+        # reads the guess budget per call, so that a patched one applies
+        models = hybrid._complete_models(theory)
         return frozenset(a for m in models for a in m.datalog_model.true_atoms)
 
     def body_holds(theta):
@@ -246,7 +247,7 @@ def test_the_join_agrees_with_the_product_loop(monkeypatch):
     with a guess budget of 8, not 24: the enumeration is 2^guesses, and
     the budget error is then raised often enough to check that it is raised
     in the same cases."""
-    monkeypatch.setattr(hybrid, "_complete_models", functools.partial(hybrid._complete_models, guess_budget=8))
+    monkeypatch.setattr(hybrid, "DEFAULT_GUESS_BUDGET", 8)
     decided = Counter()  # features of h1 over the pairs that the join decided "more general"
     verdicts = Counter()
     for seed in range(240):
@@ -364,8 +365,8 @@ def _h1_entries(kb):
 
 
 def _theories(kb):
-    """The memo's theory entries."""
-    return [v for k, v in _entries(kb).items() if isinstance(k[1], frozenset)]
+    """The memo's theories, read out of its theory entries."""
+    return [v[-1] for k, v in _entries(kb).items() if isinstance(k[1], frozenset)]
 
 
 def test_the_pairwise_pass_prepares_each_h1_at_most_once(monkeypatch):
@@ -473,3 +474,26 @@ def test_an_equal_kb_builds_its_own_theories():
     assert more_general(h1, h2, second)
     assert hybrid.counters["canonical_runs"] == runs + 2
     assert len(_theories(first)) == len(_theories(second)) == 1
+
+
+def test_a_theory_is_ground_once(monkeypatch):
+    """A theory grounds its rules once: its canonical models and, when a
+    negated literal of ``h1`` needs them, its complete models are built from
+    the same instances."""
+    kb = _fresh_kb()
+    h1 = parse_rule("LIKES(X,Y) :- meets(X,Z,Y), not happy(X).", kb)
+    h2 = parse_rule("LIKES(X,Y) :- meets(X,Z,Y), RICH(Z).", kb)
+    grounds = []
+    real = hybrid._partial_ground
+
+    def counting(*args):
+        grounds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hybrid, "_partial_ground", counting)
+    before = dict(hybrid.counters)
+    more_general(h1, h2, kb)
+    built = hybrid.counters["canonical_runs"] - before["canonical_runs"]
+    assert built == 1 and hybrid.counters["complete_runs"] - before["complete_runs"] == 1
+    assert [t._possible is not None for t in _theories(kb)] == [True]
+    assert len(grounds) == built
