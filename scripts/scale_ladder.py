@@ -8,11 +8,11 @@ N.
 - ``models`` (N = 5, 10, 20, 40, 80): the number of negated ground atoms that
   the model builder branches over, the wall time of one canonical model run,
   and its outcome (the number of models, or the budget error).
-- ``loner`` (N = 80, 160, 320): ``learn`` of ``LONER/1`` with the bundled
+- ``loner`` (N = 80, 160, 320, 640): ``learn`` of ``LONER/1`` with the bundled
   LONER bias.  The positives are the people that
   ``LONER(X) :- famous(X), UNMARRIED(X), not happy(X).`` covers, and every
   other person is a negative.
-- ``likes`` (N = 10, 20, 40): ``learn`` of ``LIKES/2`` with the bias
+- ``likes`` (N = 10, 20, 40, 80, 160): ``learn`` of ``LIKES/2`` with the bias
   ``datalog+ = happy/1, meets/3, famous/1; concepts = RICH/1; roles = LOVES/2,
   WANTS-TO-MARRY/2``.  The positives are the (person, place) pairs that
   ``LIKES(X,Y) :- meets(X,Z,Y), famous(Z).`` covers; the negatives are the
@@ -20,7 +20,7 @@ N.
 
 A ``learn`` line gives the wall time of ``learn`` alone (examples labelled
 beforehand) and the learned rules.  Both learn ladders learn the labelling
-rule at every size.
+rule at every size; ``tests/test_scripts.py`` checks one small size of each.
 
 Run from a checkout: ``PYTHONPATH=src python scripts/scale_ladder.py
 [models|loner|likes ...]`` (all three by default).
@@ -44,12 +44,12 @@ from genhybrid import PLACES, template_kb  # noqa: E402
 SIZES = (5, 10, 20, 40, 80)
 LEARN = {
     "loner": {
-        "sizes": (80, 160, 320),
+        "sizes": (80, 160, 320, 640),
         "rule": "LONER(X) :- famous(X), UNMARRIED(X), not happy(X).",
         "bias": (resources.files("ontorules") / "data" / "loner.obias").read_text(encoding="utf-8"),
     },
     "likes": {
-        "sizes": (10, 20, 40),
+        "sizes": (10, 20, 40, 80, 160),
         "rule": "LIKES(X,Y) :- meets(X,Z,Y), famous(Z).",
         "bias": "datalog+ = happy/1, meets/3, famous/1\nconcepts = RICH/1\nroles = LOVES/2, WANTS-TO-MARRY/2\n",
     },

@@ -5,7 +5,8 @@ guess, which settles on every stratified program, and otherwise by branching
 on the atoms that occur under negation-as-failure and verifying each branch
 with the reduct fixpoint.  The hybrid model builder runs the same search
 (:func:`branch_search`) over its joint fixpoint.
-``is_stable_model`` is the independent oracle used to validate the search.
+``is_stable_model`` checks a candidate with the search's own reduct fixpoint,
+so it is no independent oracle; ``tests/genprog.brute_force_stable_models`` is.
 """
 
 from __future__ import annotations

@@ -5,7 +5,6 @@ Both model families are built over one private :class:`_Theory`: a KB, or a
 KB's rules and TBox, plus some additions (a hypothesis rule, the constants of
 a query, a skolemized rule body), ground once.
 
-
 * the *canonical* family contains, per stable assignment of the negated
   datalog atoms, the model whose ontology guess holds exactly the forced
   atoms (assertions plus heads of fired rules, closed under the axioms).
@@ -21,6 +20,12 @@ a query, a skolemized rule body), ground once.
   (read at call time).  It backs the negation-as-failure side of the
   generality test, where "not u" must mean that u cannot be made true in any
   admissible completion.  A theory builds it on demand from its instances.
+
+One backtracking join, :func:`_join`, matches every body against atoms by
+predicate: open ontology atoms in the model builders (:func:`_open_satisfied`),
+a rule against each KB model (:meth:`KBModels.covered`) and ``h1`` in
+:func:`more_general`.  Only a variable that no joined atom binds ranges over
+the domain (:func:`_groundings`).
 """
 
 from __future__ import annotations
@@ -193,66 +198,41 @@ def _dl_base(
 
 # --- model construction -----------------------------------------------------
 
-def _open_satisfied(
-    open_atoms: tuple[Atom, ...],
-    gtrue: set[Atom],
-    exists: set[ExistsFact],
-    domain: tuple[Const, ...],
-) -> bool:
-    """Satisfaction of the body's ontology atoms with unbound variables.
+def _index(*atom_sets) -> dict[Predicate, list[Atom]]:
+    """The atoms of the given collections, listed under their predicates."""
+    index: dict[Predicate, list[Atom]] = {}
+    for a in itertools.chain(*atom_sets):
+        index.setdefault(a.pred, []).append(a)
+    return index
 
-    Variables are existentially quantified: a named witness is searched first;
-    a single role atom with a single open variable may also be satisfied by an
-    anonymous witness recorded as an :class:`ExistsFact`.  ``domain`` is a
-    sorted tuple, as for :func:`_partial_ground`."""
+
+def _open_satisfied(open_atoms: tuple[Atom, ...], index: dict, exists: set[ExistsFact], domain) -> bool:
+    """Satisfaction of the body's distinct ontology atoms with unbound
+    variables, which are existentially quantified.
+
+    The atoms are joined (:func:`_join`) against ``index``, the true ontology
+    atoms by predicate, binding variables to constants in the set ``domain``:
+    atoms that share a variable need one named witness.  Only a role atom
+    between a constant and a variable that occurs in no other open atom may
+    instead be met by an anonymous witness, recorded as an
+    :class:`ExistsFact`."""
     if not open_atoms:
         return True
-    # split into connected components over shared variables
-    comps: list[list[Atom]] = []
-    for a in open_atoms:
-        vs = set(a.variables())
-        merged = [a]
-        rest = []
-        for comp in comps:
-            if vs & {v for x in comp for v in x.variables()}:
-                merged.extend(comp)
-            else:
-                rest.append(comp)
-        comps = rest + [merged]
-    for comp in comps:
-        comp_vars: dict[Var, None] = {}
-        for a in comp:
-            for v in a.variables():
-                comp_vars.setdefault(v)
-        comp_vars = tuple(comp_vars)
-        named = any(
-            all(a.substitute(dict(zip(comp_vars, combo))) in gtrue for a in comp)
-            for combo in itertools.product(domain, repeat=len(comp_vars))
-        )
-        if named:
-            continue
-        if len(comp) == 1 and len(comp_vars) == 1:
-            atom = comp[0]
-            if atom.pred.kind == ROLE:
-                var_pos = 0 if isinstance(atom.args[0], Var) else 1
-                anchor = atom.args[1 - var_pos]
-                if any(
-                    f.role == atom.pred.name and f.anchor == anchor and f.anchor_pos == 1 - var_pos
-                    for f in exists
-                ):
-                    continue
+    named = [a for a in open_atoms if not _anonymous(a, open_atoms, exists)]
+    return next(_join(named, index, {}, domain), None) is not None
+
+
+def _anonymous(atom: Atom, open_atoms: tuple[Atom, ...], exists: set[ExistsFact]) -> bool:
+    """``atom`` relates a constant to a variable that no other of
+    ``open_atoms`` holds, and an :class:`ExistsFact` gives the constant an
+    anonymous filler of its role."""
+    if atom.pred.kind != ROLE:
         return False
-    return True
-
-
-def _body_holds(inst: _Instance, dtrue, gtrue, exists, domain: tuple[Const, ...]) -> bool:
-    """The instance's body holds in the given datalog and ontology truth."""
-    return (
-        all(a in dtrue for a in inst.pos_datalog)
-        and not any(a in dtrue for a in inst.naf)
-        and all(a in gtrue for a in inst.dl_ground)
-        and _open_satisfied(inst.dl_open, gtrue, exists, domain)
-    )
+    anchor_pos = 1 if isinstance(atom.args[0], Var) else 0
+    var, anchor = atom.args[1 - anchor_pos], atom.args[anchor_pos]
+    if isinstance(anchor, Var) or any(var in a.args for a in open_atoms if a is not atom):
+        return False
+    return any(f.role == atom.pred.name and f.anchor == anchor and f.anchor_pos == anchor_pos for f in exists)
 
 
 def _joint_fixpoint(
@@ -265,12 +245,15 @@ def _joint_fixpoint(
 ) -> tuple[set[Atom], set[Atom], set[ExistsFact]]:
     """Least joint closure of datalog derivation, ontology saturation and
     existential propagation under a fixed truth assignment for the negated
-    atoms (reduct semantics)."""
+    atoms (reduct semantics).  Each round indexes the ontology truth once and
+    adds the ontology heads it fires."""
     dtrue: set[Atom] = set(facts)
     gtrue: set[Atom] = set(abox)
+    members = frozenset(domain)
     active = [i for i in instances if not any(naf_truth.get(a, False) for a in i.naf)]
     while True:
         gtrue, exists = close(gtrue, tbox)
+        index = _index(gtrue)
         fired = False
         for inst in active:
             target = gtrue if inst.head.pred.is_dl else dtrue
@@ -278,9 +261,11 @@ def _joint_fixpoint(
                 inst.head not in target
                 and all(a in dtrue for a in inst.pos_datalog)
                 and all(a in gtrue for a in inst.dl_ground)
-                and _open_satisfied(inst.dl_open, gtrue, exists, domain)
+                and _open_satisfied(inst.dl_open, index, exists, members)
             ):
                 target.add(inst.head)
+                if target is gtrue:
+                    index.setdefault(inst.head.pred, []).append(inst.head)
                 fired = True
         if not fired:
             return dtrue, gtrue, exists
@@ -340,22 +325,20 @@ def _complete_models(theory: _Theory) -> list[NMModel]:
     guessable = sorted(base - forced)
     if len(guessable) > DEFAULT_GUESS_BUDGET:
         raise BudgetError(f"{len(guessable)} guessable ontology atoms exceed the budget of {DEFAULT_GUESS_BUDGET}")
+    members = frozenset(domain)
     models: list[NMModel] = []
     for bits in itertools.product((False, True), repeat=len(guessable)):
         true = set(forced) | {a for a, b in zip(guessable, bits) if b}
         gtrue, exists = close(true, tbox)
         if gtrue - true:
             continue  # closure forces an atom the guess declares false
-        # reduce the datalog part under this guess
-        reduced: list[Rule] = []
-        for inst in instances:
-            if inst.head.pred.is_dl or not all(a in gtrue for a in inst.dl_ground):
-                continue
-            if not _open_satisfied(inst.dl_open, gtrue, exists, domain):
-                continue
-            body = [Literal(a) for a in inst.pos_datalog] + [Literal(a, True) for a in inst.naf]
-            reduced.append(Rule(inst.head, tuple(body)))
-        program = GroundProgram(tuple(reduced), theory.facts)
+        index = _index(gtrue)
+        # the instances whose ontology body holds reduce the datalog part under this guess
+        holding = [i for i in instances if all(a in gtrue for a in i.dl_ground)
+                   and _open_satisfied(i.dl_open, index, exists, members)]
+        reduced = tuple(Rule(i.head, (*map(Literal, i.pos_datalog), *(Literal(a, True) for a in i.naf)))
+                        for i in holding if not i.head.pred.is_dl)
+        program = GroundProgram(reduced, theory.facts)
         for m in stable_models(program):
             if theory.forbidden & m.true_atoms:
                 continue
@@ -363,8 +346,9 @@ def _complete_models(theory: _Theory) -> list[NMModel]:
             if not any(
                 inst.head.pred.is_dl
                 and inst.head not in gtrue
-                and _body_holds(inst, m.true_atoms, gtrue, exists, domain)
-                for inst in instances
+                and all(a in m.true_atoms for a in inst.pos_datalog)
+                and not any(a in m.true_atoms for a in inst.naf)
+                for inst in holding
             ):
                 guess = DLGuess(frozenset(gtrue), frozenset(base - gtrue))
                 models.append(NMModel(guess, m, frozenset(exists)))
@@ -480,51 +464,61 @@ class KBModels:
             raise ModelError(f"target predicate {target.name!r} already occurs in the knowledge base")
         self.kb = kb
         self.target = target
-        self._facts = frozenset(kb.facts)
         self._constants = frozenset(kb.constants())
 
     @cached_property
     def _truths(self) -> list[tuple]:
-        """Datalog, ontology and existential truth of each canonical model."""
+        """Datalog truth, the datalog and ontology truth indexed by
+        predicate, and the existential truth of each canonical model."""
         models = _kb_theory(self.kb).models
         if not models:
             raise InconsistentKBError("background theory has no model")
-        return [(m.datalog_model.true_atoms, m.guess.true_atoms, m.existentials) for m in models]
+        return [(m.datalog_model.true_atoms, _index(m.datalog_model.true_atoms, m.guess.true_atoms), m.existentials)
+                for m in models]
 
     def covered(self, rule: Rule, examples) -> frozenset[Atom]:
-        """The examples that the rule covers."""
+        """The examples that the rule covers: from the head's binding, its
+        positive literals over head and datalog variables are joined with each
+        model, the rest of those variables range over the domain (at most
+        ``DEFAULT_GROUNDING_BUDGET`` groundings), and negated and open atoms
+        are checked last."""
         name = self.target.name
         if rule.head.pred != self.target or any(l.atom.pred.name == name for l in rule.body):
             raise ModelError(f"rule {rule} does not define the target {name} non-recursively")
         truths = self._truths
-        ext = extensional_predicates(self.kb.rules + (rule,))
+        grounded = dict.fromkeys(rule.head.variables())
+        grounded.update((v, None) for l in rule.body if l.atom.pred.kind == DATALOG for v in l.atom.variables())
+        negated = tuple(l.atom for l in rule.body if l.negated)
+        joined = tuple(l.atom for l in rule.body if not l.negated and grounded.keys() >= set(l.atom.variables()))
+        opened = tuple(l.atom for l in rule.body if l.atom.pred.is_dl and l.atom not in joined)
+        bound = set(rule.head.variables()).union(*(a.variables() for a in joined))
+        rest = tuple(v for v in grounded if v not in bound)
         constants = self._constants | rule.constants()
         out = set()
         for example in examples:
             theta = _bind_head(rule.head, example)
             if theta is None:
                 continue
-            domain = tuple(sorted(constants | set(example.args)))
-            bound = (rule.substitute(theta),)
-            instances = _partial_ground(bound, self._facts, domain, DEFAULT_GROUNDING_BUDGET, ext)
-            if all(any(_body_holds(i, *truth, domain) for i in instances) for truth in truths):
+            domain = constants.union(example.args)
+            if len(domain) ** len(rest) > DEFAULT_GROUNDING_BUDGET:
+                raise BudgetError(f"grounding exceeded the budget of {DEFAULT_GROUNDING_BUDGET} instances")
+            ordered = tuple(sorted(domain)) if rest else ()
+            if all(
+                any(
+                    not any(a.substitute(full) in dtrue for a in negated)
+                    and _open_satisfied(tuple(dict.fromkeys(a.substitute(full) for a in opened)), index, exists, domain)
+                    for full in _groundings(_join(joined, index, theta, domain), rest, ordered)
+                )
+                for dtrue, index, exists in truths
+            ):
                 out.add(example)
         return frozenset(out)
 
 
 # --- generality order -------------------------------------------------------
 
-def _literal_holds(
-    lit: Literal,
-    cautious_d: frozenset[Atom],
-    cautious_dl: frozenset[Atom],
-    possibly_d,
-) -> bool:
-    if lit.negated:
-        return lit.atom not in possibly_d()
-    if lit.atom.pred.is_dl:
-        return lit.atom in cautious_dl
-    return lit.atom in cautious_d
+def _literal_holds(lit: Literal, cautious: frozenset[Atom], possibly_d) -> bool:
+    return lit.atom not in possibly_d() if lit.negated else lit.atom in cautious
 
 
 def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
@@ -570,14 +564,14 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
     head, sigma, constants, truth, theory = _prepared(kb, (h2, h1_constants), _augmented)
     if truth is None:
         return True  # augmented theory admits no model: entailment is vacuous
-    cautious_d, cautious_dl, index = truth
+    cautious, index = truth
     domain = theory.domain
 
     # first the skolemization's own substitution, when it also maps h1's
     # head onto h2's, against the models
     natural = {v: sigma[v] for v in h1_vars} if sigma.keys() >= h1_var_set else None
     if natural is not None and h1.head.substitute(natural) == head and all(
-        _literal_holds(l.substitute(natural), cautious_d, cautious_dl, theory.possible) for l in h1.body
+        _literal_holds(l.substitute(natural), cautious, theory.possible) for l in h1.body
     ):
         return True
 
@@ -599,12 +593,9 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
             return False
         possible = theory.possible()
     rest = [v for v in unbound if v not in bound]
-    for theta in _join(positive, index, bound, constants):
-        for combo in itertools.product(domain, repeat=len(rest)):
-            full = dict(theta)
-            full.update(zip(rest, combo))
-            if not any(a.substitute(full) in possible for a in negated):
-                return True
+    for full in _groundings(_join(positive, index, bound, constants), rest, domain):
+        if not any(a.substitute(full) in possible for a in negated):
+            return True
     return False
 
 
@@ -665,12 +656,11 @@ def _augmented(kb: HybridKB, kb_constants: frozenset[Const], key: tuple) -> tupl
     positive datalog atoms become facts, its positive ontology atoms, sorted
     by ``str``, assertions, and its negated atoms constraints of one theory
     over the KB's rules and TBox.  ``constants`` are those of the KB's rules,
-    ``h1`` and the skolemized ``h2``.  ``truth`` is the cautious datalog and
-    ontology truth over the canonical models and those atoms indexed by
-    predicate (each ontology predicate lists its atoms of the ontology truth,
-    each datalog predicate its atoms of the datalog truth), or None when the
-    theory has no model.  Equal rules whose bodies are listed in another
-    order skolemize to renamings of each other, which no verdict tells apart.
+    ``h1`` and the skolemized ``h2``.  ``truth`` is the cautious truth, the
+    datalog and ontology atoms true in every canonical model, and those atoms
+    indexed by predicate, or None when the theory has no model.  Equal rules
+    whose bodies are listed in another order skolemize to renamings of each
+    other, which no verdict tells apart.
     """
     from .model import skolemize  # looked up per call, so it can be traced
 
@@ -683,16 +673,8 @@ def _augmented(kb: HybridKB, kb_constants: frozenset[Const], key: tuple) -> tupl
     theory = _Theory(kb.tbox, abox, kb.rules, facts, tuple(sorted(constants)), forbidden)
     truth = None
     if theory.models:
-        cautious_d = frozenset.intersection(*[frozenset(m.datalog_model.true_atoms) for m in theory.models])
-        cautious_dl = frozenset.intersection(*[m.guess.true_atoms for m in theory.models])
-        index: dict[Predicate, list[Atom]] = {}
-        for a in cautious_d:
-            if not a.pred.is_dl:
-                index.setdefault(a.pred, []).append(a)
-        for a in cautious_dl:
-            if a.pred.is_dl:
-                index.setdefault(a.pred, []).append(a)
-        truth = cautious_d, cautious_dl, index
+        cautious = frozenset.intersection(*[m.datalog_model.true_atoms | m.guess.true_atoms for m in theory.models])
+        truth = cautious, _index(cautious)
     return h2s.head, sigma, constants, truth, theory
 
 
@@ -727,6 +709,17 @@ def _join(atoms, index, theta, domain):
                 break
         else:
             yield from _join(rest, index, ext, domain)
+
+
+def _groundings(bindings, variables, domain):
+    """Every extension of each substitution in ``bindings`` that binds
+    ``variables`` to constants of the sorted ``domain``, in product order,
+    each as a new dict."""
+    for theta in bindings:
+        for combo in itertools.product(domain, repeat=len(variables)):
+            full = dict(theta)
+            full.update(zip(variables, combo))
+            yield full
 
 
 def compare(h1: Rule, h2: Rule, kb: HybridKB) -> GeneralityVerdict:

@@ -11,7 +11,15 @@ recomputed from scratch in each round.
 Ontology atoms in generated rule bodies are ground once the head and datalog
 variables are, or have one open variable that occurs nowhere else in the
 rule: the fragment in which a named or an anonymous witness decides the atom
-on its own.
+on its own.  With ``shared=True`` a rule also gets two or three ontology atoms
+that share an open variable.  The checker groups a body's open atoms by
+shared variables: a group needs one assignment of its variables to named
+constants, and only a group of one role atom whose one open variable occurs
+once may instead be met by an anonymous witness.
+
+:func:`brute_force_covered` decides coverage of a rule for a target that
+occurs nowhere in the KB from the same models: in every model some grounding
+of the head and datalog variables over the constants satisfies the body.
 """
 
 import itertools
@@ -42,9 +50,11 @@ IDB = tuple(Predicate(n, 1, DATALOG) for n in ("p", "q", "r"))
 X, Y = Var("X"), Var("Y")
 
 
-def random_hybrid_kb(rng: random.Random) -> HybridKB:
+def random_hybrid_kb(rng: random.Random, shared: bool = False) -> HybridKB:
     """A KB over at most three constants with a random TBox, ABox, facts and
-    rules, negation included."""
+    rules, negation included.  ``shared`` adds ontology atoms that share an
+    open variable to every random rule, and two to five more assertions;
+    without it no extra value is drawn from ``rng``."""
     consts = [Const(f"c{i}") for i in range(rng.randint(1, 3))]
     names = [p.name for p in CONCEPTS]
     tbox = []
@@ -68,8 +78,10 @@ def random_hybrid_kb(rng: random.Random) -> HybridKB:
             abox.add(Atom(rng.choice(CONCEPTS), (rng.choice(consts),)))
         else:
             abox.add(Atom(rng.choice(ROLES), (rng.choice(consts), rng.choice(consts))))
+    if shared:
+        abox.update(random_assertion(rng, consts) for _ in range(rng.randint(2, 5)))
 
-    rules = [_random_rule(rng, consts) for _ in range(rng.randint(1, 4))]
+    rules = [_random_rule(rng, consts, shared) for _ in range(rng.randint(1, 4))]
     p, q = rng.sample(IDB, 2)
     a, b = rng.choice(CONCEPTS), rng.choice(CONCEPTS)
     loop = rng.random()
@@ -98,7 +110,17 @@ def _naf_rule(head: Predicate, negated: Predicate) -> Rule:
     return Rule(Atom(head, (X,)), (Literal(Atom(D, (X,))), Literal(Atom(negated, (X,)), True)))
 
 
-def _random_rule(rng: random.Random, consts) -> Rule:
+def random_assertion(rng: random.Random, consts) -> Atom:
+    """A concept or role assertion over ``consts``, roles more often."""
+    if rng.random() < 0.3:
+        return Atom(rng.choice(CONCEPTS), (rng.choice(consts),))
+    return Atom(rng.choice(ROLES), (rng.choice(consts), rng.choice(consts)))
+
+
+def random_body(rng: random.Random, consts, shared: bool = False) -> tuple[list[Literal], set[Var]]:
+    """A random rule body that starts with ``d(X)``, and the variables that
+    its datalog literals bind; with ``shared``, two or three ontology atoms
+    share an open variable."""
     body = [Literal(Atom(D, (X,)))]
     bound = {X}
     if rng.random() < 0.3:
@@ -116,6 +138,20 @@ def _random_rule(rng: random.Random, consts) -> Rule:
             other = t if rng.random() < 0.3 else next(fresh)
             args = (t, other) if rng.random() < 0.5 else (other, t)
             body.append(Literal(Atom(rng.choice(ROLES), args)))
+    if shared:
+        v = next(fresh)
+        for _ in range(rng.randint(2, 3)):
+            if rng.random() < 0.3:
+                body.append(Literal(Atom(rng.choice(CONCEPTS), (v,))))
+                continue
+            other = rng.choice(sorted(bound, key=str) + list(consts) + [v, next(fresh)])
+            args = (v, other) if rng.random() < 0.5 else (other, v)
+            body.append(Literal(Atom(rng.choice(ROLES), args)))
+    return body, bound
+
+
+def _random_rule(rng: random.Random, consts, shared: bool = False) -> Rule:
+    body, bound = random_body(rng, consts, shared)
     r = rng.random()
     if r < 0.6:
         head = Atom(rng.choice(IDB), (X,))
@@ -128,19 +164,19 @@ def _random_rule(rng: random.Random, consts) -> Rule:
 
 # --- brute-force checker ----------------------------------------------------
 
-def _constants(kb: HybridKB) -> list[Const]:
+def _constants(kb: HybridKB, rules=()) -> list[Const]:
     out = set()
-    rule_atoms = [a for r in kb.rules for a in (r.head, *(l.atom for l in r.body))]
+    rule_atoms = [a for r in (*kb.rules, *rules) for a in (r.head, *(l.atom for l in r.body))]
     for a in itertools.chain(kb.abox, kb.facts, rule_atoms):
         out.update(t for t in a.args if isinstance(t, Const))
     return sorted(out)
 
 
-def _ground(kb: HybridKB, consts):
+def _ground(rules, consts):
     """Every instance of every rule over the constants, binding the variables
     of the head and the datalog literals; the other variables stay open."""
     out = []
-    for rule in kb.rules:
+    for rule in rules:
         bind = {v for v in rule.head.args if isinstance(v, Var)}
         for l in rule.body:
             if l.atom.pred.kind == DATALOG:
@@ -184,18 +220,44 @@ def _tbox_step(kb: HybridKB, onto: set, consts):
     return new, lifted
 
 
-def _atom_holds(atom: Atom, onto: set, witnesses: set, consts) -> bool:
-    open_vars = [t for t in atom.args if isinstance(t, Var)]
-    if not open_vars:
-        return atom in onto
-    v = open_vars[0]
-    if any(atom.substitute({v: c}) in onto for c in consts):
-        return True
-    # an anonymous individual: related to a named anchor, member of no concept
-    if atom.pred.kind != ROLE or len(open_vars) != 1:
+def _ontology_holds(atoms, onto: set, witnesses: set, consts) -> bool:
+    """The ontology atoms of a rule instance hold.  Atoms linked by shared
+    open variables form a group, which holds when one assignment of its
+    variables to constants makes every atom of it true.  A group of one role
+    atom whose one open variable occurs once may also be met by an anonymous
+    individual: related to a named anchor, member of no concept."""
+    groups = []  # (variables, atoms)
+    for atom in atoms:
+        vs = {t for t in atom.args if isinstance(t, Var)}
+        linked = [g for g in groups if g[0] & vs]
+        groups = [g for g in groups if not g[0] & vs]
+        groups.append((vs.union(*(g[0] for g in linked)), [atom, *(a for g in linked for a in g[1])]))
+    for vs, group in groups:
+        vs = sorted(vs, key=str)
+        if any(
+            all(a.substitute(dict(zip(vs, combo))) in onto for a in group)
+            for combo in itertools.product(consts, repeat=len(vs))
+        ):
+            continue
+        atom = group[0]
+        if len(group) == 1 and len(vs) == 1 and atom.pred.kind == ROLE and atom.args.count(vs[0]) == 1:
+            pos = 1 - atom.args.index(vs[0])
+            if (atom.pred.name, atom.args[pos], pos) in witnesses:
+                continue
         return False
-    pos = 1 - atom.args.index(v)
-    return (atom.pred.name, atom.args[pos], pos) in witnesses
+    return True
+
+
+def _body_holds(inst: Rule, data: set, onto: set, witnesses: set, consts, assumed_true=None) -> bool:
+    """The body of a rule instance, ground but for its open ontology
+    variables, holds; its negated atoms are read in ``assumed_true`` when
+    given (the reduct) and in ``data`` otherwise."""
+    negated_in = data if assumed_true is None else assumed_true
+    return all(
+        l.atom not in negated_in if l.negated else l.atom in data
+        for l in inst.body
+        if l.atom.pred.kind == DATALOG
+    ) and _ontology_holds([l.atom for l in inst.body if l.atom.pred.kind != DATALOG], onto, witnesses, consts)
 
 
 def _least_model(kb: HybridKB, instances, consts, assumed_true: set):
@@ -205,13 +267,7 @@ def _least_model(kb: HybridKB, instances, consts, assumed_true: set):
         onto_next, witnesses = _tbox_step(kb, onto, consts)
         data_next = set(data)
         for inst in instances:
-            if any(l.negated and l.atom in assumed_true for l in inst.body):
-                continue
-            if all(
-                l.negated
-                or (l.atom in data if l.atom.pred.kind == DATALOG else _atom_holds(l.atom, onto, witnesses, consts))
-                for l in inst.body
-            ):
+            if _body_holds(inst, data, onto, witnesses, consts, assumed_true):
                 (onto_next if inst.head.pred.kind != DATALOG else data_next).add(inst.head)
         if onto_next == onto and data_next == data:
             return frozenset(data), frozenset(onto), frozenset(witnesses)
@@ -222,7 +278,7 @@ def brute_force_models(kb: HybridKB) -> set:
     """The canonical models of ``kb`` as ``(datalog atoms, ontology atoms,
     witnesses)`` triples, with witnesses as ``(role, anchor, anchor_pos)``."""
     consts = _constants(kb)
-    instances = _ground(kb, consts)
+    instances = _ground(kb.rules, consts)
     negated = sorted({l.atom for r in instances for l in r.body if l.negated}, key=str)
     found = set()
     for bits in itertools.product((False, True), repeat=len(negated)):
@@ -231,6 +287,23 @@ def brute_force_models(kb: HybridKB) -> set:
         if all((a in model[0]) == (a in assumed) for a in negated):
             found.add(model)
     return found
+
+
+def brute_force_covered(kb: HybridKB, rule: Rule, examples) -> frozenset:
+    """The examples that ``rule``, for a target that occurs nowhere in
+    ``kb``, covers: in every model of :func:`brute_force_models` some
+    grounding of the head and datalog variables over the constants of the KB,
+    the rule and the example has the example as its head and a body that
+    holds."""
+    models = brute_force_models(kb)
+    out = set()
+    for example in examples:
+        consts = sorted(set(_constants(kb, (rule,))).union(example.args))
+        instances = [inst for inst in _ground((rule,), consts) if inst.head == example]
+        if all(any(_body_holds(inst, data, onto, witnesses, consts) for inst in instances)
+               for data, onto, witnesses in models):
+            out.add(example)
+    return frozenset(out)
 
 
 TEMPLATE_HEADER = """\

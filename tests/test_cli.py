@@ -202,6 +202,21 @@ def test_settled_loop_past_the_branch_budget(capsys, tmp_path):
     assert (code, out) == (0, "not-entailed")
 
 
+def test_learn_past_the_grounding_budget_exit_code(capsys, tmp_path):
+    # a chain of 1,001 constants: the winning child binds two variables
+    # beyond the head, 1001^2 groundings past the grounding budget, but its
+    # positive literals bind both, so coverage joins them from the facts and
+    # the budget refuses nothing
+    facts = "".join(f"e(n{i},n{i + 1}).\n" for i in range(1000))
+    (tmp_path / "chain.okb").write_text(f"pred e/2.\n#facts\n{facts}")
+    (tmp_path / "chain.oex").write_text("+ T(n0)\n+ T(n10)\n+ T(n500)\n- T(n999)\n- T(n1000)\n")
+    (tmp_path / "chain.obias").write_text("datalog+ = e/2\n")
+    code, payload = run_json(capsys, "learn", "--kb", str(tmp_path / "chain.okb"),
+                             "--examples", str(tmp_path / "chain.oex"), "--bias", str(tmp_path / "chain.obias"))
+    assert code == 0
+    assert [r["rule"] for r in payload["rules"]] == ["T(X) :- e(X,Z), e(Z,W)."]
+
+
 def test_check_undeclared_predicate(capsys):
     code, _, err = run(capsys, "check", "--kb", KB,
                        "--rule", "LONER(X) :- nosuch(X).", "--example", "LONER(Mary)")

@@ -3,16 +3,22 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import target_atom
-from genhybrid import CONCEPTS, D, E, IDB, ROLES, random_hybrid_kb
+from genhybrid import (
+    CONCEPTS, D, E, IDB, ROLES, X, Y, brute_force_covered, brute_force_models, random_body, random_hybrid_kb,
+)
 from ontorules import parse_bias, parse_kb, parse_rule
 from ontorules.hybrid import InconsistentKBError, KBModels, covers
 from ontorules.learner import choose_best, gain, learn
-from ontorules.model import Atom, Const, ExampleSet, LanguageBias, ModelError, Predicate, CONCEPT, ROLE
+from ontorules.model import (
+    Atom, BudgetError, Const, ExampleSet, LanguageBias, ModelError, Predicate, Rule,
+    CONCEPT, DEFAULT_GROUNDING_BUDGET, ROLE,
+)
 from ontorules.refine import refine, seed_rule
 from test_acceptance import LIKES_EXAMPLES, LONER_EXAMPLES, _random_kb_from_template
 
@@ -139,3 +145,62 @@ def test_inconsistent_kb():
     bias = parse_bias("datalog+ = q/1\n", kb)
     with pytest.raises(InconsistentKBError):
         learn(kb, target, examples, bias)
+
+
+def test_kb_models_cover_what_the_brute_force_models_cover():
+    """`KBModels.covered` against the brute-force models, which share no code
+    with the hybrid reasoner: `covers` and `covered` both match open atoms
+    with `_open_satisfied`, so the differentials above cannot see a fault in
+    it."""
+    concept, role = Predicate("T", 1, CONCEPT), Predicate("U", 2, ROLE)
+    stranger = Const("z")
+    verdicts = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        kb = random_hybrid_kb(rng, shared=rng.random() < 0.5)
+        consts = sorted(kb.constants())
+        body, bound = random_body(rng, [Const(f"c{i}") for i in range(3)], shared=rng.random() < 0.7)
+        body = body[:1 + (Y in bound)] + [l for l in body[1 + (Y in bound):] if rng.random() < 0.6]
+        if Y in bound and rng.random() < 0.5:
+            rule = Rule(Atom(role, (X, Y)), tuple(body))
+            examples = [Atom(role, args) for args in itertools.product(consts + [stranger], repeat=2)]
+        else:
+            rule = Rule(Atom(concept, (X,)), tuple(body))
+            examples = [Atom(concept, (c,)) for c in consts + [stranger]]
+        want = brute_force_covered(kb, rule, examples)
+        if not brute_force_models(kb):
+            with pytest.raises(InconsistentKBError):
+                KBModels(kb, rule.head.pred).covered(rule, examples)
+            continue
+        assert KBModels(kb, rule.head.pred).covered(rule, examples) == want, seed
+        opened = any(l.atom.pred.is_dl and not set(l.atom.variables()) <= bound for l in rule.body)
+        verdicts.update((e in want, opened) for e in examples)
+    assert min(verdicts.values()) >= 30, verdicts  # examples covered or not, by rules with open atoms or without
+
+
+def test_a_join_past_the_grounding_budget_is_decided():
+    """Four variables beyond the head over 40 constants are 2.56 M groundings,
+    past the grounding budget; the body's literals bind them all, so the join
+    decides from the facts, and only a variable that no positive literal binds
+    still counts against the budget."""
+    nodes = [f"n{i}" for i in range(40)]
+    facts = [f"e({a},{b})." for a, b in zip(nodes, nodes[1:])] + ["f(n4)."]
+    kb = parse_kb("pred e/2.\npred f/1.\n#facts\n" + "\n".join(facts) + "\n")
+    target = Predicate("T", 1, CONCEPT)
+    rule = parse_rule("T(X) :- e(X,Y), e(Y,Z), e(Z,V), e(V,W), f(W).", kb.with_predicate(target))
+    examples = [Atom(target, (Const(p),)) for p in nodes]
+    assert len(kb.constants()) ** 4 > DEFAULT_GROUNDING_BUDGET
+    # the independent verdict: the nodes four e-steps before an f
+    edges = dict(zip(nodes, nodes[1:]))
+    walk = {}
+    for p in nodes:
+        q = p
+        for _ in range(4):
+            q = edges.get(q)
+        walk[p] = q
+    want = frozenset(Atom(target, (Const(p),)) for p in nodes if walk[p] == "n4")
+    assert want == {Atom(target, (Const("n0"),))}
+    assert KBModels(kb, target).covered(rule, examples) == want
+    unbound = parse_rule("T(X) :- e(X,Y), not e(Y,Z), not e(Z,V), not e(V,W), not e(W,U).", kb.with_predicate(target))
+    with pytest.raises(BudgetError, match=f"grounding exceeded the budget of {DEFAULT_GROUNDING_BUDGET} instances"):
+        KBModels(kb, target).covered(unbound, examples)

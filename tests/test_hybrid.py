@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -23,7 +25,8 @@ from ontorules.hybrid import (
     more_general,
     nm_models,
 )
-from ontorules.model import Atom, Const, HybridKB, Literal, Predicate, Rule, CONCEPT, DATALOG, ROLE
+from ontorules.dlreason import ExistsFact
+from ontorules.model import Atom, Const, HybridKB, Literal, Predicate, Rule, Var, CONCEPT, DATALOG, ROLE
 from ontorules.refine import SPECIALIZE_ONTOLOGY, refine, seed_rule
 from test_refine import _steps
 
@@ -277,3 +280,80 @@ def test_stratified_kb_past_the_branch_budget_has_one_model():
     kb = template_kb(40, seed=40)
     assert sum(f.pred.name == "famous" for f in kb.facts) > DEFAULT_BRANCH_BUDGET
     assert len(nm_models(kb)) == 1
+
+
+def test_nm_models_agree_with_brute_force_checker_on_shared_open_variables():
+    """Rules whose ontology atoms share an open variable: such a group needs
+    one named witness, and only a lone role atom may be met anonymously."""
+    for seed in range(300):
+        kb = random_hybrid_kb(random.Random(seed), shared=True)
+        got = {
+            (
+                m.datalog_model.true_atoms,
+                m.guess.true_atoms,
+                frozenset((f.role, f.anchor, f.anchor_pos) for f in m.existentials),
+            )
+            for m in nm_models(kb)
+        }
+        assert got == brute_force_models(kb), f"seed {seed}"
+
+
+def _reference_open_satisfied(open_atoms, gtrue, exists, domain):
+    """Open ontology atoms matched by a product over the sorted ``domain``
+    per connected component of shared variables."""
+    if not open_atoms:
+        return True
+    comps = []
+    for a in open_atoms:
+        vs = set(a.variables())
+        merged = [a]
+        rest = []
+        for comp in comps:
+            if vs & {v for x in comp for v in x.variables()}:
+                merged.extend(comp)
+            else:
+                rest.append(comp)
+        comps = rest + [merged]
+    for comp in comps:
+        comp_vars = tuple(dict.fromkeys(v for a in comp for v in a.variables()))
+        if any(
+            all(a.substitute(dict(zip(comp_vars, combo))) in gtrue for a in comp)
+            for combo in itertools.product(domain, repeat=len(comp_vars))
+        ):
+            continue
+        if len(comp) == 1 and len(comp_vars) == 1 and comp[0].pred.kind == ROLE:
+            atom = comp[0]
+            var_pos = 0 if isinstance(atom.args[0], Var) else 1
+            anchor = atom.args[1 - var_pos]
+            if any(f.role == atom.pred.name and f.anchor == anchor and f.anchor_pos == 1 - var_pos for f in exists):
+                continue
+        return False
+    return True
+
+
+def test_open_satisfied_agrees_with_the_product_matcher():
+    concepts = [Predicate(n, 1, CONCEPT) for n in "AB"]
+    roles = [Predicate(n, 2, ROLE) for n in "RS"]
+    names = [Const(n) for n in "abcd"]
+    variables = [Var(n) for n in "YZW"]
+    verdicts = Counter()
+    for seed in range(2000):
+        rng = random.Random(seed)
+        gtrue = {Atom(rng.choice(concepts), (rng.choice(names),)) for _ in range(rng.randint(0, 4))}
+        gtrue |= {Atom(rng.choice(roles), (rng.choice(names), rng.choice(names))) for _ in range(rng.randint(0, 10))}
+        exists = {ExistsFact(rng.choice(roles).name, rng.choice(names), rng.randint(0, 1))
+                  for _ in range(rng.randint(0, 3))}
+        domain = tuple(sorted(rng.sample(names, rng.randint(1, 4))))
+        atoms = []
+        for _ in range(rng.randint(1, 3)):
+            v = rng.choice(variables)
+            if rng.random() < 0.3:
+                atoms.append(Atom(rng.choice(concepts), (v,)))
+            else:
+                other = rng.choice(names + variables)
+                atoms.append(Atom(rng.choice(roles), (v, other) if rng.random() < 0.5 else (other, v)))
+        atoms = tuple(dict.fromkeys(atoms))
+        want = _reference_open_satisfied(atoms, gtrue, exists, domain)
+        assert hybrid._open_satisfied(atoms, hybrid._index(gtrue), exists, frozenset(domain)) == want, seed
+        verdicts[want, len({v for a in atoms for v in a.variables()}) < sum(len(a.variables()) for a in atoms)] += 1
+    assert min(verdicts.values()) >= 50, verdicts  # both verdicts, with and without a shared variable

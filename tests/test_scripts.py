@@ -27,3 +27,17 @@ def test_a_script_imports_without_running(monkeypatch, path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+@pytest.mark.parametrize("task, size", [("loner", 40), ("likes", 10)])
+def test_a_learn_ladder_learns_its_labelling_rule(monkeypatch, capsys, task, size):
+    """One small size of each ``scale_ladder.py`` learn ladder."""
+    spec = importlib.util.spec_from_file_location("_script_scale_ladder", SCRIPTS[0].parent / "scale_ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec.loader.exec_module(ladder)
+    monkeypatch.setitem(ladder.LEARN[task], "sizes", (size,))
+    ladder.learn_ladder(task)
+    row = capsys.readouterr().out.splitlines()[-1]
+    assert row.split()[0] == str(size)
+    assert row.endswith("  " + ladder.LEARN[task]["rule"]), row
