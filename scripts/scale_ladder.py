@@ -17,13 +17,19 @@ N.
   WANTS-TO-MARRY/2``.  The positives are the (person, place) pairs that
   ``LIKES(X,Y) :- meets(X,Z,Y), famous(Z).`` covers; the negatives are the
   first 2 x |positives| other pairs, people first.
+- ``check`` (N = 20, 40, 80, 160, 320): what ``ontorules check`` computes,
+  ``covers`` of the LIKES labelling rule, on the first positive and the first
+  negative example of the ``likes`` ladder.  The line gives the wall time of
+  the two calls, their verdicts, and whether they agree with the learner's
+  coverage test (``KBModels.covered``), which labelled the examples.
 
 A ``learn`` line gives the wall time of ``learn`` alone (examples labelled
 beforehand) and the learned rules.  Both learn ladders learn the labelling
-rule at every size; ``tests/test_scripts.py`` checks one small size of each.
+rule at every size, and the check ladder agrees at every size;
+``tests/test_scripts.py`` checks one small size of each.
 
 Run from a checkout: ``PYTHONPATH=src python scripts/scale_ladder.py
-[models|loner|likes ...]`` (all three by default).
+[models|loner|likes|check ...]`` (all four by default).
 """
 
 import argparse
@@ -34,14 +40,14 @@ from importlib import resources
 from pathlib import Path
 
 from ontorules import learn, parse_bias, parse_rule
-from ontorules.datalog import extensional_predicates
-from ontorules.hybrid import KBModels, _partial_ground, nm_models
-from ontorules.model import DEFAULT_GROUNDING_BUDGET, Atom, BudgetError, Const, ExampleSet
+from ontorules.hybrid import KBModels, _partial_ground, covers, nm_models
+from ontorules.model import Atom, BudgetError, Const, ExampleSet
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from genhybrid import PLACES, template_kb  # noqa: E402
 
 SIZES = (5, 10, 20, 40, 80)
+CHECK_SIZES = (20, 40, 80, 160, 320)
 LEARN = {
     "loner": {
         "sizes": (80, 160, 320, 640),
@@ -59,9 +65,7 @@ LEARN = {
 def negated_atoms(kb) -> int:
     """Distinct negated ground atoms in the KB's grounding."""
     domain = tuple(sorted(kb.constants()))
-    instances = _partial_ground(
-        kb.rules, frozenset(kb.facts), domain, DEFAULT_GROUNDING_BUDGET, extensional_predicates(kb.rules)
-    )
+    instances = _partial_ground(kb.rules, frozenset(kb.facts), domain)
     return len({a for i in instances for a in i.naf})
 
 
@@ -109,16 +113,33 @@ def learn_ladder(task: str) -> None:
               flush=True)
 
 
+def check_ladder() -> None:
+    print(f"CHECK covers\n{'N':>4} {'seconds':>9}  verdicts  agrees")
+    for n in CHECK_SIZES:
+        kb = template_kb(n, seed=n)
+        rule = parse_rule(LEARN["likes"]["rule"], kb)
+        labelled = examples(kb, rule, n)
+        pair = (labelled.positives[0], labelled.negatives[0])
+        t0 = time.perf_counter()
+        verdicts = tuple(covers(kb, rule, e) for e in pair)
+        elapsed = time.perf_counter() - t0
+        agrees = "yes" if verdicts == (True, False) else "NO"
+        shown = "/".join("covers" if v else "does-not-cover" for v in verdicts)
+        print(f"{n:>4} {elapsed:>9.3f}  {shown}  {agrees}", flush=True)
+
+
 def main() -> None:
-    ladders = ("models", *LEARN)
+    ladders = ("models", *LEARN, "check")
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("ladders", nargs="*", metavar="{models,loner,likes}", help="default: all three")
+    ap.add_argument("ladders", nargs="*", metavar="{models,loner,likes,check}", help="default: all four")
     chosen = ap.parse_args().ladders or ladders
     for bad in set(chosen) - set(ladders):
         ap.error(f"unknown ladder {bad!r}")
     for ladder in chosen:
         if ladder == "models":
             models_ladder()
+        elif ladder == "check":
+            check_ladder()
         else:
             learn_ladder(ladder)
 

@@ -1,5 +1,12 @@
 """Grounding, stable models and query answering for normal datalog programs.
 
+One grounder, :func:`ground`, instantiates rules for this module and for the
+hybrid model builder: a backtracking join, :func:`_join`, binds the variables
+of a rule's positive datalog literals of extensional predicates from an index
+of the facts, and only the variables that it leaves unbound range over the
+domain (:func:`_groundings`).  :func:`answer_query` joins a query's positive
+literals against each stable model the same way.
+
 Stable models are found by iterating the reduct fixpoint from the closed-world
 guess, which settles on every stratified program, and otherwise by branching
 on the atoms that occur under negation-as-failure and verifying each branch
@@ -19,11 +26,12 @@ from .model import (
     Const,
     Literal,
     ModelError,
+    Predicate,
     Record,
     Rule,
+    Var,
     DATALOG,
     DEFAULT_GROUNDING_BUDGET,
-    ground_substitutions,
 )
 
 #: Cap on the number of distinct negated atoms branched over.
@@ -68,14 +76,39 @@ class Interpretation(Record):
     __slots__ = ("true_atoms",)  # frozenset[Atom]
 
 
-def extensional_predicates(rules) -> set:
-    """Predicates that never occur in a rule head."""
-    heads = {r.head.pred for r in rules}
-    preds = set()
-    for r in rules:
-        preds.add(r.head.pred)
-        preds.update(l.atom.pred for l in r.body)
-    return preds - heads
+def grounded_variables(rule: Rule) -> tuple[Var, ...]:
+    """The variables of the head and of the datalog literals, in order of
+    first occurrence, head first: those that the hybrid grounder binds."""
+    atoms = [rule.head, *(l.atom for l in rule.body if l.atom.pred.kind == DATALOG)]
+    return tuple(dict.fromkeys(v for a in atoms for v in a.variables()))
+
+
+def ground(rules, facts, domain: tuple[Const, ...], wanted, budget: int = DEFAULT_GROUNDING_BUDGET):
+    """Instances of ``rules`` that bind the variables ``wanted(rule)`` to
+    constants of the sorted tuple ``domain``, per rule in product order.
+
+    The positive datalog literals of extensional predicates, which head no
+    rule of ``rules``, are joined with the ``facts``, so an instance that one
+    of them fails is never visited; this preserves the stable models.  Only
+    the wanted variables that the join leaves unbound range over the domain.
+    Past ``budget`` substitutions in all, :class:`BudgetError` is raised."""
+    ext = {l.atom.pred for r in rules for l in r.body} - {r.head.pred for r in rules}
+    index = _index(facts)
+    members = frozenset(domain)
+    count = 0
+    for rule in rules:
+        variables = wanted(rule)
+        joined = [l.atom for l in rule.body if not l.negated and l.atom.pred.kind == DATALOG and l.atom.pred in ext]
+        bound = {v for a in joined for v in a.variables()}
+        found = []
+        for theta in _groundings(_join(joined, index, {}, members), [v for v in variables if v not in bound], domain):
+            count += 1
+            if count > budget:
+                raise BudgetError(f"grounding exceeded the budget of {budget} instances")
+            found.append(theta)
+        found.sort(key=lambda theta: [theta[v] for v in variables])
+        for theta in found:
+            yield rule.substitute(theta)
 
 
 def ground_program(
@@ -84,26 +117,60 @@ def ground_program(
     domain: set[Const],
     budget: int = DEFAULT_GROUNDING_BUDGET,
 ) -> GroundProgram:
-    """Instantiate every rule over ``domain``.
+    """Instantiate every rule over ``domain`` (:func:`ground`)."""
+    return GroundProgram(tuple(ground(rules, facts, tuple(sorted(domain)), Rule.variables, budget)), facts)
 
-    Instances whose positive body mentions an extensional atom that is not a
-    fact are pruned; this preserves the stable models.
+
+def _index(*atom_sets) -> dict[Predicate, list[Atom]]:
+    """The atoms of the given collections, listed under their predicates."""
+    index: dict[Predicate, list[Atom]] = {}
+    for a in itertools.chain(*atom_sets):
+        index.setdefault(a.pred, []).append(a)
+    return index
+
+
+def _join(atoms, index, theta, domain):
+    """Every extension of the substitution ``theta`` to the variables of
+    ``atoms`` that maps each atom onto one that ``index`` lists under its
+    predicate, binding variables only to constants in the set ``domain``.
+
+    The atoms are matched in order against their candidates under the
+    binding built so far, so only bindings that the indexed atoms allow are
+    visited, not the product over the domain.  Each extension is yielded
+    once, as a new dict (``theta`` itself when ``atoms`` is empty).
     """
-    ext = extensional_predicates(rules)
-    out: list[Rule] = []
-    remaining = budget
-    for rule in rules:
-        instances = ground_substitutions(rule, domain, budget=remaining) if domain else [rule]
-        remaining -= len(instances)
-        for inst in instances:
-            if any(
-                l.atom.pred in ext and l.atom not in facts
-                for l in inst.positive_body()
-                if l.atom.pred.kind == DATALOG
-            ):
-                continue
-            out.append(inst)
-    return GroundProgram(tuple(out), facts)
+    if not atoms:
+        yield theta
+        return
+    atom, rest = atoms[0], atoms[1:]
+    for fact in index.get(atom.pred, ()):
+        ext = theta
+        for t, c in zip(atom.args, fact.args):
+            if isinstance(t, Var):
+                value = ext.get(t)
+                if value is None:
+                    if c not in domain:
+                        break
+                    if ext is theta:
+                        ext = dict(theta)
+                    ext[t] = c
+                elif value != c:
+                    break
+            elif t != c:
+                break
+        else:
+            yield from _join(rest, index, ext, domain)
+
+
+def _groundings(bindings, variables, domain):
+    """Every extension of each substitution in ``bindings`` that binds
+    ``variables`` to constants of the sorted ``domain``, in product order,
+    each as a new dict."""
+    for theta in bindings:
+        for combo in itertools.product(domain, repeat=len(variables)):
+            full = dict(theta)
+            full.update(zip(variables, combo))
+            yield full
 
 
 def _reduct_least_model(p: GroundProgram, naf_truth: dict[Atom, bool]) -> set[Atom]:
@@ -178,37 +245,38 @@ def stable_models(p: GroundProgram) -> list[Interpretation]:
     return models
 
 
-def _holds(literal: Literal, model: Interpretation) -> bool:
-    inside = literal.atom in model.true_atoms
-    return not inside if literal.negated else inside
-
-
 def answer_query(
     p: GroundProgram,
     query: tuple[Literal, ...],
     brave: bool = False,
 ) -> list[dict]:
     """Substitutions grounding the query that hold in every stable model
-    (or in some model, with ``brave=True``).
+    (or in some model, with ``brave=True``), in product order over the
+    program's sorted constants.
 
-    Raises :class:`InconsistentProgramError` when the program has no stable
-    model rather than reporting every substitution vacuously.
+    The positive literals are joined with each model's true atoms, and only
+    the variables that they leave unbound range over the constants.  Raises
+    :class:`InconsistentProgramError` when the program has no stable model
+    rather than reporting every substitution vacuously.
     """
     models = stable_models(p)
     if not models:
         raise InconsistentProgramError("program has no stable model")
-    variables: dict = {}
-    for lit in query:
-        for v in lit.atom.variables():
-            variables.setdefault(v)
-    variables = tuple(variables)
-    domain = sorted(p.constants())
-    out = []
-    combos = itertools.product(domain, repeat=len(variables)) if variables else [()]
-    for combo in combos:
-        theta = dict(zip(variables, combo))
-        ground = [lit.substitute(theta) for lit in query]
-        check = any if brave else all
-        if check(all(_holds(l, m) for l in ground) for m in models):
-            out.append(theta)
-    return out
+    variables = tuple(dict.fromkeys(v for lit in query for v in lit.atom.variables()))
+    positive = [l.atom for l in query if not l.negated]
+    negated = [l.atom for l in query if l.negated]
+    bound = {v for a in positive for v in a.variables()}
+    rest = [v for v in variables if v not in bound]
+    domain = tuple(sorted(p.constants()))
+    members = frozenset(domain)
+
+    def holding(true):
+        return {
+            tuple(theta[v] for v in variables)
+            for theta in _groundings(_join(positive, _index(true), {}, members), rest, domain)
+            if not any(a.substitute(theta) in true for a in negated)
+        }
+
+    answers = [holding(m.true_atoms) for m in models]
+    found = set.union(*answers) if brave else set.intersection(*answers)
+    return [dict(zip(variables, combo)) for combo in sorted(found)]

@@ -21,11 +21,13 @@ a query, a skolemized rule body), ground once.
   generality test, where "not u" must mean that u cannot be made true in any
   admissible completion.  A theory builds it on demand from its instances.
 
-One backtracking join, :func:`_join`, matches every body against atoms by
-predicate: open ontology atoms in the model builders (:func:`_open_satisfied`),
-a rule against each KB model (:meth:`KBModels.covered`) and ``h1`` in
-:func:`more_general`.  Only a variable that no joined atom binds ranges over
-the domain (:func:`_groundings`).
+One backtracking join, :func:`datalog._join`, matches every body against
+atoms by predicate: a rule's datalog literals of extensional predicates
+against the facts when a theory is ground (:func:`datalog.ground`), open
+ontology atoms in the model builders (:func:`_open_satisfied`), a rule against
+each KB model (:meth:`KBModels.covered`) and ``h1`` in :func:`more_general`.
+Only a variable that no joined atom binds ranges over the domain
+(:func:`datalog._groundings`).
 """
 
 from __future__ import annotations
@@ -38,8 +40,12 @@ from . import datalog
 from .datalog import (
     GroundProgram,
     Interpretation,
+    _groundings,
+    _index,
+    _join,
     branch_search,
-    extensional_predicates,
+    ground,
+    grounded_variables,
     stable_models,
 )
 from .dlreason import DLGuess, ExistsFact, close, role_closure, concept_closure
@@ -119,52 +125,25 @@ class _Instance:
         self.dl_open = dl_open
 
 
-def _partial_ground(
-    rules: tuple[Rule, ...],
-    facts: frozenset[Atom],
-    domain: tuple[Const, ...],
-    budget: int,
-    ext: set[Predicate],
-) -> list[_Instance]:
-    """Ground every variable that reaches the head or a datalog atom; leave
-    ontology-only variables open for existential matching.  Instances with a
-    datalog atom of an extensional predicate (``ext``, which must be computed
-    from the whole program, not from ``rules`` alone) absent from the facts
-    are pruned.  ``domain`` is a sorted tuple; every caller sorts it once."""
+def _partial_ground(rules: tuple[Rule, ...], facts: frozenset[Atom], domain: tuple[Const, ...]) -> list[_Instance]:
+    """Ground every variable that reaches the head or a datalog atom
+    (:func:`datalog.ground`); leave ontology-only variables open for
+    existential matching.  ``domain`` is a sorted tuple; every caller sorts it
+    once."""
     out: list[_Instance] = []
-    count = 0
-    for rule in rules:
-        to_ground: dict[Var, None] = {}
-        for v in rule.head.variables():
-            to_ground.setdefault(v)
-        for lit in rule.body:
+    for inst in ground(rules, facts, domain, grounded_variables):
+        pos_d, naf, dl_g, dl_o = [], [], [], []
+        for lit in inst.body:
             if lit.atom.pred.kind == DATALOG:
-                for v in lit.atom.variables():
-                    to_ground.setdefault(v)
-        to_ground = tuple(to_ground)
-        combos = itertools.product(domain, repeat=len(to_ground)) if to_ground else [()]
-        for combo in combos:
-            count += 1
-            if count > budget:
-                raise BudgetError(f"grounding exceeded the budget of {budget} instances")
-            inst = rule.substitute(dict(zip(to_ground, combo)))
-            pos_d, naf, dl_g, dl_o = [], [], [], []
-            prune = False
-            for lit in inst.body:
-                if lit.atom.pred.kind == DATALOG:
-                    if lit.negated:
-                        naf.append(lit.atom)
-                    else:
-                        if lit.atom.pred in ext and lit.atom not in facts:
-                            prune = True
-                            break
-                        pos_d.append(lit.atom)
-                elif lit.atom.is_ground():
-                    dl_g.append(lit.atom)
+                if lit.negated:
+                    naf.append(lit.atom)
                 else:
-                    dl_o.append(lit.atom)
-            if not prune:
-                out.append(_Instance(inst.head, tuple(pos_d), tuple(naf), tuple(dl_g), tuple(dl_o)))
+                    pos_d.append(lit.atom)
+            elif lit.atom.is_ground():
+                dl_g.append(lit.atom)
+            else:
+                dl_o.append(lit.atom)
+        out.append(_Instance(inst.head, tuple(pos_d), tuple(naf), tuple(dl_g), tuple(dl_o)))
     return out
 
 
@@ -183,9 +162,7 @@ def _dl_base(
             atoms.add(inst.head)
         atoms.update(inst.dl_ground)
         for a in inst.dl_open:
-            vs = a.variables()
-            for combo in itertools.product(domain, repeat=len(vs)):
-                atoms.add(a.substitute(dict(zip(vs, combo))))
+            atoms.update(a.substitute(full) for full in _groundings(({},), a.variables(), domain))
     c_sup = concept_closure(tbox)
     r_sup = role_closure(tbox)
     for a in list(atoms):
@@ -197,14 +174,6 @@ def _dl_base(
 
 
 # --- model construction -----------------------------------------------------
-
-def _index(*atom_sets) -> dict[Predicate, list[Atom]]:
-    """The atoms of the given collections, listed under their predicates."""
-    index: dict[Predicate, list[Atom]] = {}
-    for a in itertools.chain(*atom_sets):
-        index.setdefault(a.pred, []).append(a)
-    return index
-
 
 def _open_satisfied(open_atoms: tuple[Atom, ...], index: dict, exists: set[ExistsFact], domain) -> bool:
     """Satisfaction of the body's distinct ontology atoms with unbound
@@ -288,9 +257,7 @@ class _Theory:
     def __init__(self, tbox, abox, rules, facts, domain, forbidden=frozenset()):
         counters["canonical_runs"] += 1
         self.tbox, self.abox, self.facts, self.domain, self.forbidden = tbox, abox, facts, domain, forbidden
-        self.instances = instances = _partial_ground(
-            rules, facts, domain, DEFAULT_GROUNDING_BUDGET, extensional_predicates(rules)
-        )
+        self.instances = instances = _partial_ground(rules, facts, domain)
         self._possible = None
         naf_atoms = sorted({a for i in instances for a in i.naf})
 
@@ -330,7 +297,7 @@ def _complete_models(theory: _Theory) -> list[NMModel]:
     for bits in itertools.product((False, True), repeat=len(guessable)):
         true = set(forced) | {a for a, b in zip(guessable, bits) if b}
         gtrue, exists = close(true, tbox)
-        if gtrue - true:
+        if (gtrue - true) & base:
             continue  # closure forces an atom the guess declares false
         index = _index(gtrue)
         # the instances whose ontology body holds reduce the datalog part under this guess
@@ -486,10 +453,9 @@ class KBModels:
         if rule.head.pred != self.target or any(l.atom.pred.name == name for l in rule.body):
             raise ModelError(f"rule {rule} does not define the target {name} non-recursively")
         truths = self._truths
-        grounded = dict.fromkeys(rule.head.variables())
-        grounded.update((v, None) for l in rule.body if l.atom.pred.kind == DATALOG for v in l.atom.variables())
+        grounded = grounded_variables(rule)
         negated = tuple(l.atom for l in rule.body if l.negated)
-        joined = tuple(l.atom for l in rule.body if not l.negated and grounded.keys() >= set(l.atom.variables()))
+        joined = tuple(l.atom for l in rule.body if not l.negated and set(grounded).issuperset(l.atom.variables()))
         opened = tuple(l.atom for l in rule.body if l.atom.pred.is_dl and l.atom not in joined)
         bound = set(rule.head.variables()).union(*(a.variables() for a in joined))
         rest = tuple(v for v in grounded if v not in bound)
@@ -676,50 +642,6 @@ def _augmented(kb: HybridKB, kb_constants: frozenset[Const], key: tuple) -> tupl
         cautious = frozenset.intersection(*[m.datalog_model.true_atoms | m.guess.true_atoms for m in theory.models])
         truth = cautious, _index(cautious)
     return h2s.head, sigma, constants, truth, theory
-
-
-def _join(atoms, index, theta, domain):
-    """Every extension of the substitution ``theta`` to the variables of
-    ``atoms`` that maps each atom onto one that ``index`` lists under its
-    predicate, binding variables only to constants in the set ``domain``.
-
-    The atoms are matched in order against their candidates under the
-    binding built so far, so only bindings that the indexed atoms allow are
-    visited, not the product over the domain.  Each extension is yielded
-    once, as a new dict (``theta`` itself when ``atoms`` is empty).
-    """
-    if not atoms:
-        yield theta
-        return
-    atom, rest = atoms[0], atoms[1:]
-    for fact in index.get(atom.pred, ()):
-        ext = theta
-        for t, c in zip(atom.args, fact.args):
-            if isinstance(t, Var):
-                value = ext.get(t)
-                if value is None:
-                    if c not in domain:
-                        break
-                    if ext is theta:
-                        ext = dict(theta)
-                    ext[t] = c
-                elif value != c:
-                    break
-            elif t != c:
-                break
-        else:
-            yield from _join(rest, index, ext, domain)
-
-
-def _groundings(bindings, variables, domain):
-    """Every extension of each substitution in ``bindings`` that binds
-    ``variables`` to constants of the sorted ``domain``, in product order,
-    each as a new dict."""
-    for theta in bindings:
-        for combo in itertools.product(domain, repeat=len(variables)):
-            full = dict(theta)
-            full.update(zip(variables, combo))
-            yield full
 
 
 def compare(h1: Rule, h2: Rule, kb: HybridKB) -> GeneralityVerdict:

@@ -164,8 +164,7 @@ def _learn_one(
             return None
         # every move specializes, so a child covers only what its parent covers
         evaluated = [_coverage(models, s.child, current.pos, current.neg) for s in steps]
-        evaluated.sort(key=lambda e: _rank_key(e, current, params.laplace))
-        best = evaluated[0]
+        best = min(evaluated, key=lambda e: _rank_key(e, current, params.laplace))
         if not best.pos:
             return None  # nothing retains a positive example: dead end
         current = best

@@ -546,27 +546,3 @@ def skolemize(rule: Rule, reserved: set[Const]) -> tuple[Rule, dict[Var, Const]]
         counter += 1
     return rule.substitute(dict(sigma)), sigma
 
-
-def ground_substitutions(
-    rule: Rule,
-    constants: set[Const],
-    budget: int = DEFAULT_GROUNDING_BUDGET,
-) -> list[Rule]:
-    """All groundings of ``rule`` over ``constants``, lexicographically ordered
-    by the constants assigned to the variables in order of first occurrence.
-
-    Raises :class:`BudgetError` when |constants| ** |vars| exceeds ``budget``.
-    """
-    if not constants:
-        raise ModelError("ground_substitutions needs a non-empty constant set")
-    variables = rule.variables()
-    if not variables:
-        return [rule]
-    ordered = sorted(constants)
-    total = len(ordered) ** len(variables)
-    if total > budget:
-        raise BudgetError(f"{total} ground instances exceed the budget of {budget}")
-    out = []
-    for combo in itertools.product(ordered, repeat=len(variables)):
-        out.append(rule.substitute(dict(zip(variables, combo))))
-    return out

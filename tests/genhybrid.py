@@ -325,6 +325,11 @@ def template_kb(n: int, seed: int) -> HybridKB:
     """The criterion-8 KB template over ``n`` people with ``n`` meets facts.
 
     Its only negated atoms are ``scientist(p)`` for the famous people ``p``."""
+    return parse_kb(template_text(n, seed))
+
+
+def template_text(n: int, seed: int) -> str:
+    """The text of :func:`template_kb` in the ``.okb`` format."""
     rng = random.Random(seed)
     people = [f"Person{i}" for i in range(n)]
     lines = []
@@ -338,4 +343,4 @@ def template_kb(n: int, seed: int) -> HybridKB:
     for _ in range(n):
         a, b = rng.sample(people, 2)
         lines.append(f"meets({a},{b},{rng.choice(PLACES)}).")
-    return parse_kb(TEMPLATE_HEADER + "\n".join(lines) + "\n")
+    return TEMPLATE_HEADER + "\n".join(lines) + "\n"

@@ -12,8 +12,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from genhybrid import PLACES, template_text
 from ontorules.cli import _SHARED, COMMANDS, REQUIRED, UsageError, main, parse_args
-from ontorules.parser import parse_rule
+from ontorules.hybrid import KBModels
+from ontorules.model import Atom, Const
+from ontorules.parser import parse_kb, parse_rule
 from ontorules.refine import canonical_form
 
 DATA = resources.files("ontorules") / "data"
@@ -187,6 +190,25 @@ def test_theta_budget_exit_code(capsys):
                          "--rule2", "LONER(X) :- meets(X,A,B), meets(B,C,D), meets(D,E,F), meets(F,G,H).")
     assert (code, out) == (3, "")
     assert err.startswith("budget exceeded:") and "Traceback" not in err
+
+
+def test_check_joins_its_rule_past_the_old_grounding_budget(capsys, tmp_path):
+    # over 160 people and 3 places the rule's three variables have 4.3 M
+    # groundings, which the grounding budget used to refuse with exit 3; the
+    # grounder joins meets/3 with its 160 facts, so check gives the verdict
+    # of the learner's coverage test
+    text = template_text(160, seed=160)
+    path = tmp_path / "template.okb"
+    path.write_text(text)
+    kb = parse_kb(text)
+    rule_text = "LIKES(X,Y) :- meets(X,Z,Y), famous(Z)."
+    rule = parse_rule(rule_text, kb)
+    candidates = [Atom(rule.head.pred, (Const(f"Person{i}"), Const(p))) for i in range(4) for p in PLACES]
+    covered = KBModels(kb, rule.head.pred).covered(rule, candidates)
+    assert 0 < len(covered) < len(candidates)
+    for example in candidates:
+        code, out, err = run(capsys, "check", "--kb", str(path), "--rule", rule_text, "--example", str(example))
+        assert (code, out, err) == (0, "covers" if example in covered else "does-not-cover", ""), example
 
 
 def test_settled_loop_past_the_branch_budget(capsys, tmp_path):

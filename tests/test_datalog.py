@@ -1,4 +1,9 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +78,61 @@ def test_grounding_counts(kb):
     (m,) = stable_models(prog)
     derived = {str(a) for a in m.true_atoms if a.pred == rich}
     assert derived == {"rich(Mary)", "rich(Paul)"}
+
+
+X, Y, Z = Var("X"), Var("Y"), Var("Z")
+a, b = Const("a"), Const("b")
+
+
+def test_ground_program_counts_and_order():
+    # q heads the rule, so no literal is joined and nothing is pruned
+    Q = Predicate("q", 2, DATALOG)
+    r = Rule(Atom(Q, (X, Y)), (Literal(Atom(Q, (Y, X))),))
+    prog = ground_program((r,), frozenset(), {b, a})
+    assert all(g.is_ground() for g in prog.rules)
+    assert [g.head.args for g in prog.rules] == [(a, a), (a, b), (b, a), (b, b)]
+
+
+@given(st.sets(st.sampled_from([a, b, Const("c")]), min_size=1), st.integers(1, 3))
+def test_ground_program_cardinality_property(consts, nvars):
+    P = Predicate("p", 1, DATALOG)
+    vs = (X, Y, Z)[:nvars]
+    r = Rule(Atom(P, (vs[0],)), tuple(Literal(Atom(P, (v,))) for v in vs))
+    prog = ground_program((r,), frozenset(), consts)
+    assert len(prog.rules) == len(consts) ** nvars
+    # lexicographic by the constants of the variables in order of first occurrence
+    assert list(prog.rules) == [
+        r.substitute(dict(zip(vs, combo))) for combo in itertools.product(sorted(consts), repeat=nvars)]
+
+
+_HASH_PROBE = """
+from ontorules.datalog import answer_query, ground_program
+from ontorules.parser import parse_kb, parse_rule
+facts = "".join(f"edge(n{i},n{(i * 7 + 3) % 12}).\\nedge(n{i},n{(i * 5 + 1) % 12}).\\nnode(n{i}).\\n"
+                for i in range(12))
+kb = parse_kb("pred edge/2. pred node/1. pred path/2. pred far/2.\\n#rules\\n"
+              "path(X,Y) :- edge(X,Y).\\npath(X,Z) :- edge(X,Y), path(Y,Z).\\n"
+              "far(X,Y) :- node(X), node(Y), not path(X,Y).\\n#facts\\n" + facts)
+prog = ground_program(kb.rules, frozenset(kb.facts), kb.constants())
+print([str(r) for r in prog.rules])
+for query in ("path(X,Y)", "edge(X,Y), path(Y,X)", "node(X), not path(X,Y)", "far(n0,Y)"):
+    body = parse_rule("q(X) :- " + query + ".", kb.with_predicate(prog.rules[0].head.pred)).body
+    print(answer_query(prog, body))
+"""
+
+
+def test_grounding_and_answers_do_not_depend_on_string_hashing():
+    """The join walks an index of the facts, whose order follows the hashes
+    of the constants' names; the instances and answers come out in product
+    order all the same."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _HASH_PROBE], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
 
 
 def test_query_answering(kb):

@@ -497,3 +497,18 @@ def test_a_theory_is_ground_once(monkeypatch):
     assert built == 1 and hybrid.counters["complete_runs"] - before["complete_runs"] == 1
     assert [t._possible is not None for t in _theories(kb)] == [True]
     assert len(grounds) == built
+
+
+def test_a_conjunctive_consequence_outside_the_base_keeps_its_guess():
+    """The complete models keep a consistent guess whose closure makes an atom
+    true that lies outside the guessable base: here ``D(sk0)``, from
+    ``A(sk0)`` and ``B(sk0)``.  That guess fires the rule for ``r(sk0)``, so
+    ``r(sk0)`` is possible and ``not r(X)`` cannot be made true for the
+    skolem individual."""
+    kb = parse_kb("concept A/1. concept B/1. concept D/1.\npred d/1. pred r/1.\n#tbox\nA and B subclass D.\n"
+                  "#rules\nr(X) :- d(X), A(X), B(X).\n#facts\nd(a).\n")
+    h1 = parse_rule("T(X) :- d(X), not r(X).", kb)
+    h2 = parse_rule("T(X) :- d(X).", kb)
+    assert not more_general(h1, h2, kb)
+    (theory,) = _theories(kb)
+    assert {str(a) for a in theory.possible()} == {"d(sk0)", "r(sk0)"}

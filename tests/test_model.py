@@ -20,7 +20,6 @@ from ontorules.model import (
     CONCEPT,
     DATALOG,
     ROLE,
-    ground_substitutions,
     is_linked,
     make_term,
     skolemize,
@@ -104,22 +103,6 @@ def test_skolemize_deterministic_and_fresh():
     assert s1[X] == Const("sk0") and s1[Y] == Const("sk1")
     g3, s3 = skolemize(r, {Const("sk0")})
     assert Const("sk0") not in s3.values()
-
-
-def test_ground_substitutions_counts_and_order():
-    r = Rule(Atom(P, (X,)), (Literal(Atom(Q, (X, Y))),))
-    out = ground_substitutions(r, {a, b})
-    assert len(out) == 4
-    assert all(g.is_ground() for g in out)
-    assert out[0].head.args == (a,)
-
-
-@given(st.sets(st.sampled_from([a, b, Const("c")]), min_size=1), st.integers(1, 3))
-def test_ground_substitutions_cardinality_property(consts, nvars):
-    vs = (X, Y, Z)[:nvars]
-    body = tuple(Literal(Atom(P, (v,))) for v in vs)
-    r = Rule(Atom(P, (vs[0],)), body)
-    assert len(ground_substitutions(r, consts)) == len(consts) ** nvars
 
 
 # --- the slotted term layer ---------------------------------------------------
