@@ -27,12 +27,15 @@ It then runs the criterion-7 LIKES pairwise pass on the same KB: more_general
 over every ordered pair of the 60 rules of the depth-1 neighbourhood of the
 seed and of ``LIKES(X,Y) :- meets(X,Z,Y).``, plus the named LIKES rules.  It
 prints, for each phase (edges and pairs), the ``more_general`` calls, how
-many augmented theories the generality test prepared (calls of
-``hybrid._augmented``, one ``skolemize`` and one ground ``hybrid._Theory``
-each) and how many canonical model runs those took (``hybrid.counters``).
-The pairs reuse the theories that the edges left in the KB's memo.  Times
-include the profiler's own per-call cost; use the benchmark for end-to-end
-timings.
+many of them the syntactic fast path decided through a TBox inclusion (a
+literal of ``h1`` met by one below it in ``h2``, as on a specialized edge:
+the calls that neither the body-subset case decides nor go on to look up
+their premises and theory through ``hybrid._prepared``), how many augmented
+theories the generality test prepared (calls of ``hybrid._augmented``, one
+``skolemize`` and one ground ``hybrid._Theory`` each) and how many canonical
+model runs those took (``hybrid.counters``).  The pairs reuse the theories
+that the edges left in the KB's memo.  Times include the profiler's own
+per-call cost; use the benchmark for end-to-end timings.
 
 Run from a checkout: ``PYTHONPATH=src python scripts/profile_refine.py``
 """
@@ -124,6 +127,21 @@ def pairwise(space, kb) -> int:
     return sum(more_general(a, b, kb) for a in space for b in space)
 
 
+def by_subset(pairs) -> int:
+    """Pairs (h1, h2) that the body-subset case of the fast path decides."""
+    return sum(h1.head == h2.head and set(h1.body) <= set(h2.body) for h1, h2 in pairs)
+
+
+def past_fast_path(stats) -> int:
+    """``more_general`` calls that the syntactic fast path did not decide:
+    each makes two ``hybrid._prepared`` calls, for h1 and for h2."""
+    return sum(
+        nc for (path, _, func), (_, _, _, _, by) in stats.stats.items()
+        if func == "_prepared" and path.endswith("hybrid.py")
+        for caller, (_, nc, *_) in by.items() if caller[2] == "more_general"
+    ) // 2
+
+
 def calls(stats, filename: str, name: str) -> int:
     return sum(
         nc for (path, _, func), (_, nc, *_) in stats.stats.items()
@@ -178,10 +196,12 @@ def main() -> None:
     related = pairs.runcall(pairwise, space, kb)
     runs.append(counters["canonical_runs"])
     print(f"\nLIKES pairwise: {len(space)} rules, {related} of {len(space) ** 2} ordered pairs related")
-    print(f"{'phase':>6} {'more_general':>13} {'theories':>9} {'canonical runs':>15}")
-    phases = (("edges", stats, runs[1] - runs[0]), ("pairs", pstats.Stats(pairs), runs[2] - runs[1]))
-    for phase, profile, ran in phases:
-        print(f"{phase:>6} {calls(profile, 'hybrid.py', 'more_general'):>13} "
+    print(f"{'phase':>6} {'more_general':>13} {'by inclusion':>13} {'theories':>9} {'canonical runs':>15}")
+    phases = (("edges", stats, [(s.parent, s.child) for s in steps], runs[1] - runs[0]),
+              ("pairs", pstats.Stats(pairs), [(a, b) for a in space for b in space], runs[2] - runs[1]))
+    for phase, profile, checked, ran in phases:
+        made = calls(profile, "hybrid.py", "more_general")
+        print(f"{phase:>6} {made:>13} {made - by_subset(checked) - past_fast_path(profile):>13} "
               f"{code_calls(profile, _augmented.__code__):>9} {ran:>15}")
 
 if __name__ == "__main__":

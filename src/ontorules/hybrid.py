@@ -25,9 +25,10 @@ One backtracking join, :func:`datalog._join`, matches every body against
 atoms by predicate: a rule's datalog literals of extensional predicates
 against the facts when a theory is ground (:func:`datalog.ground`), open
 ontology atoms in the model builders (:func:`_open_satisfied`), a rule against
-each KB model (:meth:`KBModels.covered`) and ``h1`` in :func:`more_general`.
-Only a variable that no joined atom binds ranges over the domain
-(:func:`datalog._groundings`).
+each KB model (:meth:`KBModels.covered`) and ``h1`` in :func:`more_general`,
+unless its syntactic fast path, which also reads the TBox's inclusions,
+decides the pair without models.  Only a variable that no joined atom binds
+ranges over the domain (:func:`datalog._groundings`).
 """
 
 from __future__ import annotations
@@ -497,59 +498,71 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
     a negated literal holds iff its atom is underivable in every admissible
     complete model.
 
-    Everything the test prepares lives in the KB's bounded memo
-    (:func:`_prepared`), and a pair that the syntactic fast path decides adds
-    no entry: what it reads off ``h1`` (:func:`_premises`), once per KB, and
-    the augmented theory (:func:`_augmented`), once per ``h2`` and set of
-    ``h1``'s constants: one :class:`_Theory`, ground once, with its cautious
-    truth indexed by predicate and, once a negated literal needs them, its
-    possible atoms, built from the same instances.  The grounding is
-    found by a backtracking join (:func:`_join`) of ``h1``'s positive body
-    atoms against that truth, from the binding of ``h1``'s head onto
-    ``h2``'s; only the variables that occur in no positive literal range
-    over the whole domain, and the negated literals are checked last.  A
-    grounding's body holds iff it maps every positive atom into the cautious
-    truth, so the join finds exactly the groundings that the product over the
-    domain would keep.  That product still bounds the search: past
-    ``DEFAULT_THETA_BUDGET`` candidates the test raises :class:`BudgetError`
-    before joining.  The complete models are built exactly when a walk over
-    the product, checking each body in order, would build them, so the same
-    tests exceed the guess budget, ``DEFAULT_GUESS_BUDGET``.
+    The syntactic fast path decides a pair with equal heads without models
+    when each literal of ``h1`` is in ``h2``, or, if ``h1`` has no negated
+    literal, is an ontology atom that a literal of ``h2`` on the same
+    arguments entails through the TBox's closures (a specialized refinement
+    edge): the skolemized ``h2`` then makes the identity substitution's body
+    true in every canonical model.  Everything else the test prepares lives
+    in the KB's bounded memo (:func:`_prepared`): what it reads off ``h1``
+    (:func:`_premises`), once per KB, and the augmented theory
+    (:func:`_augmented`), once per ``h2`` and set of ``h1``'s constants: one
+    :class:`_Theory`, ground once, with its cautious truth indexed by
+    predicate and, once a negated literal needs them, its possible atoms,
+    built from the same instances.  The grounding is found by a backtracking
+    join (:func:`_join`) of ``h1``'s positive body atoms against that truth,
+    from the binding of ``h1``'s head onto ``h2``'s; only the variables that
+    occur in no positive literal range over the whole domain, and the
+    negated literals are checked last.  A grounding's body holds iff it maps
+    every positive atom into the cautious truth, so the join finds exactly
+    the groundings that the product over the domain would keep, the
+    skolemization's own substitution among them.  That product still bounds
+    the search: past ``DEFAULT_THETA_BUDGET`` candidates the test raises
+    :class:`BudgetError` unless that substitution holds.  The complete models
+    are built exactly when a walk over the product, checking each body in
+    order, would build them, so the same tests exceed the guess budget,
+    ``DEFAULT_GUESS_BUDGET``.
     """
-    if h1.head.pred != h2.head.pred:
+    head1 = h1.head
+    if head1.pred is not h2.head.pred and head1.pred != h2.head.pred:
         raise ModelError("generality is only defined for rules with the same head predicate")
-    # syntactic fast path: h1's head is h2's and its body a subset of h2's, so
-    # the identity substitution maps h1 into h2 -- no models needed.  The
-    # skolemization below renames variables injectively onto fresh constants,
-    # so after it exactly these pairs would match verbatim.  A child that adds
-    # a literal extends its parent's body tuple, so try a prefix first.
-    if h1.head == h2.head and (h2.body[: len(h1.body)] == h1.body or set(h1.body) <= set(h2.body)):
-        return True
+    # syntactic fast path; a child that adds a literal extends its parent's
+    # body tuple, so try a prefix first
+    if head1 is h2.head or head1 == h2.head:
+        if h2.body[: len(h1.body)] == h1.body:
+            return True
+        missing = set(h1.body).difference(h2.body)
+        if not missing or (not any(l.negated for l in h1.body) and all(
+            any(not m.negated and m.atom.args == l.atom.args and l.atom.pred in _memo(kb)[2].get(m.atom.pred, ())
+                for m in h2.body) for l in missing
+        )):
+            return True
     premises = _prepared(kb, (h1, h1.body), _premises)
-    h1_constants, h1_vars, h1_var_set, positive, negated, prefix, unbound = premises
+    h1_constants, h1_vars, h1_var_set, positive, negated, prefix, leading, unbound = premises
     head, sigma, constants, truth, theory = _prepared(kb, (h2, h1_constants), _augmented)
     if truth is None:
         return True  # augmented theory admits no model: entailment is vacuous
     cautious, index = truth
     domain = theory.domain
 
-    # first the skolemization's own substitution, when it also maps h1's
-    # head onto h2's, against the models
-    natural = {v: sigma[v] for v in h1_vars} if sigma.keys() >= h1_var_set else None
-    if natural is not None and h1.head.substitute(natural) == head and all(
-        _literal_holds(l.substitute(natural), cautious, theory.possible) for l in h1.body
-    ):
-        return True
-
     # head unification fixes the head variables
-    bound = _bind_head(h1.head, head)
+    bound = _bind_head(head1, head)
     if bound is None:
         return False
     free = [v for v in h1_vars if v not in bound]
-    if len(domain) ** len(free) > DEFAULT_THETA_BUDGET:
+    over = len(domain) ** len(free) > DEFAULT_THETA_BUDGET
+    # the skolemization's own substitution, which the join below finds
+    # unless the budget stops it or a negated literal drops it
+    if (over or negated) and sigma.keys() >= h1_var_set and head1.substitute(sigma) == head and all(
+        _literal_holds(l.substitute(sigma), cautious, theory.possible) for l in h1.body
+    ):
+        return True
+    if over:
         raise BudgetError("substitution search exceeds the candidate budget")
     if free and not domain:
         return False  # no grounding at all: the product over an empty domain is empty
+    if any(p not in index for p in leading):
+        return False  # an atom checked before any negated literal matches nothing
     possible = frozenset()
     if negated:
         # checked in body order, a grounding reaches the first negated literal
@@ -569,23 +582,32 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
 _MEMO_SIZE = 4096
 
 
-def _prepared(kb: HybridKB, key: tuple, build):
-    """What the generality test prepares once per KB: the entry under ``key``
-    in the dict that ``kb._generality`` holds next to the KB's rule
-    constants, built on a miss as ``build(kb, rule constants, key)``, where
-    ``build`` is :func:`_premises` or :func:`_augmented`, whose entry holds
-    the one :class:`_Theory` the test grounds per key.  The dict is cleared
-    at ``_MEMO_SIZE`` entries.  Threads that race to fill it store equal
-    values."""
+def _memo(kb: HybridKB) -> tuple:
+    """The KB's generality memo in ``kb._generality``, made on first use:
+    the KB's rule constants, the dict of prepared entries and each ontology
+    predicate's super-predicates in the TBox's closures."""
     memo = kb._generality
     if memo is None:
         # relative to the intensional part only: constants from the rules, not the data
         rule_constants: set[Const] = set()
         for r in kb.rules:
             rule_constants |= r.constants()
-        memo = (frozenset(rule_constants), {})
+        sups = {Predicate(sub, arity, kind): frozenset(Predicate(n, arity, kind) for n in names)
+                for kind, arity, closure in ((CONCEPT, 1, concept_closure(kb.tbox)), (ROLE, 2, role_closure(kb.tbox)))
+                for sub, names in closure.items()}
+        memo = (frozenset(rule_constants), {}, sups)
         object.__setattr__(kb, "_generality", memo)
-    kb_constants, prepared = memo
+    return memo
+
+
+def _prepared(kb: HybridKB, key: tuple, build):
+    """What the generality test prepares once per KB: the entry under ``key``
+    in the dict of the KB's memo (:func:`_memo`), built on a miss as
+    ``build(kb, rule constants, key)``, where ``build`` is :func:`_premises`
+    or :func:`_augmented`, whose entry holds the one :class:`_Theory` the
+    test grounds per key.  The dict is cleared at ``_MEMO_SIZE`` entries.
+    Threads that race to fill it store equal values."""
+    kb_constants, prepared, _ = _memo(kb)
     entry = prepared.get(key)
     if entry is None:
         entry = build(kb, kb_constants, key)
@@ -598,19 +620,21 @@ def _prepared(kb: HybridKB, key: tuple, build):
 def _premises(kb: HybridKB, kb_constants: frozenset[Const], key: tuple) -> tuple:
     """What the generality test reads off ``h1`` whatever ``h2`` is: its
     constants, its variables as a tuple and as a set, its positive and its
-    negated body atoms, the body atoms before its first negated literal, and
-    the variables that no positive literal binds, in the tuple's order.
-    ``key`` is (``h1``, its body tuple): the body order decides when the
-    complete models are built."""
+    negated body atoms, the body atoms before its first negated literal (all
+    of them when none is negated) and their predicates, and the variables
+    that no positive literal binds, in the tuple's order.  ``key`` is
+    (``h1``, its body tuple): the body order decides when the complete models
+    are built."""
     h1 = key[0]
     variables = h1.variables()
     positive = tuple(l.atom for l in h1.body if not l.negated)
     negated = tuple(l.atom for l in h1.body if l.negated)
-    first = next((i for i, l in enumerate(h1.body) if l.negated), 0)
+    first = next((i for i, l in enumerate(h1.body) if l.negated), len(h1.body))
     bound_by_join = {v for a in positive for v in a.variables()}
     prefix = tuple(l.atom for l in h1.body[:first])
     unbound = tuple(v for v in variables if v not in bound_by_join)
-    return frozenset(h1.constants()), variables, frozenset(variables), positive, negated, prefix, unbound
+    leading = frozenset(a.pred for a in prefix)
+    return frozenset(h1.constants()), variables, frozenset(variables), positive, negated, prefix, leading, unbound
 
 
 def _augmented(kb: HybridKB, kb_constants: frozenset[Const], key: tuple) -> tuple:

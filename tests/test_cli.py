@@ -271,6 +271,17 @@ def test_compare(capsys):
     assert (code, out) == (0, "equivalent")
 
 
+def test_compare_decides_a_specialized_pair_by_the_tbox(capsys):
+    """``WANTS-TO-MARRY subrole LOVES``, so the rule with ``LOVES`` is more
+    general without models: the KB's consistency check and the one theory
+    that the other direction grounds make the two canonical runs."""
+    code, payload = run_json(capsys, "compare", "--kb", KB,
+                             "--rule1", "LIKES(X,Y) :- meets(X,Z,Y), LOVES(X,Z).",
+                             "--rule2", "LIKES(X,Y) :- meets(X,Z,Y), WANTS-TO-MARRY(X,Z).")
+    assert (code, payload["verdict"]) == (0, "strictly-more-general")
+    assert payload["counters"]["canonical_runs"] == 2
+
+
 def test_refine_listing(capsys):
     code, payload = run_json(
         capsys, "refine", "--kb", KB, "--bias", str(DATA / "likes.obias"),

@@ -5,7 +5,8 @@ memo.
 skolemizes ``h2`` on every call and tries every substitution of ``h1``'s free
 variables over the domain.  It computes its cautious sets with the canonical
 models directly, and its possible atoms with the complete models, through
-``hybrid._complete_models`` and a memo of its own that lasts one call.
+``hybrid._complete_models`` and a memo of its own that lasts one call.  It
+reads both budgets at call time, so that a patched one applies.
 """
 
 import copy
@@ -15,18 +16,24 @@ import pickle
 import random
 from collections import Counter
 
+import pytest
+
 from genhybrid import CONCEPTS, D, E, IDB, ROLES, random_hybrid_kb
 from ontorules import hybrid, model, parse_bias
-from ontorules.hybrid import DEFAULT_THETA_BUDGET, _join, _Theory, more_general
+from ontorules.dlreason import concept_closure, subsumes
+from ontorules.hybrid import _join, _Theory, more_general
 from ontorules.model import (
+    CONCEPT,
     DATALOG,
     Atom,
     BudgetError,
+    ConceptInclusion,
     Const,
     HybridKB,
     Literal,
     ModelError,
     Predicate,
+    RoleInclusion,
     Rule,
     Var,
     skolemize,
@@ -113,7 +120,7 @@ def reference_more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
     if bound is None:
         return False
     free = [v for v in h1.variables() if v not in bound]
-    if len(domain) ** len(free) > DEFAULT_THETA_BUDGET:
+    if len(domain) ** len(free) > hybrid.DEFAULT_THETA_BUDGET:
         raise BudgetError("substitution search exceeds the candidate budget")
     for combo in itertools.product(domain, repeat=len(free)):
         theta = dict(bound)
@@ -268,6 +275,150 @@ def test_the_join_agrees_with_the_product_loop(monkeypatch):
         assert decided[feature] >= 100, decided
 
 
+# --- the inclusion path ----------------------------------------------------------
+
+def _moves(kb):
+    """(move, predicate for h2, predicate of h1) for every replacement of an
+    ontology predicate of h1 in a pair: a predicate below it, directly or
+    transitively, a predicate above it, or one conjunct of a conjunction
+    below it."""
+    direct = {(ax.sub, ax.sup) for ax in kb.tbox if isinstance(ax, RoleInclusion)}
+    direct |= {(ax.lhs[0], ax.rhs) for ax in kb.tbox
+               if isinstance(ax, ConceptInclusion) and len(ax.lhs) == 1 and isinstance(ax.rhs, str)}
+    out = []
+    for general in CONCEPTS + ROLES:
+        for specific in CONCEPTS + ROLES:
+            if specific != general and specific.kind == general.kind and subsumes(general, specific, kb.tbox):
+                step = "direct" if (specific.name, general.name) in direct else "transitive"
+                out += [(step, specific, general), ("super", general, specific)]
+    for ax in kb.tbox:
+        if isinstance(ax, ConceptInclusion) and len(ax.lhs) == 2 and isinstance(ax.rhs, str):
+            out += [("conjunct", Predicate(c, 1, CONCEPT), Predicate(ax.rhs, 1, CONCEPT)) for c in ax.lhs]
+    return out
+
+
+def _inclusion_pairs(rng, kb):
+    """Random pairs in which h2 is h1 with one positive ontology literal B(t)
+    replaced by B'(t) for a move of :func:`_moves`, each kind of move as
+    likely as the others; some h2 extend their body, and some are renamed
+    apart."""
+    consts = sorted(kb.constants())
+    moves = _moves(kb)
+    for _ in range(6):
+        kind = rng.choice(sorted({m[0] for m in moves}))
+        move, new, old = rng.choice([m for m in moves if m[0] == kind])
+        h1 = _random_rule(rng, consts)
+        args = tuple(_term(rng, VARS[:4], consts) for _ in range(old.arity))
+        i = rng.randint(0, len(h1.body))
+        before, after = h1.body[:i], h1.body[i:]
+        extra = tuple(_random_literal(rng, VARS[:4], consts) for _ in range(rng.randint(0, 2)))
+        h2 = Rule(h1.head, before + (Literal(Atom(new, args)),) + after + extra)
+        h1 = Rule(h1.head, before + (Literal(Atom(old, args)),) + after)
+        renamed = rng.random() < 0.3
+        yield move, extra != (), renamed, h1, _rename(h2, rng) if renamed else h2
+
+
+def _by_inclusion(h1, h2, kb):
+    """The pair meets the inclusion case of the syntactic fast path: equal
+    heads, no negated literal in h1, and each literal of h1 in h2 or below a
+    positive literal of h2 on the same arguments."""
+    def met(l):
+        return l in h2.body or l.atom.pred.is_dl and any(
+            not m.negated and m.atom.args == l.atom.args and m.atom.pred.kind == l.atom.pred.kind
+            and subsumes(l.atom.pred, m.atom.pred, kb.tbox) for m in h2.body)
+
+    return h1.head == h2.head and not any(l.negated for l in h1.body) and all(map(met, h1.body))
+
+
+def test_the_inclusion_path_agrees_with_the_product_loop(monkeypatch):
+    """On random KBs with role and concept hierarchies, pairs that replace an
+    ontology literal by one below it, above it, or by one conjunct of a
+    conjunction below it get the product loop's verdict or budget error in
+    both directions; a pair that the inclusion case decides is more general
+    and leaves the KB's memo empty."""
+    monkeypatch.setattr(hybrid, "DEFAULT_GUESS_BUDGET", 8)
+    seen = Counter()
+    for seed in range(10_000, 10_400):
+        rng = random.Random(seed)
+        kb = random_hybrid_kb(rng)
+        if not any(isinstance(ax, RoleInclusion) for ax in kb.tbox) or not concept_closure(kb.tbox):
+            continue
+        seen["kbs"] += 1
+        for move, extended, renamed, h1, h2 in _inclusion_pairs(rng, kb):
+            for a, b in ((h1, h2), (h2, h1)):
+                want = _verdict(reference_more_general, a, b, kb)
+                assert _verdict(more_general, a, b, kb) == want, (seed, move, str(a), str(b))
+                if a is h1:
+                    seen[(move, want if isinstance(want, bool) else "budget")] += 1
+                    seen["extended"] += extended
+                    seen["renamed"] += renamed
+                    seen["negated"] += any(l.negated for l in h1.body)
+                if _by_inclusion(a, b, kb):
+                    seen["by inclusion"] += 1
+                    seen["by inclusion only"] += not set(a.body) <= set(b.body)
+                    twin, runs = copy.copy(kb), hybrid.counters["canonical_runs"]
+                    assert more_general(a, b, twin) is True, (seed, str(a), str(b))
+                    assert not _entries(twin) and hybrid.counters["canonical_runs"] == runs
+    assert seen["kbs"] >= 50, seen
+    for key in ("by inclusion only", "extended", "renamed", "negated", ("direct", True), ("transitive", True),
+                ("super", True), ("super", False), ("conjunct", True), ("conjunct", False)):
+        assert seen[key] >= 5, (key, seen)
+
+
+# --- the order of the budget checks -----------------------------------------------
+
+CHAIN_KB = "pred d/1. pred e/2. pred r/1. pred q/1.\n#rules\nr(Y) :- e(X,Y).\n"
+CHAIN_H2 = "T(X) :- d(X), e(X,Y)."
+
+
+def test_over_the_budget_the_natural_substitution_still_decides(monkeypatch):
+    """``h2`` skolemizes to d(sk0), e(sk0,sk1) and the KB derives r(sk1):
+    h1's one free variable ranges over two constants, past a budget of 1.
+    The skolemization's own substitution answers True all the same, with a
+    negated literal or without one; when it fails, the budget error is
+    raised, also when a predicate that leads h1's body has no atom."""
+    monkeypatch.setattr(hybrid, "DEFAULT_THETA_BUDGET", 1)
+    kb = parse_kb(CHAIN_KB)
+    h2 = parse_rule(CHAIN_H2, kb)
+    for text in ("T(X) :- d(X), e(X,Y), r(Y).", "T(X) :- d(X), e(X,Y), not q(Y)."):
+        h1 = parse_rule(text, kb)
+        assert more_general(h1, h2, kb) is True and reference_more_general(h1, h2, kb) is True, text
+    for text in ("T(X) :- d(X), e(Y,X).", "T(X) :- d(X), e(X,Y), q(Y).", "T(X) :- q(Y), d(X), not r(X)."):
+        h1 = parse_rule(text, kb)
+        for fn in (more_general, reference_more_general):
+            with pytest.raises(BudgetError):
+                fn(h1, h2, kb)
+
+
+def test_an_absent_leading_predicate_is_false_without_a_join(monkeypatch):
+    """Below the budget, a body whose positive atoms before its first negated
+    literal (all of them when none is) include one with no atom in the
+    cautious truth holds under no grounding: the test answers False before
+    any join and without complete models.  An absent predicate after a
+    negated literal still builds them, as a walk in body order would."""
+    kb = parse_kb(CHAIN_KB)
+    h2 = parse_rule(CHAIN_H2, kb)
+    assert more_general(parse_rule("T(X) :- d(X), e(X,Y), r(Y).", kb), h2, kb)  # prepares h2's theory
+    joins = Counter()
+    real = hybrid._join
+
+    def counting(*args):
+        joins["calls"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(hybrid, "_join", counting)
+    for text in ("T(X) :- d(X), e(X,Y), q(Y).", "T(X) :- d(X), q(Y), not r(Y)."):
+        h1 = parse_rule(text, kb)
+        runs = hybrid.counters["complete_runs"]
+        assert more_general(h1, h2, kb) is False, text
+        assert joins["calls"] == 0 and hybrid.counters["complete_runs"] == runs, text
+        assert reference_more_general(h1, h2, kb) is False, text
+    h1 = parse_rule("T(X) :- d(X), not r(X), q(Y).", kb)
+    before = hybrid.counters["complete_runs"]
+    assert more_general(h1, h2, kb) is False
+    assert hybrid.counters["complete_runs"] == before + 1
+
+
 def _reference_join(atoms, facts, theta, domain):
     """Every extension of ``theta`` over the domain that maps each atom into
     the facts, by the product."""
@@ -389,9 +540,10 @@ def test_the_pairwise_pass_prepares_each_h1_at_most_once(monkeypatch):
 
 
 def test_an_edge_that_adds_a_literal_prepares_nothing():
-    """The syntactic fast path decides every edge to a child that adds a
-    literal, so those edges leave the memo empty; an edge to a specialized
-    child prepares its parent as ``h1``."""
+    """The syntactic fast path decides every edge of the walk: an edge to a
+    child that adds a literal by the body subset, an edge to a specialized
+    child by the TBox inclusion that refinement checked.  No edge, added or
+    specialized, prepares anything, so the memo stays empty."""
     kb = _fresh_kb()
     bias = parse_bias(data_text("likes.obias"), kb)
     frontier, edges = [parse_rule("LIKES(X,Y) :- meets(X,Z,Y), LOVES(X,Z).", kb)], []
@@ -402,11 +554,11 @@ def test_an_edge_that_adds_a_literal_prepares_nothing():
     added = [(p, s) for p, s in edges if s.rule_applied != SPECIALIZE_ONTOLOGY]
     specialized = [(p, s) for p, s in edges if s.rule_applied == SPECIALIZE_ONTOLOGY]
     assert len(added) > 300 and specialized
+    runs = hybrid.counters["canonical_runs"]
     assert all(more_general(p, s.child, kb) for p, s in added)
+    assert all(more_general(p, s.child, kb) for p, s in specialized)
     assert not _entries(kb)
-    for p, s in specialized:
-        more_general(p, s.child, kb)
-    assert set(_h1_entries(kb)) == {(p, p.body) for p, _ in specialized}
+    assert hybrid.counters["canonical_runs"] == runs
 
 
 def test_the_memo_is_not_part_of_the_kb():
