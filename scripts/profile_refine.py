@@ -189,7 +189,7 @@ def main() -> None:
     print(f"canonical_form calls: {scratch} from scratch, {forms - scratch} memo hits")
     print(f"candidate literals: {_added_literals.cache_info()}")
     print(f"rules built: {code_calls(stats, Rule.__init__.__code__)} public (dedupe), "
-          f"{code_calls(stats, Rule._distinct.__func__.__code__)} private (Rule._distinct)")
+          f"{code_calls(stats, Rule._distinct.__code__)} private (Rule._distinct)")
 
     space = likes_space(kb, bias)
     pairs = cProfile.Profile()

@@ -31,7 +31,9 @@ order stays the same.  The five are ordered by their field tuples, through
 comparisons that :func:`_ordered` builds as closures over the field names.
 ``Rule``'s public constructor drops duplicate body literals; its private
 ``Rule._distinct`` stores a body that its caller knows to be duplicate-free
-as given.  The ontology axiom records -- ``ConceptInclusion``,
+as given, through the slots' member descriptors (``Rule.head.__set__``, ...)
+rather than ``object.__setattr__``, as :mod:`ontorules.refine` builds its
+steps.  The ontology axiom records -- ``ConceptInclusion``,
 ``RoleInclusion`` and ``Existential`` -- keep :class:`Record`'s hash of the
 field tuple, computed per call: no cache hashes a whole TBox.
 """
@@ -170,7 +172,7 @@ class _Name(Record):
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.name,) == (other.name,)
+            return self.name == other.name
         return NotImplemented
 
 
@@ -211,7 +213,7 @@ class Predicate(Record):
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.name, self.arity, self.kind) == (other.name, other.arity, other.kind)
+            return self.name == other.name and self.arity == other.arity and self.kind == other.kind
         return NotImplemented
 
     @property
@@ -291,8 +293,9 @@ class Rule(Record):
 
     Two private slots start empty and are each written at most once: ``_hash``
     by the first :meth:`__hash__`, and ``_canonical`` by
-    :func:`ontorules.refine.canonical_form` (or :func:`ontorules.refine.refine`
-    for the children it builds), which stores the rule's canonical form there.
+    :func:`ontorules.refine.canonical_form`, which stores the rule's canonical
+    form there (:func:`ontorules.refine.refine` passes it to
+    :meth:`_distinct` for the children it builds).
     """
 
     __slots__ = ("head", "body", "_canonical", "_hash")
@@ -303,17 +306,18 @@ class Rule(Record):
         _set(self, "_canonical", None)
         _set(self, "_hash", None)
 
-    @classmethod
-    def _distinct(cls, head: Atom, body: tuple[Literal, ...]) -> Rule:
+    @staticmethod
+    def _distinct(head: Atom, body: tuple[Literal, ...], canonical: Rule | None = None) -> Rule:
         """The rule ``head :- body`` for a ``body`` tuple whose literals are
-        pairwise distinct, stored as given.  The caller guarantees that; a
-        duplicate would break equality and hashing, which treat the body as a
-        set of its literals."""
-        rule = object.__new__(cls)
-        _set(rule, "head", head)
-        _set(rule, "body", body)
-        _set(rule, "_canonical", None)
-        _set(rule, "_hash", None)
+        pairwise distinct, stored as given, with ``canonical``, the rule's
+        canonical form or None, in its ``_canonical`` slot.  The caller
+        guarantees both; a duplicate would break equality and hashing, which
+        treat the body as a set of its literals."""
+        rule = _new(Rule)
+        _set_head(rule, head)
+        _set_body(rule, body)
+        _set_canonical(rule, canonical)
+        _set_hash(rule, None)
         return rule
 
     def __eq__(self, other):
@@ -359,6 +363,10 @@ class Rule(Record):
         if not self.body:
             return f"{self.head}."
         return f"{self.head} :- {', '.join(str(l) for l in self.body)}."
+
+
+_new = object.__new__
+_set_head, _set_body, _set_canonical, _set_hash = (Rule.__dict__[n].__set__ for n in Rule.__slots__)
 
 
 # --- ontology axioms --------------------------------------------------------

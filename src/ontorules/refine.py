@@ -25,7 +25,8 @@ from .model import (
     Record,
     Rule,
     Var,
-    _set,
+    _new,
+    _set_canonical,
     CONCEPT,
     DATALOG,
     ROLE,
@@ -50,12 +51,23 @@ class RefinementStep(Record):
 
     __slots__ = ("rule_applied", "literal", "parent", "child", "key")
 
-    def __init__(self, rule_applied: str, literal: Literal, parent: Rule, child: Rule, key: Rule):
-        _set(self, "rule_applied", rule_applied)
-        _set(self, "literal", literal)
-        _set(self, "parent", parent)
-        _set(self, "child", child)
-        _set(self, "key", key)
+
+_set_label, _set_literal, _set_parent, _set_child, _set_key = (
+    RefinementStep.__dict__[n].__set__ for n in RefinementStep.__slots__
+)
+
+
+def _step(label: str, lit: Literal, parent: Rule, child: Rule, key: Rule) -> RefinementStep:
+    """``RefinementStep(label, lit, parent, child, key)``, its slots set
+    through their descriptors, without the public constructor's argument
+    binding."""
+    step = _new(RefinementStep)
+    _set_label(step, label)
+    _set_literal(step, lit)
+    _set_parent(step, parent)
+    _set_child(step, child)
+    _set_key(step, key)
+    return step
 
 
 def seed_rule(target: Predicate) -> Rule:
@@ -96,26 +108,28 @@ def _literal_key(lit: Literal, head_vars: dict[Var, int]) -> tuple:
 @functools.lru_cache(maxsize=1024)
 def _added_literals(
     pred: Predicate, existing: tuple[Var, ...], head: Atom, max_new: int, negated: bool = False
-) -> tuple[tuple[Literal, tuple], ...]:
+) -> tuple[tuple[Literal, tuple, tuple[int, ...]], ...]:
     """Each literal over ``pred`` that refinement may add to a rule with head
     ``head`` and variables ``existing``, with its :func:`_literal_key` under
-    the head's numbering.  The arguments are pairwise-distinct variables, at
-    least one in ``existing`` and at most ``max_new`` fresh; a negated
-    literal's come from ``existing`` alone, so its callers pass 0.
+    the head's numbering and its arguments' positions in ``existing``
+    followed by the fresh variables.  The arguments are pairwise-distinct
+    variables, at least one in ``existing`` and at most ``max_new`` fresh; a
+    negated literal's come from ``existing`` alone, so its callers pass 0.
 
     Cached, so that parents with the same variables and head share the
     literals their children add and the literals' sort keys.
     """
-    fresh = _fresh_vars(set(existing), min(max_new, pred.arity))
+    pool = existing + tuple(_fresh_vars(set(existing), min(max_new, pred.arity)))
+    n = len(existing)
     head_ids = _head_ids(head)
     out = []
-    for combo in itertools.permutations(existing + tuple(fresh), pred.arity):
-        new = [v for v in combo if v not in existing]
+    for at in itertools.permutations(range(len(pool)), pred.arity):
+        new = [j - n for j in at if j >= n]
         # one existing variable at least; fresh names in canonical order, so
         # that permuted picks do not alias
-        if len(new) < len(combo) and new == fresh[: len(new)]:
-            lit = Literal(Atom(pred, combo), negated)
-            out.append((lit, _literal_key(lit, head_ids)))
+        if len(new) < len(at) and new == list(range(len(new))):
+            lit = Literal(Atom(pred, tuple(pool[j] for j in at)), negated)
+            out.append((lit, _literal_key(lit, head_ids), at))
     return tuple(out)
 
 
@@ -123,7 +137,8 @@ def _added_literals(
 #: canonical rule; :func:`_canonical_var` adds numbers as rules need them.
 _CANONICAL_VARS: dict[int, Var] = {}
 
-#: Canonical body literal by (predicate, renamed args, polarity).  Canonical
+#: Canonical body literal by (:func:`_literal_key`, numbers of its variables),
+#: a key of strings, integers and booleans that hashes in C.  Canonical
 #: literals use only the shared ``V<i>`` variables, so few distinct ones occur
 #: and every canonical rule shares them; :func:`_canonical_literal` adds them
 #: as rules need them.
@@ -139,18 +154,19 @@ def _canonical_var(i: int) -> Var:
     return _CANONICAL_VARS.get(i) or _CANONICAL_VARS.setdefault(i, Var(f"V{i}"))
 
 
-def _canonical_literal(lit: Literal, rename: dict[Var, Var]) -> Literal:
-    pred = lit.atom.pred
-    args = tuple(rename[t] if isinstance(t, Var) else t for t in lit.atom.args)
-    key = (pred, args, lit.negated)
-    found = _CANONICAL_LITERALS.get(key)
+def _canonical_literal(key: tuple, numbers: tuple[int, ...], lit: Literal) -> Literal:
+    """``lit``, whose :func:`_literal_key` is ``key``, with its variables
+    renamed to the canonical ones numbered ``numbers`` in argument order."""
+    found = _CANONICAL_LITERALS.get((key, numbers))
     if found is None:
-        found = _CANONICAL_LITERALS.setdefault(key, Literal(Atom(pred, args), lit.negated))
+        number = iter(numbers)
+        args = tuple(_canonical_var(next(number)) if isinstance(t, Var) else t for t in lit.atom.args)
+        found = _CANONICAL_LITERALS.setdefault((key, numbers), Literal(Atom(lit.atom.pred, args), lit.negated))
     return found
 
 
-def _canonical_head(head: Atom, rename: dict[Var, Var]) -> Atom:
-    args = tuple(rename[t] if isinstance(t, Var) else t for t in head.args)
+def _canonical_head(head: Atom, ids: dict[Var, int]) -> Atom:
+    args = tuple(_canonical_var(ids[t]) if isinstance(t, Var) else t for t in head.args)
     key = (head.pred, args)
     found = _CANONICAL_HEADS.get(key)
     if found is None:
@@ -210,14 +226,10 @@ def _keyed_body(body: tuple[Literal, ...], head_ids: dict[Var, int]) -> list[tup
     return sorted(((_literal_key(l, head_ids), l) for l in body), key=_first)
 
 
-#: Stores a rule's canonical form in its ``_canonical`` slot.
-_set_canonical = Rule._canonical.__set__
-
-
-def _canonical_tail(ids: dict[Var, int], keyed: list[tuple]) -> tuple[dict[Var, Var], tuple[Literal, ...]]:
-    """The renaming and canonical literals of the sorted literals ``keyed``
-    after a prefix, whose variables ``ids`` numbers 0, 1, ... (the head's, for
-    a whole body), and which it extends.  If the prefix has no tie, the
+def _canonical_tail(ids: dict[Var, int], keyed: list[tuple]) -> tuple[Literal, ...]:
+    """The canonical literals of the sorted literals ``keyed`` after a
+    prefix, whose variables ``ids`` numbers 0, 1, ... (the head's, for a
+    whole body), and which it extends.  If the prefix has no tie, the
     canonical body is its literals' followed by these (see :func:`_order_ties`)."""
     n_fixed = len(ids)
     keys = [k for k, _ in keyed]
@@ -226,9 +238,8 @@ def _canonical_tail(ids: dict[Var, int], keyed: list[tuple]) -> tuple[dict[Var, 
         names, placed = _order_ties(keys, occ, n_fixed)
     else:  # first occurrence in sorted order is already the smallest numbering
         names, placed = range(len(ids)), range(len(keyed))
-    rename = {v: _canonical_var(names[i]) for v, i in ids.items()}
     # renaming the distinct literals of a rule injectively keeps them distinct
-    return rename, tuple(_canonical_literal(keyed[j][1], rename) for j in placed)
+    return tuple(_canonical_literal(keys[j], tuple([names[i] for i in occ[j]]), keyed[j][1]) for j in placed)
 
 
 def canonical_form(rule: Rule) -> Rule:
@@ -250,8 +261,8 @@ def canonical_form(rule: Rule) -> Rule:
     key = rule._canonical
     if key is None:
         ids = _head_ids(rule.head)
-        rename, body = _canonical_tail(ids, _keyed_body(rule.body, ids))
-        key = Rule._distinct(_canonical_head(rule.head, rename), body)
+        head = _canonical_head(rule.head, ids)
+        key = Rule._distinct(head, _canonical_tail(ids, _keyed_body(rule.body, ids)))
         _set_canonical(key, key)
         _set_canonical(rule, key)
     return key
@@ -278,18 +289,18 @@ def refine(
     before the child's first tie (among ``h``'s literals or with the new one)
     it keeps.  If that tie comes before the new literal's place in key order,
     the rest is keyed afresh (:func:`_canonical_tail`).  Otherwise the new
-    literal goes in at its place, and the literals after it are kept too,
-    unless it numbers a variable first; then they are keyed afresh, once per
-    call for each place and such variables.  A specialized child is keyed
-    from scratch.
+    literal goes in at its place, numbered through its argument positions
+    (integers), and the literals after it are kept too, unless it numbers a
+    variable first; then they are keyed afresh, once per call for each place
+    and such variables.  A specialized child is keyed from scratch.
 
     The literals a child adds come from :func:`_added_literals`, with their
-    sort keys, so parents with the same head and variables share those
-    objects and keys; only the child's body tuple and rule are new.  Those
-    children, and their keys, skip the public constructor's duplicate check
+    sort keys and positions, so parents with the same head and variables
+    share them; only the key, and then the child if the key is new, are
+    built.  Both skip the public constructor's duplicate check
     (:meth:`Rule._distinct`): an added literal's atom is not in ``h``'s
     body.  A specialized child goes through it, as the specialized literal
-    may already be in the body.
+    may already be in the body.  Steps are built past the constructor too.
     """
     head, body = h.head, h.body
     existing = h.variables()
@@ -318,15 +329,13 @@ def refine(
     def add(label: str, preds, variables: tuple[Var, ...], max_new: int, negated: bool = False) -> None:
         """Keep each admissible child, not a variant of a kept one, that adds
         a literal of :func:`_added_literals` over one of ``preds``."""
+        m = len(ids)
+        # by position in variables + fresh: the number in ids, or m if fresh
+        nums = [ids[v] for v in variables] + [m] * max_new
         for pred in preds:
-            for lit, k in _added_literals(pred, variables, head, max_new, negated):
+            for lit, k, at in _added_literals(pred, variables, head, max_new, negated):
                 if lit.atom in body_atoms:
                     continue  # in h's body, under either polarity
-                # a literal whose atom h lacks is none of h's literals, so the
-                # child's body is distinct and needs no dedupe pass
-                child = Rule._distinct(head, body + (lit,))
-                if check_children and not _admissible(child):
-                    continue
                 p = bisect.bisect_right(keys, k)
                 # the child's first tie: h's, or lit's with the literal before it
                 # (any other literal with lit's key is tied before that)
@@ -334,32 +343,34 @@ def refine(
                 if s < p:
                     tail = keyed_parent[s:p] + [(k, lit)] + keyed_parent[p:]
                     prefix = dict(itertools.islice(ids.items(), counts[s]))
-                    key_body = parent_key.body[:s] + _canonical_tail(prefix, tail)[1]
+                    key_body = parent_key.body[:s] + _canonical_tail(prefix, tail)
                 else:
                     n = counts[p]
-                    args, new = [], []  # new: variables of lit first numbered at p
-                    for v in lit.atom.args:  # pairwise-distinct variables
-                        i = ids.get(v, n)
+                    numbers, new = [], []  # new: numbers in ids (m if fresh) of lit's variables first numbered at p
+                    for i in map(nums.__getitem__, at):  # pairwise-distinct variables
                         if i >= n:
-                            i = n + len(new)
-                            new.append(v)
-                        args.append(_CANONICAL_VARS.get(i) or _canonical_var(i))
-                    args = tuple(args)
-                    canon = _CANONICAL_LITERALS.get((lit.atom.pred, args, lit.negated))
-                    if canon is None:
-                        canon = _canonical_literal(lit, dict(zip(lit.atom.args, args)))
+                            new.append(i)
+                            i = n + len(new) - 1
+                        numbers.append(i)
+                    numbers = tuple(numbers)
+                    canon = _CANONICAL_LITERALS.get((k, numbers)) or _canonical_literal(k, numbers, lit)
                     suffix = suffixes.get((p, *new)) if new else parent_key.body[p:]
                     if suffix is None:
                         shifted = dict(itertools.islice(ids.items(), n))
-                        shifted.update((v, n + i) for i, v in enumerate(new))
-                        suffix = suffixes[(p, *new)] = _canonical_tail(shifted, keyed_parent[p:])[1]
+                        shifted.update((v, i) for v, i in zip(lit.atom.args, numbers) if i >= n)
+                        suffix = suffixes[(p, *new)] = _canonical_tail(shifted, keyed_parent[p:])
                     key_body = parent_key.body[:p] + (canon,) + suffix
                 key = Rule._distinct(parent_key.head, key_body)
-                if key not in seen:
-                    seen.add(key)
-                    _set_canonical(key, key)
-                    _set_canonical(child, key)
-                    out.append(RefinementStep(label, lit, h, child, key))
+                if key in seen:
+                    continue
+                # a literal whose atom h lacks is none of h's literals, so the
+                # child's body is distinct and needs no dedupe pass
+                child = Rule._distinct(head, body + (lit,), key)
+                if check_children and not _admissible(child):
+                    continue
+                seen.add(key)
+                _set_canonical(key, key)
+                out.append(_step(label, lit, h, child, key))
 
     add(ADD_DATALOG, sorted(bias.datalog_pos), existing, max_new_vars)
     ontology = sorted(bias.concepts | bias.roles)
@@ -384,7 +395,7 @@ def refine(
             key = canonical_form(child)
             if key not in seen:
                 seen.add(key)
-                out.append(RefinementStep(SPECIALIZE_ONTOLOGY, lit, h, child, key))
+                out.append(_step(SPECIALIZE_ONTOLOGY, lit, h, child, key))
 
     add(ADD_NEGATED_DATALOG, sorted(bias.datalog_neg), pos_vars, 0, True)
     return tuple(out)

@@ -253,6 +253,45 @@ def test_cached_candidate_literals_change_nothing():
     check()
 
 
+def test_one_intern_table_serves_both_keying_paths():
+    """``refine``'s incremental keys and ``canonical_form`` from scratch take
+    their literals from one table, keyed by (:func:`_literal_key`, numbers of
+    the literal's variables).  For parents with constants, negated literals
+    and ties, each key literal is the entry under the pair read off the key
+    itself, and the from-scratch forms of the children add no entry; every
+    entry is keyed by its own literal's pair; and no other table of the
+    module holds literals."""
+    module = sys.modules["ontorules.refine"]
+    table = module._CANONICAL_LITERALS
+
+    def pair(lit, head_ids):
+        return _literal_key(lit, head_ids), tuple(int(t.name[1:]) for t in lit.atom.args if isinstance(t, Var))
+
+    @settings(max_examples=150, deadline=None)
+    @given(rules(max_body=4))
+    @example(_tail_parents()[0])
+    @example(_tail_parents()[2])
+    def check(parent):
+        steps = refine(parent, PROPERTY_BIAS, PROPERTY_TBOX)
+        size = len(table)
+        for step in steps:
+            fresh = _scratch(step.child)
+            assert all(a is b for a, b in zip(step.key.body, fresh.body))
+            ids = _head_ids(step.key.head)
+            assert all(table[pair(lit, ids)] is lit for lit in step.key.body)
+        assert len(table) == size
+
+    check()
+    for (key, numbers), lit in table.items():
+        pred = lit.atom.pred
+        assert key[:4] == (lit.negated, pred.name, pred.arity, pred.kind)
+        assert numbers == pair(lit, {})[1]
+        assert all(e == (2, t.name) if not isinstance(t, Var) else e[0] < 2 for e, t in zip(key[4], lit.atom.args))
+    tables = [name for name, value in vars(module).items()
+              if isinstance(value, dict) and any(isinstance(v, Literal) for v in value.values())]
+    assert tables == ["_CANONICAL_LITERALS"]
+
+
 def test_children_carry_their_key(kb, likes_bias, likes_rules, monkeypatch):
     steps = refine(likes_rules["h4"], likes_bias, kb.tbox)
     assert {s.rule_applied for s in steps} >= {ADD_DATALOG, ADD_ONTOLOGY, SPECIALIZE_ONTOLOGY}

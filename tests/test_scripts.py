@@ -2,12 +2,15 @@
 
 The scripts read private names of the package (``hybrid._partial_ground``,
 ``hybrid._augmented``, ``refine._added_literals``, ``refine._head_ids``,
-``refine._literal_key``), which a refactor can rename without any other test
-noticing.  Each script is imported by path under a name other than
-``__main__``, so its ``main`` does not run.
+``refine._literal_key``, ``Rule._distinct``), which a refactor can rename or
+reshape without any other test noticing.  Each script is imported by path
+under a name other than ``__main__``, so its ``main`` does not run on import;
+the tests below run the ``main`` of ``profile_refine.py`` and small sizes of
+``scale_ladder.py``.
 """
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -29,18 +32,27 @@ def test_a_script_imports_without_running(monkeypatch, path):
     assert callable(module.main)
 
 
-def _scale_ladder(monkeypatch):
-    spec = importlib.util.spec_from_file_location("_script_scale_ladder", SCRIPTS[0].parent / "scale_ladder.py")
-    ladder = importlib.util.module_from_spec(spec)
+def _script(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"_script_{name}", SCRIPTS[0].parent / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "path", list(sys.path))
-    spec.loader.exec_module(ladder)
-    return ladder
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_refine_profile_runs_and_counts_private_constructions(monkeypatch, capsys):
+    """``profile_refine.py`` runs to its end, and the rules it counts as
+    built through ``Rule._distinct`` are some."""
+    _script(monkeypatch, "profile_refine").main()
+    out = capsys.readouterr().out
+    built = re.search(r"^rules built: (\d+) public \(dedupe\), (\d+) private \(Rule._distinct\)$", out, re.M)
+    assert built and int(built[2]) > 0, out[-2000:]
 
 
 @pytest.mark.parametrize("task, size", [("loner", 40), ("likes", 10)])
 def test_a_learn_ladder_learns_its_labelling_rule(monkeypatch, capsys, task, size):
     """One small size of each ``scale_ladder.py`` learn ladder."""
-    ladder = _scale_ladder(monkeypatch)
+    ladder = _script(monkeypatch, "scale_ladder")
     monkeypatch.setitem(ladder.LEARN[task], "sizes", (size,))
     ladder.learn_ladder(task)
     row = capsys.readouterr().out.splitlines()[-1]
@@ -50,7 +62,7 @@ def test_a_learn_ladder_learns_its_labelling_rule(monkeypatch, capsys, task, siz
 
 def test_the_check_ladder_agrees_with_the_learners_coverage_test(monkeypatch, capsys):
     """One small size of the ``scale_ladder.py`` check ladder."""
-    ladder = _scale_ladder(monkeypatch)
+    ladder = _script(monkeypatch, "scale_ladder")
     monkeypatch.setattr(ladder, "CHECK_SIZES", (20,))
     ladder.check_ladder()
     row = capsys.readouterr().out.splitlines()[-1]

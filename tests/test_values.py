@@ -38,7 +38,7 @@ from ontorules.model import (
     ROLE,
 )
 from ontorules.parser import SourceLocation
-from ontorules.refine import RefinementStep
+from ontorules.refine import ADD_DATALOG, RefinementStep, refine
 
 P = Predicate("p", 1, DATALOG)
 C = Predicate("C", 1, CONCEPT)
@@ -111,6 +111,22 @@ SAMPLES = [
 ]
 IDS = [type(value).__name__ for value, _, _ in SAMPLES]
 ORDERED = (Var, Const, Predicate, Atom, Literal)
+
+#: Values that refinement builds past the public constructors, each with the
+#: repr of its publicly built twin: a rule from ``Rule._distinct`` and the one
+#: step of ``C(X) :- p(X).`` under a bias of ``q/1``.
+Q = Predicate("q", 1, DATALOG)
+(STEP,) = refine(RULE, LanguageBias(datalog_pos=frozenset({Q})))
+FAST = [
+    (Rule._distinct(RULE.head, RULE.body), RULE_REPR, ("head", "body")),
+    (STEP, repr(RefinementStep(ADD_DATALOG, Literal(Atom(Q, (X,))), RULE,
+                               Rule(RULE.head, RULE.body + (Literal(Atom(Q, (X,))),)),
+                               Rule(Atom(C, (Var("V0"),)), (Literal(Atom(P, (Var("V0"),))),
+                                                            Literal(Atom(Q, (Var("V0"),))))))),
+     ("rule_applied", "literal", "parent", "child", "key")),
+]
+SAMPLES += FAST
+IDS += ["Rule-distinct", "RefinementStep-refine"]
 
 
 @pytest.mark.parametrize("value, text, fields", SAMPLES, ids=IDS)
@@ -273,3 +289,19 @@ def test_validation_errors(make, error, message):
         make()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value", [v for v, _, _ in FAST], ids=IDS[-len(FAST):])
+def test_values_built_past_the_constructor_set_every_slot(value):
+    """A rule from ``Rule._distinct`` and a step from ``refine`` have every
+    slot set, private ones too, as a publicly built value has; their pickled
+    and copied rules start with empty memo slots."""
+    rules = [value] if isinstance(value, Rule) else [value.parent, value.child, value.key]
+    for v in [value, *rules]:
+        slots = [n for c in type(v).__mro__ for n in getattr(c, "__slots__", ())]
+        for name in slots:
+            getattr(v, name)
+    for rule in rules:
+        twins = [pickle.loads(pickle.dumps(rule)), copy.copy(rule), copy.deepcopy(rule)]
+        for twin in twins:
+            assert twin == rule and twin._canonical is None and twin._hash is None
