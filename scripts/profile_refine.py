@@ -13,7 +13,11 @@ the new literal is inserted into it, or, when the child's sorted body has a
 tie before the new literal's place (the new literal's sort key equals a
 parent literal's, or two of the parent's are equal), the literals from the
 first tie on are keyed afresh (the tail; its mean length is printed).  A
-specialized child is keyed from scratch.  The paths are read off the
+specialized child is keyed from scratch.  Tails keyed afresh, and the
+parent's literals after an inserted one that numbers a variable first (a
+renumbered suffix), come from a memo that ``refine`` shares between calls;
+a second, unprofiled walk from an empty memo counts how many of each it
+computed and how many it reused.  The paths are read off the
 returned steps after the run, so children dropped as variants are not
 counted.  ``canonical_form`` calls either build a key from scratch (the
 parents', the specialized children's, the seed's) or read back the key a rule
@@ -42,6 +46,7 @@ Run from a checkout: ``PYTHONPATH=src python scripts/profile_refine.py``
 
 import bisect
 import cProfile
+import importlib
 import io
 import pstats
 from collections import Counter
@@ -109,6 +114,54 @@ def keying_path(step) -> tuple[str, int]:
     tie = next((i for i, (a, b) in enumerate(zip(keys, keys[1:])) if a == b), len(keys))
     s = min(tie, bisect.bisect_left(keys, k))
     return ("tail", len(keys) + 1 - s) if s < p else ("inserted", 0)
+
+
+class _CountedTails(dict):
+    """One place's entry of ``refine``'s memo of key tails, counting its
+    lookups: a tie tail is keyed by the new literal's sort key and ids, a
+    renumbered suffix by ids alone."""
+
+    def __init__(self, counts: Counter):
+        super().__init__()
+        self.counts = counts
+
+    def get(self, key, default=None):
+        found = super().get(key, default)
+        kind = "tie tails" if isinstance(key[0], tuple) else "suffixes"
+        self.counts[kind, "computed" if found is None else "reused"] += 1
+        return found
+
+
+class _CountingMemo(dict):
+    """A stand-in for ``refine._TAILS`` whose entries count their lookups."""
+
+    def __init__(self):
+        super().__init__()
+        self.counts = Counter()
+
+    def setdefault(self, key, default=None):
+        return super().setdefault(key, _CountedTails(self.counts))
+
+
+def count_tails(kb, bias) -> Counter:
+    """Lookups of the memo of key tails over the LIKES depth-3 walk, from an
+    empty memo, by kind and by whether the tail was computed or reused."""
+    module = importlib.import_module("ontorules.refine")
+    saved, module._TAILS = module._TAILS, _CountingMemo()
+    try:
+        frontier = [seed_rule(Predicate("LIKES", 2, ROLE))]
+        seen = {canonical_form(frontier[0])}
+        for _ in range(DEPTH):
+            nxt = []
+            for parent in frontier:
+                for step in refine(parent, bias, kb.tbox):
+                    if step.key not in seen:
+                        seen.add(step.key)
+                        nxt.append(step.child)
+            frontier = nxt
+        return module._TAILS.counts
+    finally:
+        module._TAILS = saved
 
 
 def likes_space(kb, bias) -> list:
@@ -190,6 +243,10 @@ def main() -> None:
     print(f"candidate literals: {_added_literals.cache_info()}")
     print(f"rules built: {code_calls(stats, Rule.__init__.__code__)} public (dedupe), "
           f"{code_calls(stats, Rule._distinct.__code__)} private (Rule._distinct)")
+    tails = count_tails(kb, bias)
+    print("memo of key tails: " + "; ".join(
+        f"{kind} {tails[kind, 'computed']} computed, {tails[kind, 'reused']} reused"
+        for kind in ("suffixes", "tie tails")))
 
     space = likes_space(kb, bias)
     pairs = cProfile.Profile()

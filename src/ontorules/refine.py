@@ -148,6 +148,13 @@ _CANONICAL_LITERALS: dict[tuple, Literal] = {}
 #: a canonical rule owns only itself and its body tuple.
 _CANONICAL_HEADS: dict[tuple, Atom] = {}
 
+#: Key tails that :func:`refine` keyed afresh, by a signature of the parent's
+#: literals from a place on and then of the child's new literal (see there),
+#: shared by all of its calls: at most ``_TAILS_SIZE`` places, each with a tail
+#: per literal that goes in there, and cleared before it would hold more.
+_TAILS: dict[tuple, dict[tuple, tuple[Literal, ...]]] = {}
+_TAILS_SIZE = 4096
+
 
 def _canonical_var(i: int) -> Var:
     # setdefault keeps one object per number even if two threads race here
@@ -175,11 +182,11 @@ def _canonical_head(head: Atom, ids: dict[Var, int]) -> Atom:
 
 
 def _order_ties(
-    keys: list[tuple], occ: list[tuple[int, ...]], n_fixed: int
+    keys: list[tuple], occ: list[tuple[int, ...]], fixed: dict[int, int]
 ) -> tuple[dict[int, int], tuple[int, ...]]:
     """The number of each variable id and the body order, as positions in the
-    sorted body, for a body in which some literals have equal keys; variable
-    ids below ``n_fixed`` keep their number.
+    sorted body, for a body in which some literals have equal keys; the ids
+    that ``fixed`` numbers 0, 1, ... keep their numbers.
 
     Only literals with equal keys are reordered, and the ordering whose
     variables, numbered by first occurrence, read smallest wins.  It is built
@@ -189,7 +196,7 @@ def _order_ties(
     Through untied literals, one ordering is extended, by first occurrence.
     """
     # (number of each variable id, body positions placed, positions left)
-    states = [({i: i for i in range(n_fixed)}, (), tuple(range(len(keys))))]
+    states = [(fixed, (), tuple(range(len(keys))))]
     for _ in keys:
         best, extended = None, {}
         for names, placed, left in states:
@@ -197,12 +204,12 @@ def _order_ties(
                 if keys[j] != keys[left[0]]:
                     break
                 new = dict(names)
-                chunk = tuple(new.setdefault(v, len(new)) for v in occ[j])
+                chunk = tuple([new.setdefault(v, len(new)) for v in occ[j]])
                 if best is None or chunk < best:
                     best, extended = chunk, {}
                 if chunk == best:
                     rest = left[:i] + left[i + 1 :]
-                    future = (rest, tuple(new.get(v) for k in rest for v in occ[k]))
+                    future = (rest, tuple([new.get(v) for k in rest for v in occ[k]]))
                     extended.setdefault(future, (new, placed + (j,), rest))
         states = list(extended.values())
     names, placed, _ = states[0]
@@ -221,25 +228,31 @@ def _head_ids(head: Atom) -> dict[Var, int]:
 _first = itemgetter(0)
 
 
-def _keyed_body(body: tuple[Literal, ...], head_ids: dict[Var, int]) -> list[tuple]:
-    """``(literal key, literal)`` for each body literal, sorted stably by key."""
-    return sorted(((_literal_key(l, head_ids), l) for l in body), key=_first)
+def _keyed_body(body: tuple[Literal, ...], ids: dict[Var, int]) -> list[tuple]:
+    """``(literal key, variable ids, literal)`` for each body literal, sorted stably
+    by key; ``ids``, the head's, is extended by first occurrence in that order."""
+    keyed = sorted(((_literal_key(l, ids), l) for l in body), key=_first)
+    return [(k, tuple(ids.setdefault(t, len(ids)) for t in l.atom.args if isinstance(t, Var)), l) for k, l in keyed]
 
 
-def _canonical_tail(ids: dict[Var, int], keyed: list[tuple]) -> tuple[Literal, ...]:
-    """The canonical literals of the sorted literals ``keyed`` after a
-    prefix, whose variables ``ids`` numbers 0, 1, ... (the head's, for a
-    whole body), and which it extends.  If the prefix has no tie, the
-    canonical body is its literals' followed by these (see :func:`_order_ties`)."""
-    n_fixed = len(ids)
-    keys = [k for k, _ in keyed]
-    occ = [tuple(ids.setdefault(t, len(ids)) for t in l.atom.args if isinstance(t, Var)) for _, l in keyed]
+def _canonical_tail(n: int, new: tuple[int, ...], keyed: list[tuple]) -> tuple[Literal, ...]:
+    """The canonical literals of the sorted literals ``keyed`` (see
+    :func:`_keyed_body`) after a prefix whose variables have the ids below
+    ``n`` (the head's, for a whole body), which keep their numbers; the ids in
+    ``new`` are numbered next, the others by first occurrence.  If the prefix
+    has no tie, the canonical body is its literals' followed by these (see
+    :func:`_order_ties`).  It renumbers integers, and hashes no variable."""
+    keys = [k for k, _, _ in keyed]
+    occ = [o for _, o, _ in keyed]
+    names = dict(zip(itertools.chain(range(n), new), itertools.count()))
     if any(a == b for a, b in zip(keys, keys[1:])):
-        names, placed = _order_ties(keys, occ, n_fixed)
-    else:  # first occurrence in sorted order is already the smallest numbering
-        names, placed = range(len(ids)), range(len(keyed))
+        names, placed = _order_ties(keys, occ, names)
+    else:
+        placed = range(len(keyed))
+        for i in itertools.chain.from_iterable(occ):
+            names.setdefault(i, len(names))
     # renaming the distinct literals of a rule injectively keeps them distinct
-    return tuple(_canonical_literal(keys[j], tuple([names[i] for i in occ[j]]), keyed[j][1]) for j in placed)
+    return tuple([_canonical_literal(keys[j], tuple([names[i] for i in occ[j]]), keyed[j][2]) for j in placed])
 
 
 def canonical_form(rule: Rule) -> Rule:
@@ -262,7 +275,8 @@ def canonical_form(rule: Rule) -> Rule:
     if key is None:
         ids = _head_ids(rule.head)
         head = _canonical_head(rule.head, ids)
-        key = Rule._distinct(head, _canonical_tail(ids, _keyed_body(rule.body, ids)))
+        n_head = len(ids)  # before _keyed_body numbers the body's variables
+        key = Rule._distinct(head, _canonical_tail(n_head, (), _keyed_body(rule.body, ids)))
         _set_canonical(key, key)
         _set_canonical(rule, key)
     return key
@@ -291,8 +305,12 @@ def refine(
     the rest is keyed afresh (:func:`_canonical_tail`).  Otherwise the new
     literal goes in at its place, numbered through its argument positions
     (integers), and the literals after it are kept too, unless it numbers a
-    variable first; then they are keyed afresh, once per call for each place
-    and such variables.  A specialized child is keyed from scratch.
+    variable first; then they are renumbered afresh.  Such a tail depends on
+    integers alone: the sort keys and variable ids of ``h``'s sorted literals
+    from its place on, the number of ids before it, and the new literal's key
+    and ids, or the ids it numbers first.  Under that signature a process-wide
+    memo (``_TAILS``) keeps it for every parent, tied or not, until the memo
+    is full.  A specialized child is keyed from scratch.
 
     The literals a child adds come from :func:`_added_literals`, with their
     sort keys and positions, so parents with the same head and variables
@@ -303,35 +321,36 @@ def refine(
     may already be in the body.  Steps are built past the constructor too.
     """
     head, body = h.head, h.body
+    distinct = Rule._distinct
     existing = h.variables()
     body_atoms = {l.atom for l in body}
-    pos_vars = tuple(sorted({v for l in body if not l.negated for v in l.atom.variables()}))
     out: list[RefinementStep] = []
     parent_key = canonical_form(h)
     seen: set[Rule] = {parent_key}
     check_children = not _admissible(h)
     head_ids = _head_ids(head)
-    keyed_parent = _keyed_body(body, head_ids)
-    keys = [k for k, _ in keyed_parent]
+    ids = dict(head_ids)
+    keyed_parent = _keyed_body(body, ids)
+    keys = [k for k, _, _ in keyed_parent]
     tie = next((i for i, (a, b) in enumerate(zip(keys, keys[1:])) if a == b), len(keys))
     # before the first tie, parent_key.body is h's body in key order, numbered
     # by first occurrence: ids[v] is v's number there, and counts[p] how many
     # are numbered after the first p sorted literals
-    ids = dict(head_ids)
-    counts = [len(ids)]
-    for _, l in keyed_parent:
-        for t in l.atom.args:
-            if isinstance(t, Var):
-                ids.setdefault(t, len(ids))
-        counts.append(len(ids))
-    suffixes: dict[tuple, tuple[Literal, ...]] = {}
+    counts = [len(head_ids)]
+    for _, occ, _ in keyed_parent:
+        counts.append(max(counts[-1], max(occ, default=-1) + 1))
+    # memos[s]: the tails keyed afresh from place s, for every parent whose
+    # sorted literals from s on have these keys and ids, after counts[s] ids
+    if len(_TAILS) > _TAILS_SIZE - len(counts):
+        _TAILS.clear()
+    memos = [_TAILS.setdefault((tuple((k, o) for k, o, _ in keyed_parent[s:]), n), {}) for s, n in enumerate(counts)]
 
     def add(label: str, preds, variables: tuple[Var, ...], max_new: int, negated: bool = False) -> None:
         """Keep each admissible child, not a variant of a kept one, that adds
         a literal of :func:`_added_literals` over one of ``preds``."""
-        m = len(ids)
-        # by position in variables + fresh: the number in ids, or m if fresh
-        nums = [ids[v] for v in variables] + [m] * max_new
+        # by position in variables + fresh: the number in ids, or -1, -2, ... if fresh
+        nums = [ids[v] for v in variables] + list(range(-1, -1 - max_new, -1))
+        number = nums.__getitem__
         for pred in preds:
             for lit, k, at in _added_literals(pred, variables, head, max_new, negated):
                 if lit.atom in body_atoms:
@@ -339,36 +358,39 @@ def refine(
                 p = bisect.bisect_right(keys, k)
                 # the child's first tie: h's, or lit's with the literal before it
                 # (any other literal with lit's key is tied before that)
-                s = min(tie, p - 1 if p and keys[p - 1] == k else p)
+                s = p - 1 if p and keys[p - 1] == k else p
+                if tie < s:
+                    s = tie
                 if s < p:
-                    tail = keyed_parent[s:p] + [(k, lit)] + keyed_parent[p:]
-                    prefix = dict(itertools.islice(ids.items(), counts[s]))
-                    key_body = parent_key.body[:s] + _canonical_tail(prefix, tail)
+                    numbers = tuple(map(number, at))
+                    tail = memos[s].get((k, numbers)) or memos[s].setdefault((k, numbers), _canonical_tail(
+                        counts[s], (), keyed_parent[s:p] + [(k, numbers, lit)] + keyed_parent[p:]))
+                    key_body = parent_key.body[:s] + tail
                 else:
                     n = counts[p]
-                    numbers, new = [], []  # new: numbers in ids (m if fresh) of lit's variables first numbered at p
-                    for i in map(nums.__getitem__, at):  # pairwise-distinct variables
-                        if i >= n:
-                            new.append(i)
+                    numbers, new = [], ()  # new: ids of lit's variables first numbered at p
+                    for i in map(number, at):  # pairwise-distinct variables
+                        if not 0 <= i < n:
+                            new += (i,)
                             i = n + len(new) - 1
                         numbers.append(i)
                     numbers = tuple(numbers)
                     canon = _CANONICAL_LITERALS.get((k, numbers)) or _canonical_literal(k, numbers, lit)
-                    suffix = suffixes.get((p, *new)) if new else parent_key.body[p:]
-                    if suffix is None:
-                        shifted = dict(itertools.islice(ids.items(), n))
-                        shifted.update((v, i) for v, i in zip(lit.atom.args, numbers) if i >= n)
-                        suffix = suffixes[(p, *new)] = _canonical_tail(shifted, keyed_parent[p:])
+                    suffix = parent_key.body[p:]
+                    if new and suffix:
+                        suffix = memos[p].get(new) or memos[p].setdefault(
+                            new, _canonical_tail(n, new, keyed_parent[p:]))
                     key_body = parent_key.body[:p] + (canon,) + suffix
-                key = Rule._distinct(parent_key.head, key_body)
-                if key in seen:
-                    continue
+                key = distinct(parent_key.head, key_body)
+                size = len(seen)
+                seen.add(key)
+                if len(seen) == size:
+                    continue  # a variant of a child kept, or refused, before
                 # a literal whose atom h lacks is none of h's literals, so the
                 # child's body is distinct and needs no dedupe pass
-                child = Rule._distinct(head, body + (lit,), key)
+                child = distinct(head, body + (lit,), key)
                 if check_children and not _admissible(child):
                     continue
-                seen.add(key)
                 _set_canonical(key, key)
                 out.append(_step(label, lit, h, child, key))
 
@@ -397,7 +419,9 @@ def refine(
                 seen.add(key)
                 out.append(_step(SPECIALIZE_ONTOLOGY, lit, h, child, key))
 
-    add(ADD_NEGATED_DATALOG, sorted(bias.datalog_neg), pos_vars, 0, True)
+    if bias.datalog_neg:
+        pos_vars = tuple(sorted({v for l in body if not l.negated for v in l.atom.variables()}))
+        add(ADD_NEGATED_DATALOG, sorted(bias.datalog_neg), pos_vars, 0, True)
     return tuple(out)
 
 

@@ -1,11 +1,12 @@
 import bisect
 import copy
+import hashlib
 import pickle
 import sys
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from ontorules import parse_rule
 from ontorules.model import (
@@ -36,7 +37,7 @@ from ontorules.refine import (
     refine,
     seed_rule,
 )
-from test_canonical import PREDICATES, rules
+from test_canonical import PREDICATES, rules, variants
 
 
 def _scratch(rule):
@@ -130,6 +131,35 @@ def test_every_depth3_key_is_the_from_scratch_form(kb, loner_bias, likes_bias):
         assert s.key.head is fresh.head
         assert len(s.key.body) == len(fresh.body)
         assert all(a is b for a, b in zip(s.key.body, fresh.body))
+
+
+#: SHA-256 of the LONER and then the LIKES depth-3 walk, one line per step
+#: in walk order: label, literal, parent, child and key, tab-separated.  It was
+#: recorded before keys reused tails across parents.
+DEPTH3_WALK_SHA256 = "d8adc0dd6c903e9daa253cc2c954db5302fdf3fb8abf0e913a9ae4dbeb4f91e5"
+
+
+def test_the_depth3_walk_is_pinned(kb, loner_bias, likes_bias):
+    """The criterion-4 walks give the same steps, keys and order as when they
+    were recorded: edges per depth, and a hash over every step."""
+    digest, edges = hashlib.sha256(), []
+    for target, bias in ((Predicate("LONER", 1, CONCEPT), loner_bias), (Predicate("LIKES", 2, ROLE), likes_bias)):
+        frontier = [seed_rule(target)]
+        seen = {canonical_form(frontier[0])}
+        for _ in range(3):
+            nxt, n = [], 0
+            for parent in frontier:
+                for s in refine(parent, bias, kb.tbox):
+                    n += 1
+                    line = "\t".join((s.rule_applied, str(s.literal), str(s.parent), str(s.child), str(s.key)))
+                    digest.update(line.encode() + b"\n")
+                    if s.key not in seen:
+                        seen.add(s.key)
+                        nxt.append(s.child)
+            edges.append(n)
+            frontier = nxt
+    assert edges == [1, 3, 6, 6, 318, 20358]
+    assert digest.hexdigest() == DEPTH3_WALK_SHA256
 
 
 def _of_kind(kind):
@@ -259,8 +289,9 @@ def test_one_intern_table_serves_both_keying_paths():
     the literal's variables).  For parents with constants, negated literals
     and ties, each key literal is the entry under the pair read off the key
     itself, and the from-scratch forms of the children add no entry; every
-    entry is keyed by its own literal's pair; and no other table of the
-    module holds literals."""
+    entry is keyed by its own literal's pair; no other table of the module
+    holds literals, and the memo of key tails holds only the table's entries
+    and stays within its bound."""
     module = sys.modules["ontorules.refine"]
     table = module._CANONICAL_LITERALS
 
@@ -290,6 +321,92 @@ def test_one_intern_table_serves_both_keying_paths():
     tables = [name for name, value in vars(module).items()
               if isinstance(value, dict) and any(isinstance(v, Literal) for v in value.values())]
     assert tables == ["_CANONICAL_LITERALS"]
+    entries = {id(lit) for lit in table.values()}
+    assert 0 < len(module._TAILS) <= module._TAILS_SIZE
+    assert all(id(lit) in entries for tails in module._TAILS.values() for tail in tails.values() for lit in tail)
+
+
+def _parents_after_one_and_two_variables():
+    """``T(X) :- C(X), r(X,Y,Z).`` and ``T(X) :- R(X,Y), r(X,Y,Z).``: their
+    sorted literals end in the same ``r``, numbered alike, after a literal that
+    numbers one variable and after one that numbers two; a ``q(X,W)`` goes in
+    before it in both."""
+    x, y, z = Var("X"), Var("Y"), Var("Z")
+    pred = {p.name: p for p in PREDICATES}
+    head = Atom(Predicate("T", 1, CONCEPT), (x,))
+    r_xyz = Literal(Atom(pred["r"], (x, y, z)))
+    return [Rule(head, (Literal(Atom(pred["C"], (x,))), r_xyz)), Rule(head, (Literal(Atom(pred["R"], (x, y))), r_xyz))]
+
+
+def _parent_of_an_unnumbered_tail():
+    """``T(X) :- r(Y,X,W).``: an ``r(X,_,_)`` with two fresh variables goes
+    in before its one literal, whose ``Y`` and ``W`` it leaves unnumbered."""
+    x, y, w = Var("X"), Var("Y"), Var("W")
+    r = next(p for p in PREDICATES if p.name == "r")
+    return Rule(Atom(Predicate("T", 1, CONCEPT), (x,)), (Literal(Atom(r, (y, x, w))),))
+
+
+@st.composite
+def _parents_sharing_tails(draw):
+    """A drawn rule, the rule without each of its literals in turn, and a
+    renamed, shuffled variant of each: parents whose sorted literals share
+    tails, numbered alike or not, after prefixes with more or fewer
+    variables."""
+    rule = draw(rules(max_body=3))
+    family = [rule] + [Rule(rule.head, rule.body[:i] + rule.body[i + 1 :]) for i in range(len(rule.body))]
+    return family + [draw(variants(r)) for r in family]
+
+
+def test_key_tails_are_reused_across_parents_in_any_order():
+    """The memo of key tails that ``refine`` shares between calls gives every
+    step its child's from-scratch key, literal for literal, whichever parents
+    filled it: for parents that share tails, refined in two orders, from a
+    cold memo and from a warm one, with one fresh variable per added literal
+    and with two."""
+    module = sys.modules["ontorules.refine"]
+
+    def keys(parents, order, max_new):
+        out = {}
+        for i in order:
+            steps = refine(parents[i], PROPERTY_BIAS, PROPERTY_TBOX, max_new)
+            for step in steps:
+                fresh = _scratch(step.child)
+                assert step.key.head is fresh.head and len(step.key.body) == len(fresh.body)
+                assert all(a is b for a, b in zip(step.key.body, fresh.body))
+            out[i] = [(s.rule_applied, s.literal, s.key.body) for s in steps]
+        return out
+
+    @settings(max_examples=100, deadline=None)
+    @given(_parents_sharing_tails(), st.sampled_from((1, 2)))
+    @example(_parents_after_one_and_two_variables(), 1)
+    @example([_parent_of_an_unnumbered_tail()], 2)
+    def check(parents, max_new):
+        forward, backward = range(len(parents)), range(len(parents) - 1, -1, -1)
+        module._TAILS.clear()
+        cold = keys(parents, forward, max_new)
+        assert keys(parents, backward, max_new) == cold
+        module._TAILS.clear()
+        assert keys(parents, backward, max_new) == cold
+        assert keys(parents, forward, max_new) == cold
+
+    check()
+
+
+def test_the_memo_of_key_tails_is_cleared_when_full(monkeypatch):
+    """With room for a few tails, the memo is cleared before a call would
+    take it past its bound, and the keys stay the from-scratch ones."""
+    module = sys.modules["ontorules.refine"]
+    parents = _tail_parents() + _parents_after_one_and_two_variables()
+    module._TAILS.clear()
+    for parent in parents:
+        refine(parent, PROPERTY_BIAS, PROPERTY_TBOX)
+    assert len(module._TAILS) > 5
+    monkeypatch.setattr(module, "_TAILS_SIZE", 5)
+    module._TAILS.clear()
+    for parent in parents:
+        for step in refine(parent, PROPERTY_BIAS, PROPERTY_TBOX):
+            assert step.key.body == _scratch(step.child).body
+        assert 0 < len(module._TAILS) <= 5
 
 
 def test_children_carry_their_key(kb, likes_bias, likes_rules, monkeypatch):

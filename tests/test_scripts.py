@@ -2,11 +2,11 @@
 
 The scripts read private names of the package (``hybrid._partial_ground``,
 ``hybrid._augmented``, ``refine._added_literals``, ``refine._head_ids``,
-``refine._literal_key``, ``Rule._distinct``), which a refactor can rename or
-reshape without any other test noticing.  Each script is imported by path
-under a name other than ``__main__``, so its ``main`` does not run on import;
-the tests below run the ``main`` of ``profile_refine.py`` and small sizes of
-``scale_ladder.py``.
+``refine._literal_key``, ``refine._TAILS``, ``Rule._distinct``), which a
+refactor can rename or reshape without any other test noticing.  Each script
+is imported by path under a name other than ``__main__``, so its ``main``
+does not run on import; the tests below run the ``main`` of
+``profile_refine.py`` and small sizes of ``scale_ladder.py``.
 """
 
 import importlib.util
@@ -41,12 +41,16 @@ def _script(monkeypatch, name):
 
 
 def test_the_refine_profile_runs_and_counts_private_constructions(monkeypatch, capsys):
-    """``profile_refine.py`` runs to its end, and the rules it counts as
-    built through ``Rule._distinct`` are some."""
+    """``profile_refine.py`` runs to its end, the rules it counts as built
+    through ``Rule._distinct`` are some, and ``refine``'s memo of key tails
+    reuses both suffixes and tie tails on the LIKES walk."""
     _script(monkeypatch, "profile_refine").main()
     out = capsys.readouterr().out
     built = re.search(r"^rules built: (\d+) public \(dedupe\), (\d+) private \(Rule._distinct\)$", out, re.M)
     assert built and int(built[2]) > 0, out[-2000:]
+    tails = re.search(r"^memo of key tails: suffixes (\d+) computed, (\d+) reused; "
+                      r"tie tails (\d+) computed, (\d+) reused$", out, re.M)
+    assert tails and all(int(tails[i]) > 0 for i in (1, 2, 3, 4)), out[-2000:]
 
 
 @pytest.mark.parametrize("task, size", [("loner", 40), ("likes", 10)])
