@@ -3,9 +3,11 @@
 The fragment is deliberately small: inclusions of the shape
 ``(C1 and ... and Cn) subclass D`` where ``D`` is an atomic concept or an
 existential restriction with Top filler, plus atomic role inclusions.
-A guess is consistent when its closure under the axioms (:func:`close`)
-derives none of the atoms it declares false; existential right-hand sides
-never force named role atoms (their witnesses may stay anonymous).
+:func:`close` is a one-step chase: no left-hand side holds at a null, which
+belongs to no concept, so its result is the universal model, in which a
+conjunctive query holds iff it holds in every model (Calvanese et al., JAR
+39(3), 2007).  A guess is consistent when its closure derives none of the
+atoms it declares false; the chase adds no named role atom.
 """
 
 from __future__ import annotations
@@ -42,19 +44,9 @@ class DLGuess(Record):
                 raise ModelError(f"guess atom must be a ground ontology atom: {a}")
 
 
-class ExistsFact(Record):
-    """Derived fact "some individual is related to ``anchor`` via ``role``".
-
-    ``anchor_pos`` is the argument position occupied by the named individual:
-    0 for ``role(anchor, _)``, 1 for ``role(_, anchor)``.  The witness itself
-    may be anonymous, so no ground role atom is implied.
-    """
-
-    __slots__ = ("role", "anchor", "anchor_pos")  # str, Const, int
-
-
 def role_closure(tbox: tuple[Axiom, ...]) -> dict[str, set[str]]:
-    """Reflexive-transitive closure of the atomic role inclusions."""
+    """Transitive closure of the atomic role inclusions: a role's super-roles,
+    itself only through a cycle (:func:`subsumes` checks names first)."""
     edges: dict[str, set[str]] = {}
     for ax in tbox:
         if isinstance(ax, RoleInclusion):
@@ -63,7 +55,8 @@ def role_closure(tbox: tuple[Axiom, ...]) -> dict[str, set[str]]:
 
 
 def concept_closure(tbox: tuple[Axiom, ...]) -> dict[str, set[str]]:
-    """Reflexive-transitive closure of the atomic concept inclusions.
+    """Transitive closure of the atomic concept inclusions, without
+    reflexivity, as for :func:`role_closure`.
 
     Conjunctive or existential axioms contribute nothing here: only
     single-atom left-hand sides with an atomic right-hand side count.
@@ -103,16 +96,15 @@ def subsumes(general: Predicate, specific: Predicate, tbox: tuple[Axiom, ...]) -
     return general.name in closure.get(specific.name, set())
 
 
-def close(atoms, tbox: tuple[Axiom, ...]) -> tuple[set[Atom], set[ExistsFact]]:
-    """Close a set of ground ontology atoms under the axioms.
-
-    Propagates role inclusions and conjunctive-LHS inclusions with atomic
-    right-hand sides; an existential right-hand side only records an
-    :class:`ExistsFact` for its role and each super-role.  Returns the closed
-    atoms and those facts.
-    """
+def close(atoms, tbox: tuple[Axiom, ...]) -> tuple[set[Atom], set[Atom]]:
+    """Close a set of ground ontology atoms under the axioms: the one-step
+    chase.  Propagates role inclusions and conjunctive-LHS inclusions with
+    atomic right-hand sides.  Each (anchor, role, direction) that an
+    existential right-hand side fires gets one null, a :class:`Const` named
+    after those three in a spelling that the parser rejects, which fills the
+    role and every super-role.  Returns the named atoms and the null atoms."""
     true: set[Atom] = set(atoms)
-    exists: set[ExistsFact] = set()
+    nulls: set[Atom] = set()
     role_sup = role_closure(tbox)
     by_concept: dict[str, list[ConceptInclusion]] = {}
     for ax in tbox:
@@ -135,12 +127,13 @@ def close(atoms, tbox: tuple[Axiom, ...]) -> tuple[set[Atom], set[ExistsFact]]:
                     continue
                 if isinstance(ax.rhs, str):
                     derived.append(Atom(Predicate(ax.rhs, 1, CONCEPT), (ind,)))
-                else:
-                    pos = 1 if ax.rhs.inverse else 0
-                    for role in {ax.rhs.role} | role_sup.get(ax.rhs.role, set()):
-                        exists.add(ExistsFact(role, ind, pos))
+                    continue
+                role, inverse = ax.rhs.role, ax.rhs.inverse
+                null = Const(f"_:{ind.name}.inv({role})" if inverse else f"_:{ind.name}.{role}")
+                nulls.update(Atom(Predicate(r, 2, ROLE), (null, ind) if inverse else (ind, null))
+                             for r in {role} | role_sup.get(role, set()))
         for d in derived:
             if d not in true:
                 true.add(d)
                 todo.append(d)
-    return true, exists
+    return true, nulls

@@ -8,9 +8,10 @@ a query, a skolemized rule body), ground once.
 * the *canonical* family contains, per stable assignment of the negated
   datalog atoms, the model whose ontology guess holds exactly the forced
   atoms (assertions plus heads of fired rules, closed under the axioms).
-  Existential right-hand sides are tracked as witness facts so that rule
-  bodies whose ontology variables never reach the head can be satisfied by an
-  anonymous individual.  Entailment and coverage are cautious truth over this
+  Its anonymous part is the one-step chase of :func:`dlreason.close`: one
+  null per existential that fires, in the role atoms that it fills.  A rule
+  variable that only ontology atoms use may bind a null; a head or datalog
+  variable may not.  Entailment and coverage are cautious truth over this
   family.  The assignments are searched by :func:`datalog.branch_search`, so
   a KB that is stratified once its axioms are read as rules settles in its
   fast path on its single model instead of trying all 2^n assignments.
@@ -24,10 +25,11 @@ a query, a skolemized rule body), ground once.
 One backtracking join, :func:`datalog._join`, matches every body against
 atoms by predicate: a rule's datalog literals of extensional predicates
 against the facts when a theory is ground (:func:`datalog.ground`), open
-ontology atoms in the model builders (:func:`_open_satisfied`), a rule against
-each KB model (:meth:`KBModels.covered`) and ``h1`` in :func:`more_general`,
-unless its syntactic fast path, which also reads the TBox's inclusions,
-decides the pair without models.  Only a variable that no joined atom binds
+ontology atoms against the named truth plus the null role atoms
+(:func:`_open_satisfied`) in the model builders, a rule against each KB model
+(:meth:`KBModels.covered`) and ``h1`` in :func:`more_general`, unless its
+syntactic fast path, which also reads the TBox's inclusions, decides the pair
+without models.  Only a head or datalog variable that no joined atom binds
 ranges over the domain (:func:`datalog._groundings`).
 """
 
@@ -49,7 +51,7 @@ from .datalog import (
     grounded_variables,
     stable_models,
 )
-from .dlreason import DLGuess, ExistsFact, close, role_closure, concept_closure
+from .dlreason import DLGuess, close, role_closure, concept_closure
 from .model import (
     Atom,
     Axiom,
@@ -94,8 +96,9 @@ class GeneralityVerdict(enum.Enum):
 
 
 class NMModel(Record):
-    """A model of a hybrid KB: its ontology guess, its datalog model and the
-    frozenset of its anonymous witness facts."""
+    """A model of a hybrid KB: its ontology guess over named atoms, its
+    datalog model and ``existentials``, the frozenset of its null role atoms
+    (:func:`dlreason.close`)."""
 
     __slots__ = ("guess", "datalog_model", "existentials")
     _defaults = {"existentials": frozenset()}
@@ -176,33 +179,11 @@ def _dl_base(
 
 # --- model construction -----------------------------------------------------
 
-def _open_satisfied(open_atoms: tuple[Atom, ...], index: dict, exists: set[ExistsFact], domain) -> bool:
-    """Satisfaction of the body's distinct ontology atoms with unbound
-    variables, which are existentially quantified.
-
-    The atoms are joined (:func:`_join`) against ``index``, the true ontology
-    atoms by predicate, binding variables to constants in the set ``domain``:
-    atoms that share a variable need one named witness.  Only a role atom
-    between a constant and a variable that occurs in no other open atom may
-    instead be met by an anonymous witness, recorded as an
-    :class:`ExistsFact`."""
-    if not open_atoms:
-        return True
-    named = [a for a in open_atoms if not _anonymous(a, open_atoms, exists)]
-    return next(_join(named, index, {}, domain), None) is not None
-
-
-def _anonymous(atom: Atom, open_atoms: tuple[Atom, ...], exists: set[ExistsFact]) -> bool:
-    """``atom`` relates a constant to a variable that no other of
-    ``open_atoms`` holds, and an :class:`ExistsFact` gives the constant an
-    anonymous filler of its role."""
-    if atom.pred.kind != ROLE:
-        return False
-    anchor_pos = 1 if isinstance(atom.args[0], Var) else 0
-    var, anchor = atom.args[1 - anchor_pos], atom.args[anchor_pos]
-    if isinstance(anchor, Var) or any(var in a.args for a in open_atoms if a is not atom):
-        return False
-    return any(f.role == atom.pred.name and f.anchor == anchor and f.anchor_pos == anchor_pos for f in exists)
+def _open_satisfied(open_atoms: tuple[Atom, ...], index: dict, members) -> bool:
+    """Satisfaction of ontology atoms whose variables only ontology atoms use:
+    one :func:`_join` against ``index``, the named and null atoms, that binds
+    them to ``members``, the named constants and the nulls."""
+    return not open_atoms or next(_join(open_atoms, index, {}, members), None) is not None
 
 
 def _joint_fixpoint(
@@ -212,18 +193,18 @@ def _joint_fixpoint(
     abox: tuple[Atom, ...],
     tbox: tuple[Axiom, ...],
     domain: tuple[Const, ...],
-) -> tuple[set[Atom], set[Atom], set[ExistsFact]]:
-    """Least joint closure of datalog derivation, ontology saturation and
-    existential propagation under a fixed truth assignment for the negated
-    atoms (reduct semantics).  Each round indexes the ontology truth once and
-    adds the ontology heads it fires."""
+) -> tuple[set[Atom], set[Atom], set[Atom]]:
+    """Least joint closure of datalog derivation and the ontology's chase
+    under a fixed truth assignment for the negated atoms (reduct semantics):
+    the datalog, named ontology and null atoms.  Each round indexes the
+    ontology truth once and adds the ontology heads it fires."""
     dtrue: set[Atom] = set(facts)
     gtrue: set[Atom] = set(abox)
-    members = frozenset(domain)
     active = [i for i in instances if not any(naf_truth.get(a, False) for a in i.naf)]
     while True:
-        gtrue, exists = close(gtrue, tbox)
-        index = _index(gtrue)
+        gtrue, nulls = close(gtrue, tbox)
+        index = _index(gtrue, nulls)
+        members = frozenset(domain).union(*(a.args for a in nulls))  # the domain and the nulls
         fired = False
         for inst in active:
             target = gtrue if inst.head.pred.is_dl else dtrue
@@ -231,14 +212,14 @@ def _joint_fixpoint(
                 inst.head not in target
                 and all(a in dtrue for a in inst.pos_datalog)
                 and all(a in gtrue for a in inst.dl_ground)
-                and _open_satisfied(inst.dl_open, index, exists, members)
+                and _open_satisfied(inst.dl_open, index, members)
             ):
                 target.add(inst.head)
                 if target is gtrue:
                     index.setdefault(inst.head.pred, []).append(inst.head)
                 fired = True
         if not fired:
-            return dtrue, gtrue, exists
+            return dtrue, gtrue, nulls
 
 
 class _Theory:
@@ -263,12 +244,12 @@ class _Theory:
         naf_atoms = sorted({a for i in instances for a in i.naf})
 
         def least_model(truth):
-            dtrue, gtrue, exists = _joint_fixpoint(instances, truth, facts, abox, tbox, domain)
-            return frozenset(dtrue), frozenset(gtrue), frozenset(exists)
+            dtrue, gtrue, nulls = _joint_fixpoint(instances, truth, facts, abox, tbox, domain)
+            return frozenset(dtrue), frozenset(gtrue), frozenset(nulls)
 
         self.models = [
-            NMModel(DLGuess(gtrue), Interpretation(dtrue), exists)
-            for dtrue, gtrue, exists in branch_search(naf_atoms, least_model)
+            NMModel(DLGuess(gtrue), Interpretation(dtrue), nulls)
+            for dtrue, gtrue, nulls in branch_search(naf_atoms, least_model)
             if not forbidden & dtrue
         ]
 
@@ -293,17 +274,16 @@ def _complete_models(theory: _Theory) -> list[NMModel]:
     guessable = sorted(base - forced)
     if len(guessable) > DEFAULT_GUESS_BUDGET:
         raise BudgetError(f"{len(guessable)} guessable ontology atoms exceed the budget of {DEFAULT_GUESS_BUDGET}")
-    members = frozenset(domain)
     models: list[NMModel] = []
     for bits in itertools.product((False, True), repeat=len(guessable)):
         true = set(forced) | {a for a, b in zip(guessable, bits) if b}
-        gtrue, exists = close(true, tbox)
+        gtrue, nulls = close(true, tbox)
         if (gtrue - true) & base:
             continue  # closure forces an atom the guess declares false
-        index = _index(gtrue)
+        index, members = _index(gtrue, nulls), frozenset(domain).union(*(a.args for a in nulls))
         # the instances whose ontology body holds reduce the datalog part under this guess
         holding = [i for i in instances if all(a in gtrue for a in i.dl_ground)
-                   and _open_satisfied(i.dl_open, index, exists, members)]
+                   and _open_satisfied(i.dl_open, index, members)]
         reduced = tuple(Rule(i.head, (*map(Literal, i.pos_datalog), *(Literal(a, True) for a in i.naf)))
                         for i in holding if not i.head.pred.is_dl)
         program = GroundProgram(reduced, theory.facts)
@@ -319,7 +299,7 @@ def _complete_models(theory: _Theory) -> list[NMModel]:
                 for inst in holding
             ):
                 guess = DLGuess(frozenset(gtrue), frozenset(base - gtrue))
-                models.append(NMModel(guess, m, frozenset(exists)))
+                models.append(NMModel(guess, m, frozenset(nulls)))
     return models
 
 
@@ -399,6 +379,25 @@ def _predicate_names(kb: HybridKB) -> set[str]:
     return names
 
 
+def _split(atoms: tuple[Atom, ...], grounded: tuple[Var, ...], checked=()) -> tuple:
+    """Positive body atoms split into those over the head and datalog
+    variables ``grounded`` (:func:`datalog.grounded_variables`), the open
+    atoms, and the variables of ``grounded`` that the first leave unbound but
+    the open atoms or the ``checked`` ones use."""
+    names, joined, opened, bound, used = frozenset(grounded), [], [], set(), set()
+    for a in atoms:
+        vs = a.variables()
+        if names.issuperset(vs):
+            joined.append(a)
+            bound.update(vs)
+        else:
+            opened.append(a)
+            used.update(vs)
+    for a in checked:
+        used.update(a.variables())
+    return tuple(joined), tuple(opened), tuple(v for v in grounded if v in used and v not in bound)
+
+
 def _bind_head(head: Atom, example: Atom) -> dict[Var, Const] | None:
     """The substitution that maps the head onto the ground example, if any."""
     if head.pred != example.pred:
@@ -436,30 +435,28 @@ class KBModels:
 
     @cached_property
     def _truths(self) -> list[tuple]:
-        """Datalog truth, the datalog and ontology truth indexed by
-        predicate, and the existential truth of each canonical model."""
+        """Per canonical model: its datalog truth, its datalog, ontology and
+        null atoms indexed by predicate, and the KB's constants plus its nulls."""
         models = _kb_theory(self.kb).models
         if not models:
             raise InconsistentKBError("background theory has no model")
-        return [(m.datalog_model.true_atoms, _index(m.datalog_model.true_atoms, m.guess.true_atoms), m.existentials)
-                for m in models]
+        return [(m.datalog_model.true_atoms, _index(m.datalog_model.true_atoms, m.guess.true_atoms, m.existentials),
+                 self._constants.union(*(a.args for a in m.existentials))) for m in models]
 
     def covered(self, rule: Rule, examples) -> frozenset[Atom]:
-        """The examples that the rule covers: from the head's binding, its
-        positive literals over head and datalog variables are joined with each
-        model, the rest of those variables range over the domain (at most
-        ``DEFAULT_GROUNDING_BUDGET`` groundings), and negated and open atoms
-        are checked last."""
+        """The examples that the rule covers: in every model, from the head's
+        binding, some grounding holds.  The rule's positive literals over head
+        and datalog variables join with the model's named atoms, the rest of
+        those variables range over the domain (at most
+        ``DEFAULT_GROUNDING_BUDGET`` groundings), the open atoms meet named
+        atoms or nulls (:func:`_holding`), and the negated atoms are false."""
         name = self.target.name
         if rule.head.pred != self.target or any(l.atom.pred.name == name for l in rule.body):
             raise ModelError(f"rule {rule} does not define the target {name} non-recursively")
         truths = self._truths
-        grounded = grounded_variables(rule)
         negated = tuple(l.atom for l in rule.body if l.negated)
-        joined = tuple(l.atom for l in rule.body if not l.negated and set(grounded).issuperset(l.atom.variables()))
-        opened = tuple(l.atom for l in rule.body if l.atom.pred.is_dl and l.atom not in joined)
-        bound = set(rule.head.variables()).union(*(a.variables() for a in joined))
-        rest = tuple(v for v in grounded if v not in bound)
+        split = _split(tuple(l.atom for l in rule.body if not l.negated), grounded_variables(rule), negated)
+        rest = tuple(v for v in split[2] if v not in rule.head.args)
         constants = self._constants | rule.constants()
         out = set()
         for example in examples:
@@ -471,12 +468,9 @@ class KBModels:
                 raise BudgetError(f"grounding exceeded the budget of {DEFAULT_GROUNDING_BUDGET} instances")
             ordered = tuple(sorted(domain)) if rest else ()
             if all(
-                any(
-                    not any(a.substitute(full) in dtrue for a in negated)
-                    and _open_satisfied(tuple(dict.fromkeys(a.substitute(full) for a in opened)), index, exists, domain)
-                    for full in _groundings(_join(joined, index, theta, domain), rest, ordered)
-                )
-                for dtrue, index, exists in truths
+                any(not any(a.substitute(full) in dtrue for a in negated)
+                    for full in _holding(split, index, theta, domain, ordered, members))
+                for dtrue, index, members in truths
             ):
                 out.add(example)
         return frozenset(out)
@@ -494,7 +488,8 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
     ``h2`` is skolemized; its positive body atoms become facts and its negated
     atoms become model constraints; ``h1`` is more general iff some grounding
     of it has the same head and a body that holds in the augmented theory.
-    Positive literals are checked cautiously over the canonical models;
+    Positive literals are checked cautiously over the canonical models, where
+    a variable that only ontology atoms use may bind a null that they share;
     a negated literal holds iff its atom is underivable in every admissible
     complete model.
 
@@ -509,15 +504,15 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
     (:func:`_augmented`), once per ``h2`` and set of ``h1``'s constants: one
     :class:`_Theory`, ground once, with its cautious truth indexed by
     predicate and, once a negated literal needs them, its possible atoms,
-    built from the same instances.  The grounding is found by a backtracking
-    join (:func:`_join`) of ``h1``'s positive body atoms against that truth,
-    from the binding of ``h1``'s head onto ``h2``'s; only the variables that
-    occur in no positive literal range over the whole domain, and the
-    negated literals are checked last.  A grounding's body holds iff it maps
-    every positive atom into the cautious truth, so the join finds exactly
-    the groundings that the product over the domain would keep, the
-    skolemization's own substitution among them.  That product still bounds
-    the search: past ``DEFAULT_THETA_BUDGET`` candidates the test raises
+    built from the same instances.  From the binding of ``h1``'s head onto
+    ``h2``'s, joins (:func:`_holding`) ground ``h1``'s positive atoms over
+    head and datalog variables in the named atoms, range its other head and
+    datalog variables over the domain and meet its open atoms with named or
+    null atoms; the negated literals are checked last.  So the joins find
+    exactly the groundings that the product would keep, the skolemization's
+    own substitution among them.  The product over the domain of every
+    variable the head leaves free still bounds the search:
+    past ``DEFAULT_THETA_BUDGET`` candidates the test raises
     :class:`BudgetError` unless that substitution holds.  The complete models
     are built exactly when a walk over the product, checking each body in
     order, would build them, so the same tests exceed the guess budget,
@@ -538,11 +533,11 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
         )):
             return True
     premises = _prepared(kb, (h1, h1.body), _premises)
-    h1_constants, h1_vars, h1_var_set, positive, negated, prefix, leading, unbound = premises
+    h1_constants, h1_vars, h1_var_set, body, prefix, negated, leading = premises
     head, sigma, constants, truth, theory = _prepared(kb, (h2, h1_constants), _augmented)
     if truth is None:
         return True  # augmented theory admits no model: entailment is vacuous
-    cautious, index = truth
+    cautious, index, members = truth
     domain = theory.domain
 
     # head unification fixes the head variables
@@ -568,14 +563,25 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
         # checked in body order, a grounding reaches the first negated literal
         # once the positive literals before it hold: build the complete models
         # exactly when one does
-        if next(_join(prefix, index, bound, constants), None) is None:
+        if next(_holding(prefix, index, bound, constants, domain, members), None) is None:
             return False
         possible = theory.possible()
-    rest = [v for v in unbound if v not in bound]
-    for full in _groundings(_join(positive, index, bound, constants), rest, domain):
+    for full in _holding(body, index, bound, constants, domain, members):
         if not any(a.substitute(full) in possible for a in negated):
             return True
     return False
+
+
+def _holding(split: tuple, index: dict, bound: dict, constants, domain: tuple, members):
+    """The groundings of a :func:`_split` from the binding ``bound``: its first
+    atoms joined in ``index`` over the set ``constants``, its unbound head and
+    datalog variables over the sorted ``domain``, and its open atoms joined
+    over ``members``, the constants and the nulls (:func:`_open_satisfied`)."""
+    joined, opened, unbound = split
+    groundings = _groundings(_join(joined, index, bound, constants), [v for v in unbound if v not in bound], domain)
+    if not opened:
+        return groundings
+    return (full for full in groundings if next(_join(opened, index, full, members), None) is not None)
 
 
 #: Entries a KB's generality memo holds before it is cleared.
@@ -619,22 +625,20 @@ def _prepared(kb: HybridKB, key: tuple, build):
 
 def _premises(kb: HybridKB, kb_constants: frozenset[Const], key: tuple) -> tuple:
     """What the generality test reads off ``h1`` whatever ``h2`` is: its
-    constants, its variables as a tuple and as a set, its positive and its
-    negated body atoms, the body atoms before its first negated literal (all
-    of them when none is negated) and their predicates, and the variables
-    that no positive literal binds, in the tuple's order.  ``key`` is
-    (``h1``, its body tuple): the body order decides when the complete models
-    are built."""
+    constants, its variables as a tuple and as a set, the :func:`_split` of
+    its positive body atoms and of those before its first negated literal
+    (all when none is), its negated atoms, and the predicates of those
+    leading atoms.  ``key`` is (``h1``, its body tuple): the body order
+    decides when the complete models are built."""
     h1 = key[0]
-    variables = h1.variables()
-    positive = tuple(l.atom for l in h1.body if not l.negated)
+    variables, grounded = h1.variables(), grounded_variables(h1)
     negated = tuple(l.atom for l in h1.body if l.negated)
     first = next((i for i, l in enumerate(h1.body) if l.negated), len(h1.body))
-    bound_by_join = {v for a in positive for v in a.variables()}
     prefix = tuple(l.atom for l in h1.body[:first])
-    unbound = tuple(v for v in variables if v not in bound_by_join)
+    body = _split(tuple(l.atom for l in h1.body if not l.negated), grounded, negated)
+    lead = _split(prefix, grounded) if negated else body  # with no negated literal, the prefix is the body
     leading = frozenset(a.pred for a in prefix)
-    return frozenset(h1.constants()), variables, frozenset(variables), positive, negated, prefix, leading, unbound
+    return frozenset(h1.constants()), variables, frozenset(variables), body, lead, negated, leading
 
 
 def _augmented(kb: HybridKB, kb_constants: frozenset[Const], key: tuple) -> tuple:
@@ -647,8 +651,10 @@ def _augmented(kb: HybridKB, kb_constants: frozenset[Const], key: tuple) -> tupl
     by ``str``, assertions, and its negated atoms constraints of one theory
     over the KB's rules and TBox.  ``constants`` are those of the KB's rules,
     ``h1`` and the skolemized ``h2``.  ``truth`` is the cautious truth, the
-    datalog and ontology atoms true in every canonical model, and those atoms
-    indexed by predicate, or None when the theory has no model.  Equal rules
+    datalog and named ontology atoms true in every canonical model, those and
+    the null atoms of every canonical model (a null's name is fixed by its
+    anchor, role and direction) indexed by predicate, and ``constants`` plus
+    those nulls, or None when the theory has no model.  Equal rules
     whose bodies are listed in another order skolemize to renamings of each
     other, which no verdict tells apart.
     """
@@ -664,7 +670,8 @@ def _augmented(kb: HybridKB, kb_constants: frozenset[Const], key: tuple) -> tupl
     truth = None
     if theory.models:
         cautious = frozenset.intersection(*[m.datalog_model.true_atoms | m.guess.true_atoms for m in theory.models])
-        truth = cautious, _index(cautious)
+        nulls = frozenset.intersection(*[m.existentials for m in theory.models])
+        truth = cautious, _index(cautious, nulls), constants.union(*(a.args for a in nulls))
     return h2s.head, sigma, constants, truth, theory
 
 

@@ -3,19 +3,18 @@
 The checker rebuilds the canonical model family from its definition without
 importing the hybrid or ontology reasoners: for every truth assignment to the
 negated atoms it computes the least model of the reduct, in which rule
-instances fire, the axioms close the ontology atoms and existential
-right-hand sides create anonymous witnesses, and keeps the assignments that
-the model reproduces.  Grounding is naive (no pruning) and everything is
-recomputed from scratch in each round.
+instances fire, the axioms close the named ontology atoms and each
+existential right-hand side that holds at a constant adds a null, which fills
+its role and every role above it (the one-step chase), and keeps the
+assignments that the model reproduces.  Grounding is naive (no pruning) and
+everything is recomputed from scratch in each round.
 
 Ontology atoms in generated rule bodies are ground once the head and datalog
 variables are, or have one open variable that occurs nowhere else in the
-rule: the fragment in which a named or an anonymous witness decides the atom
-on its own.  With ``shared=True`` a rule also gets two or three ontology atoms
-that share an open variable.  The checker groups a body's open atoms by
-shared variables: a group needs one assignment of its variables to named
-constants, and only a group of one role atom whose one open variable occurs
-once may instead be met by an anonymous witness.
+rule.  With ``shared=True`` a rule also gets two or three ontology atoms that
+share an open variable.  The checker meets a body's open atoms by one
+assignment of all their variables to constants or nulls, found by the
+product, that makes every atom a named or a null atom of the model.
 
 :func:`brute_force_covered` decides coverage of a rule for a target that
 occurs nowhere in the KB from the same models: in every model some grounding
@@ -198,10 +197,12 @@ def _sub_roles(kb: HybridKB, role: str) -> set[str]:
 
 
 def _tbox_step(kb: HybridKB, onto: set, consts):
-    """One application of every axiom, and the anonymous witnesses: a set of
-    ``(role, anchor, anchor_pos)`` for each existential that holds."""
+    """One application of every axiom, and the null role atoms: each
+    existential that holds at a constant has a null of its own, named after
+    the constant, the role and the direction, which fills the role and every
+    role above it."""
     new = set(onto)
-    witnesses = set()
+    nulls = set()
     for ax in kb.tbox:
         if isinstance(ax, RoleInclusion):
             for a in onto:
@@ -212,43 +213,38 @@ def _tbox_step(kb: HybridKB, onto: set, consts):
             if not all(Atom(Predicate(n, 1, CONCEPT), (c,)) in onto for n in ax.lhs):
                 continue
             if isinstance(ax.rhs, Existential):
-                witnesses.add((ax.rhs.role, c, 1 if ax.rhs.inverse else 0))
+                null = Const(f"null({c.name},{ax.rhs.role},{ax.rhs.inverse})")
+                args = (null, c) if ax.rhs.inverse else (c, null)
+                nulls.update(Atom(sup, args) for sup in ROLES if ax.rhs.role in _sub_roles(kb, sup.name))
             else:
                 new.add(Atom(Predicate(ax.rhs, 1, CONCEPT), (c,)))
-    # a witness of a role is also one of every role above it
-    lifted = {(sup.name, c, pos) for sup in ROLES for (r, c, pos) in witnesses if r in _sub_roles(kb, sup.name)}
-    return new, lifted
+    return new, nulls
 
 
-def _ontology_holds(atoms, onto: set, witnesses: set, consts) -> bool:
-    """The ontology atoms of a rule instance hold.  Atoms linked by shared
-    open variables form a group, which holds when one assignment of its
-    variables to constants makes every atom of it true.  A group of one role
-    atom whose one open variable occurs once may also be met by an anonymous
-    individual: related to a named anchor, member of no concept."""
-    groups = []  # (variables, atoms)
-    for atom in atoms:
-        vs = {t for t in atom.args if isinstance(t, Var)}
-        linked = [g for g in groups if g[0] & vs]
-        groups = [g for g in groups if not g[0] & vs]
-        groups.append((vs.union(*(g[0] for g in linked)), [atom, *(a for g in linked for a in g[1])]))
-    for vs, group in groups:
-        vs = sorted(vs, key=str)
-        if any(
-            all(a.substitute(dict(zip(vs, combo))) in onto for a in group)
-            for combo in itertools.product(consts, repeat=len(vs))
-        ):
-            continue
-        atom = group[0]
-        if len(group) == 1 and len(vs) == 1 and atom.pred.kind == ROLE and atom.args.count(vs[0]) == 1:
-            pos = 1 - atom.args.index(vs[0])
-            if (atom.pred.name, atom.args[pos], pos) in witnesses:
-                continue
-        return False
-    return True
+def _ontology_holds(atoms, onto: set, nulls: set, consts) -> bool:
+    """The ontology atoms of a rule instance hold: one assignment of their
+    open variables to the constants and the nulls makes every atom a named
+    atom of ``onto`` or a null atom of ``nulls``."""
+    vs = sorted({t for a in atoms for t in a.args if isinstance(t, Var)}, key=str)
+    elements = list(consts) + sorted({t for a in nulls for t in a.args} - set(consts), key=str)
+    true = onto | nulls
+    return any(
+        all(a.substitute(dict(zip(vs, combo))) in true for a in atoms)
+        for combo in itertools.product(elements, repeat=len(vs))
+    )
 
 
-def _body_holds(inst: Rule, data: set, onto: set, witnesses: set, consts, assumed_true=None) -> bool:
+def null_shape(null_atoms, consts) -> tuple:
+    """The null role atoms up to the names of the nulls: per null, the sorted
+    (role, anchor, anchor position) of its atoms, all sorted."""
+    by_null = {}
+    for a in null_atoms:
+        pos = 0 if a.args[0] in consts else 1
+        by_null.setdefault(a.args[1 - pos], []).append((a.pred.name, a.args[pos].name, pos))
+    return tuple(sorted(tuple(sorted(atoms)) for atoms in by_null.values()))
+
+
+def _body_holds(inst: Rule, data: set, onto: set, nulls: set, consts, assumed_true=None) -> bool:
     """The body of a rule instance, ground but for its open ontology
     variables, holds; its negated atoms are read in ``assumed_true`` when
     given (the reduct) and in ``data`` otherwise."""
@@ -257,26 +253,26 @@ def _body_holds(inst: Rule, data: set, onto: set, witnesses: set, consts, assume
         l.atom not in negated_in if l.negated else l.atom in data
         for l in inst.body
         if l.atom.pred.kind == DATALOG
-    ) and _ontology_holds([l.atom for l in inst.body if l.atom.pred.kind != DATALOG], onto, witnesses, consts)
+    ) and _ontology_holds([l.atom for l in inst.body if l.atom.pred.kind != DATALOG], onto, nulls, consts)
 
 
 def _least_model(kb: HybridKB, instances, consts, assumed_true: set):
     data = set(kb.facts)
     onto = set(kb.abox)
     while True:
-        onto_next, witnesses = _tbox_step(kb, onto, consts)
+        onto_next, nulls = _tbox_step(kb, onto, consts)
         data_next = set(data)
         for inst in instances:
-            if _body_holds(inst, data, onto, witnesses, consts, assumed_true):
+            if _body_holds(inst, data, onto, nulls, consts, assumed_true):
                 (onto_next if inst.head.pred.kind != DATALOG else data_next).add(inst.head)
         if onto_next == onto and data_next == data:
-            return frozenset(data), frozenset(onto), frozenset(witnesses)
+            return frozenset(data), frozenset(onto), frozenset(nulls)
         data, onto = data_next, onto_next
 
 
-def brute_force_models(kb: HybridKB) -> set:
+def _models(kb: HybridKB) -> set:
     """The canonical models of ``kb`` as ``(datalog atoms, ontology atoms,
-    witnesses)`` triples, with witnesses as ``(role, anchor, anchor_pos)``."""
+    null role atoms)`` triples."""
     consts = _constants(kb)
     instances = _ground(kb.rules, consts)
     negated = sorted({l.atom for r in instances for l in r.body if l.negated}, key=str)
@@ -289,19 +285,27 @@ def brute_force_models(kb: HybridKB) -> set:
     return found
 
 
+def brute_force_models(kb: HybridKB) -> set:
+    """The canonical models of ``kb`` as ``(datalog atoms, ontology atoms,
+    null role atoms)`` triples, the last up to the names of the nulls
+    (:func:`null_shape`)."""
+    consts = _constants(kb)
+    return {(data, onto, null_shape(nulls, consts)) for data, onto, nulls in _models(kb)}
+
+
 def brute_force_covered(kb: HybridKB, rule: Rule, examples) -> frozenset:
     """The examples that ``rule``, for a target that occurs nowhere in
     ``kb``, covers: in every model of :func:`brute_force_models` some
     grounding of the head and datalog variables over the constants of the KB,
     the rule and the example has the example as its head and a body that
-    holds."""
-    models = brute_force_models(kb)
+    holds, with nulls for its other variables."""
+    models = _models(kb)
     out = set()
     for example in examples:
         consts = sorted(set(_constants(kb, (rule,))).union(example.args))
         instances = [inst for inst in _ground((rule,), consts) if inst.head == example]
-        if all(any(_body_holds(inst, data, onto, witnesses, consts) for inst in instances)
-               for data, onto, witnesses in models):
+        if all(any(_body_holds(inst, data, onto, nulls, consts) for inst in instances)
+               for data, onto, nulls in models):
             out.add(example)
     return frozenset(out)
 

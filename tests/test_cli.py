@@ -503,3 +503,41 @@ def test_non_utf8_input_is_an_input_error(capsys, tmp_path, option):
     code, out, err = run(capsys, "learn", *(a for o, f in files.items() for a in (o, f)))
     assert code == 1 and out == ""
     assert err.splitlines() == [f"error: {bad} is not UTF-8 text (invalid start byte)"]
+
+
+CHASE_KB = """\
+concept A/1. role R/2. role S/2. pred d/1. pred e/1. pred p/1.
+#tbox
+A subclass some R Top.
+R subrole S.
+#rules
+p(X) :- d(X), R(X,Y), S(X,Y).
+#facts
+A(a). d(a).
+"""
+
+
+def test_one_null_fills_a_role_and_its_super_role(capsys, tmp_path):
+    # the R-filler that A(a) asks for is an S-filler too, in every model
+    path = tmp_path / "chase.okb"
+    path.write_text(CHASE_KB)
+    code, out, _ = run(capsys, "query", "--kb", str(path), "--atom", "p(a)")
+    assert (code, out) == (0, "entailed")
+
+
+def test_check_and_compare_read_an_anonymous_filler_alike(capsys, tmp_path):
+    # both rules cover t(a); each A has an R-filler, so the first is more
+    # general, and a variable of a negated literal binds no null
+    path = tmp_path / "chase.okb"
+    path.write_text(CHASE_KB)
+    filler, concept = "t(X) :- d(X), R(X,Y).", "t(X) :- d(X), A(X)."
+    for rule in (filler, concept):
+        code, out, _ = run(capsys, "check", "--kb", str(path), "--rule", rule, "--example", "t(a)")
+        assert (code, out) == (0, "covers"), rule
+    code, out, _ = run(capsys, "compare", "--kb", str(path), "--rule1", filler, "--rule2", concept)
+    assert (code, out) == (0, "strictly-more-general")
+    barred = "t(X) :- d(X), R(X,Y), not e(Y)."
+    code, out, _ = run(capsys, "check", "--kb", str(path), "--rule", barred, "--example", "t(a)")
+    assert (code, out) == (0, "does-not-cover")
+    code, out, _ = run(capsys, "compare", "--kb", str(path), "--rule1", barred, "--rule2", concept)
+    assert (code, out) == (0, "incomparable")

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ontorules.dlreason import DLGuess, ExistsFact, close, subsumes
+from ontorules.dlreason import DLGuess, close, role_closure, subsumes
+from ontorules.parser import ParseError, parse_ground_atom
 from ontorules.model import (
     Atom,
     ConceptInclusion,
@@ -45,12 +46,36 @@ def test_saturation_role_propagation(kb):
 
 def test_saturation_existential_fact(kb):
     guess = DLGuess(frozenset({Atom(RICH, (mary,))}))
-    true, exists = close(guess.true_atoms | {Atom(UNMARRIED, (mary,))}, kb.tbox)
-    # A1 forces an anonymous suitor for Mary, lifted through the role hierarchy
-    assert ExistsFact("WANTS-TO-MARRY", mary, 1) in exists
-    assert ExistsFact("LOVES", mary, 1) in exists
+    true, nulls = close(guess.true_atoms | {Atom(UNMARRIED, (mary,))}, kb.tbox)
+    # A1 forces an anonymous suitor for Mary: one null that fills the role
+    # and, through the role hierarchy, its super-role, and is in no concept
+    (suitor,) = {a.args[0] for a in nulls}
+    assert nulls == {Atom(WTM, (suitor, mary)), Atom(LOVES, (suitor, mary))}
+    assert suitor not in {t for a in true for t in a.args}
+    with pytest.raises(ParseError):  # no input can name it
+        parse_ground_atom(f"UNMARRIED({suitor.name})", kb)
     # no named role atom is invented
     assert not any(a.pred.kind == ROLE for a in true)
+
+
+def test_a_null_is_named_by_its_anchor_role_and_direction():
+    A, B = (Predicate(n, 1, CONCEPT) for n in "AB")
+    joe = Const("Joe")
+    tbox = (ConceptInclusion(("A",), Existential("R")), ConceptInclusion(("B",), Existential("R")),
+            ConceptInclusion(("A",), Existential("R", True)), ConceptInclusion(("A",), Existential("S")),
+            RoleInclusion("R", "S"))
+    _, nulls = close({Atom(A, (mary,)), Atom(B, (mary,)), Atom(A, (joe,))}, tbox)
+    filled = {}  # each null's (role, anchor, anchor position) triples
+    for a in nulls:
+        pos = 0 if a.args[0] in (mary, joe) else 1
+        filled.setdefault(a.args[1 - pos], set()).add((a.pred.name, a.args[pos].name, pos))
+    # both axioms that ask for an R-filler of Mary share one null, which also
+    # fills S; S's own demand and the inverse have their own, as has Joe
+    assert sorted(map(sorted, filled.values())) == sorted(
+        sorted(triples) for anchor in ("Mary", "Joe") for triples in (
+            {("R", anchor, 0), ("S", anchor, 0)}, {("R", anchor, 1), ("S", anchor, 1)}, {("S", anchor, 0)}))
+    # the same inputs give the same names
+    assert close({Atom(A, (joe,)), Atom(B, (mary,)), Atom(A, (mary,))}, tbox)[1] == nulls
 
 
 def test_saturation_clash_detection(kb):
@@ -98,7 +123,14 @@ def test_closure_is_a_preorder(chain):
 def test_saturation_idempotent(kb):
     guess = DLGuess(frozenset({Atom(RICH, (mary,)), Atom(WTM, (mary, Const("Joe")))}))
     abox = {Atom(UNMARRIED, (mary,))}
-    once, once_exists = close(guess.true_atoms | abox, kb.tbox)
-    twice, twice_exists = close(once | abox, kb.tbox)
+    once, once_nulls = close(guess.true_atoms | abox, kb.tbox)
+    twice, twice_nulls = close(once | abox, kb.tbox)
     assert once == twice
-    assert once_exists <= twice_exists
+    assert once_nulls == twice_nulls and once_nulls
+
+
+def test_closures_are_strict_and_subsumes_is_reflexive(kb):
+    # the closures list no predicate above itself; the name check of
+    # subsumes makes it reflexive
+    assert role_closure(kb.tbox) == {"WANTS-TO-MARRY": {"LOVES"}}
+    assert subsumes(WTM, WTM, kb.tbox) and subsumes(LOVES, LOVES, kb.tbox)

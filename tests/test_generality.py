@@ -1,12 +1,14 @@
 """The generality test against the product loop it replaced, and its per-KB
 memo.
 
-``reference_more_general`` is the test as it stood before the join: it
-skolemizes ``h2`` on every call and tries every substitution of ``h1``'s free
-variables over the domain.  It computes its cautious sets with the canonical
-models directly, and its possible atoms with the complete models, through
-``hybrid._complete_models`` and a memo of its own that lasts one call.  It
-reads both budgets at call time, so that a patched one applies.
+``reference_more_general`` is the test as it stood before the join, read
+over the chase: it skolemizes ``h2`` on every call and tries every
+substitution of ``h1``'s free variables, head and datalog variables over the
+domain, variables that only ontology atoms use over the domain and the nulls
+of the cautious null role atoms.  It computes its cautious sets with the
+canonical models directly, and its possible atoms with the complete models,
+through ``hybrid._complete_models`` and a memo of its own that lasts one
+call.  It reads both budgets at call time, so that a patched one applies.
 """
 
 import copy
@@ -29,6 +31,7 @@ from ontorules.model import (
     BudgetError,
     ConceptInclusion,
     Const,
+    Existential,
     HybridKB,
     Literal,
     ModelError,
@@ -99,7 +102,11 @@ def reference_more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
     if not canonical:
         return True
     cautious_d = frozenset.intersection(*[frozenset(m.datalog_model.true_atoms) for m in canonical])
-    cautious_dl = frozenset.intersection(*[m.guess.true_atoms for m in canonical])
+    # the null role atoms of every model join the named ones: a null's name
+    # depends only on its anchor, role and direction
+    cautious_dl = frozenset.intersection(*[m.guess.true_atoms | m.existentials for m in canonical])
+    nulls = sorted({t for a in cautious_dl for t in a.args} - set(domain))
+    grounded = {v for a in (h1.head, *(l.atom for l in h1.body if l.atom.pred.kind == DATALOG)) for v in a.variables()}
 
     @functools.cache
     def possibly_d():
@@ -122,7 +129,7 @@ def reference_more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
     free = [v for v in h1.variables() if v not in bound]
     if len(domain) ** len(free) > hybrid.DEFAULT_THETA_BUDGET:
         raise BudgetError("substitution search exceeds the candidate budget")
-    for combo in itertools.product(domain, repeat=len(free)):
+    for combo in itertools.product(*[domain if v in grounded else domain + tuple(nulls) for v in free]):
         theta = dict(bound)
         theta.update(zip(free, combo))
         if body_holds(theta):
@@ -363,6 +370,54 @@ def test_the_inclusion_path_agrees_with_the_product_loop(monkeypatch):
     for key in ("by inclusion only", "extended", "renamed", "negated", ("direct", True), ("transitive", True),
                 ("super", True), ("super", False), ("conjunct", True), ("conjunct", False)):
         assert seen[key] >= 5, (key, seen)
+
+
+# --- the chase ---------------------------------------------------------------------
+
+def _filler_pairs(rng, kb):
+    """Pairs in which ``h2`` gives its head variable one or two concepts and
+    ``h1`` asks for role fillers of it through variables that only ontology
+    atoms use, and the same ``h1`` with a negated literal on such a variable,
+    which makes it a datalog variable."""
+    x, w, v = VARS[0], Var("W"), Var("V")
+    head = Atom(T1, (x,))
+    for _ in range(4):
+        concepts = rng.sample(CONCEPTS, rng.randint(1, 2))
+        h2 = Rule(head, (Literal(Atom(D, (x,))), *(Literal(Atom(c, (x,))) for c in concepts)))
+        body = [Literal(Atom(D, (x,)))]
+        for _ in range(rng.randint(1, 3)):
+            y = rng.choice((w, v))
+            args = (x, y) if rng.random() < 0.5 else (y, x)
+            body.append(Literal(Atom(rng.choice(ROLES), args if rng.random() < 0.85 else (y, rng.choice((w, v))))))
+        if rng.random() < 0.3:
+            body.append(Literal(Atom(rng.choice(IDB), (x,)), True))
+        h1 = Rule(head, tuple(body))
+        y = rng.choice([t for l in body[1:] for t in l.atom.args if t != x] or [w])
+        yield h1, Rule(head, (*body, Literal(Atom(rng.choice(IDB), (y,)), True))), h2
+
+
+def test_the_generality_test_meets_open_atoms_with_the_chase(monkeypatch):
+    """On random KBs with an existential axiom, ``h2``'s concepts fire
+    existentials on its skolem constant, and no named role atom is true in
+    the augmented theory, so only a null meets ``h1``'s role atoms: the join
+    gives the verdict of the product loop over the domain and the nulls, in
+    both directions, and a variable of a negated literal binds no null."""
+    monkeypatch.setattr(hybrid, "DEFAULT_GUESS_BUDGET", 8)
+    seen = Counter()
+    for seed in range(20_000, 20_300):
+        rng = random.Random(seed)
+        kb = random_hybrid_kb(rng)
+        if not any(isinstance(ax, ConceptInclusion) and isinstance(ax.rhs, Existential) for ax in kb.tbox):
+            continue
+        for h1, barred, h2 in _filler_pairs(rng, kb):
+            for a, b in ((h1, h2), (h2, h1), (barred, h2)):
+                want = _verdict(reference_more_general, a, b, kb)
+                assert _verdict(more_general, a, b, kb) == want, (seed, str(a), str(b))
+                seen[a is h1, a is barred, want] += 1
+            seen["met by a null, barred"] += _verdict(more_general, h1, h2, kb) is True and \
+                _verdict(more_general, barred, h2, kb) is False
+    assert seen[True, False, True] >= 100 and seen[True, False, False] >= 100, seen
+    assert seen["met by a null, barred"] >= 25, seen
 
 
 # --- the order of the budget checks -----------------------------------------------

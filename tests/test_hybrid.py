@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from conftest import target_atom
-from genhybrid import brute_force_models, random_hybrid_kb, template_kb
+from genhybrid import brute_force_models, null_shape, random_hybrid_kb, template_kb
 from ontorules import hybrid, model, parse_rule
 from ontorules.datalog import (
     DEFAULT_BRANCH_BUDGET,
@@ -25,7 +25,6 @@ from ontorules.hybrid import (
     more_general,
     nm_models,
 )
-from ontorules.dlreason import ExistsFact
 from ontorules.model import Atom, Const, HybridKB, Literal, Predicate, Rule, Var, CONCEPT, DATALOG, ROLE
 from ontorules.refine import SPECIALIZE_ONTOLOGY, refine, seed_rule
 from test_refine import _steps
@@ -45,12 +44,14 @@ def test_canonical_model_of_background_kb(kb):
     assert {"RICH(Mary)", "RICH(Paul)"} <= names
     assert "RICH(Joe)" not in names
     dnames = {str(a) for a in m.datalog_model.true_atoms}
-    # the forced anonymous suitor for Mary makes her happy even though the
-    # witness has no name; Joe and Paul stay unhappy
+    # the forced anonymous suitor for Mary, a null of the chase that wants to
+    # marry and so loves her, makes her happy; Joe and Paul stay unhappy
     assert "happy(Mary)" in dnames
     assert "happy(Joe)" not in dnames and "happy(Paul)" not in dnames
-    assert any(f.role == "WANTS-TO-MARRY" and f.anchor == Const("Mary") and f.anchor_pos == 1
-               for f in m.existentials)
+    (suitor,) = {a.args[0] for a in m.existentials}
+    assert suitor not in kb.constants()
+    assert {(a.pred.name, a.args) for a in m.existentials} == {
+        ("WANTS-TO-MARRY", (suitor, Const("Mary"))), ("LOVES", (suitor, Const("Mary")))}
 
 
 def test_nm_models_verify_stability(kb):
@@ -265,7 +266,7 @@ def test_nm_models_agree_with_brute_force_checker(monkeypatch):
             (
                 m.datalog_model.true_atoms,
                 m.guess.true_atoms,
-                frozenset((f.role, f.anchor, f.anchor_pos) for f in m.existentials),
+                null_shape(m.existentials, kb.constants()),
             )
             for m in nm_models(kb)
         }
@@ -283,26 +284,28 @@ def test_stratified_kb_past_the_branch_budget_has_one_model():
 
 
 def test_nm_models_agree_with_brute_force_checker_on_shared_open_variables():
-    """Rules whose ontology atoms share an open variable: such a group needs
-    one named witness, and only a lone role atom may be met anonymously."""
+    """Rules whose ontology atoms share an open variable: one named constant
+    or one null of the chase must meet them all."""
     for seed in range(300):
         kb = random_hybrid_kb(random.Random(seed), shared=True)
         got = {
             (
                 m.datalog_model.true_atoms,
                 m.guess.true_atoms,
-                frozenset((f.role, f.anchor, f.anchor_pos) for f in m.existentials),
+                null_shape(m.existentials, kb.constants()),
             )
             for m in nm_models(kb)
         }
         assert got == brute_force_models(kb), f"seed {seed}"
 
 
-def _reference_open_satisfied(open_atoms, gtrue, exists, domain):
-    """Open ontology atoms matched by a product over the sorted ``domain``
-    per connected component of shared variables."""
+def _reference_open_satisfied(open_atoms, gtrue, nulls, elements):
+    """Open ontology atoms matched, per connected component of shared
+    variables, by a product over ``elements``, the named domain and the
+    nulls, into the named and the null role atoms."""
     if not open_atoms:
         return True
+    true = gtrue | nulls
     comps = []
     for a in open_atoms:
         vs = set(a.variables())
@@ -316,22 +319,17 @@ def _reference_open_satisfied(open_atoms, gtrue, exists, domain):
         comps = rest + [merged]
     for comp in comps:
         comp_vars = tuple(dict.fromkeys(v for a in comp for v in a.variables()))
-        if any(
-            all(a.substitute(dict(zip(comp_vars, combo))) in gtrue for a in comp)
-            for combo in itertools.product(domain, repeat=len(comp_vars))
+        if not any(
+            all(a.substitute(dict(zip(comp_vars, combo))) in true for a in comp)
+            for combo in itertools.product(elements, repeat=len(comp_vars))
         ):
-            continue
-        if len(comp) == 1 and len(comp_vars) == 1 and comp[0].pred.kind == ROLE:
-            atom = comp[0]
-            var_pos = 0 if isinstance(atom.args[0], Var) else 1
-            anchor = atom.args[1 - var_pos]
-            if any(f.role == atom.pred.name and f.anchor == anchor and f.anchor_pos == 1 - var_pos for f in exists):
-                continue
-        return False
+            return False
     return True
 
 
 def test_open_satisfied_agrees_with_the_product_matcher():
+    """Named atoms and null role atoms, each null with one or two roles at
+    one anchor, against open atoms that may share a variable."""
     concepts = [Predicate(n, 1, CONCEPT) for n in "AB"]
     roles = [Predicate(n, 2, ROLE) for n in "RS"]
     names = [Const(n) for n in "abcd"]
@@ -341,9 +339,13 @@ def test_open_satisfied_agrees_with_the_product_matcher():
         rng = random.Random(seed)
         gtrue = {Atom(rng.choice(concepts), (rng.choice(names),)) for _ in range(rng.randint(0, 4))}
         gtrue |= {Atom(rng.choice(roles), (rng.choice(names), rng.choice(names))) for _ in range(rng.randint(0, 10))}
-        exists = {ExistsFact(rng.choice(roles).name, rng.choice(names), rng.randint(0, 1))
-                  for _ in range(rng.randint(0, 3))}
         domain = tuple(sorted(rng.sample(names, rng.randint(1, 4))))
+        nulls = set()
+        fillers = [Const(f"_:{i}") for i in range(rng.randint(0, 3))]
+        for null in fillers:
+            anchor = rng.choice(domain)
+            args = (null, anchor) if rng.random() < 0.5 else (anchor, null)
+            nulls |= {Atom(r, args) for r in rng.sample(roles, rng.randint(1, 2))}
         atoms = []
         for _ in range(rng.randint(1, 3)):
             v = rng.choice(variables)
@@ -353,7 +355,8 @@ def test_open_satisfied_agrees_with_the_product_matcher():
                 other = rng.choice(names + variables)
                 atoms.append(Atom(rng.choice(roles), (v, other) if rng.random() < 0.5 else (other, v)))
         atoms = tuple(dict.fromkeys(atoms))
-        want = _reference_open_satisfied(atoms, gtrue, exists, domain)
-        assert hybrid._open_satisfied(atoms, hybrid._index(gtrue), exists, frozenset(domain)) == want, seed
+        members = domain + tuple(fillers)
+        want = _reference_open_satisfied(atoms, gtrue, nulls, members)
+        assert hybrid._open_satisfied(atoms, hybrid._index(gtrue, nulls), frozenset(members)) == want, seed
         verdicts[want, len({v for a in atoms for v in a.variables()}) < sum(len(a.variables()) for a in atoms)] += 1
     assert min(verdicts.values()) >= 50, verdicts  # both verdicts, with and without a shared variable

@@ -6,7 +6,8 @@ The scripts read private names of the package (``hybrid._partial_ground``,
 refactor can rename or reshape without any other test noticing.  Each script
 is imported by path under a name other than ``__main__``, so its ``main``
 does not run on import; the tests below run the ``main`` of
-``profile_refine.py`` and small sizes of ``scale_ladder.py``.
+``profile_refine.py``, that of ``output_digest.py`` on two commands, and small
+sizes of ``scale_ladder.py``.
 """
 
 import importlib.util
@@ -72,3 +73,18 @@ def test_the_check_ladder_agrees_with_the_learners_coverage_test(monkeypatch, ca
     row = capsys.readouterr().out.splitlines()[-1]
     assert row.split()[0] == "20"
     assert row.endswith("  covers/does-not-cover  yes"), row
+
+
+def test_the_output_digest_hashes_reports_without_timings(monkeypatch, capsys):
+    """``output_digest.py`` on two ``bundled`` commands and one worker pass:
+    it prints the two digests, and a report's ``timings`` do not enter them."""
+    digest = _script(monkeypatch, "output_digest")
+    tasks = digest.bundled_tasks()
+    monkeypatch.setattr(digest, "bundled_tasks", lambda: [tasks[0], tasks[-1]])
+    digest.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["bundled", "refine-generality"]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[1]) for line in lines), lines
+    outcome = digest.bundled_outcome(tasks[0])
+    assert outcome["exit"] == 0 and "timings" not in outcome["report"] and outcome["report"]["rules"]
+    assert digest.digest({"a": 1, "b": [2]}) == digest.digest({"b": [2], "a": 1})

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from ontorules.datalog import GroundProgram, Interpretation
-from ontorules.dlreason import DLGuess, ExistsFact
+from ontorules.dlreason import DLGuess
 from ontorules.hybrid import NMModel
 from ontorules.learner import CoverageStats, LearnedHypothesis, LearnerParams
 from ontorules.model import (
@@ -87,8 +87,6 @@ SAMPLES = [
      "SafenessViolation(variable=Var(name='X'), condition='datalog-safeness')", ("variable", "condition")),
     (DLGuess(frozenset({CA})), f"DLGuess(true_atoms=frozenset({{{CA_REPR}}}), false_atoms=frozenset())",
      ("true_atoms", "false_atoms")),
-    (ExistsFact("R", a, 1), "ExistsFact(role='R', anchor=Const(name='a'), anchor_pos=1)",
-     ("role", "anchor", "anchor_pos")),
     (GroundProgram((), frozenset({PA})), f"GroundProgram(rules=(), facts=frozenset({{{PA_REPR}}}))",
      ("rules", "facts")),
     (Interpretation(frozenset({PA})), f"Interpretation(true_atoms=frozenset({{{PA_REPR}}}))", ("true_atoms",)),
