@@ -25,7 +25,8 @@ already carries (a memo hit).  It also prints the ``cache_info()`` of the
 candidate-literal cache (``refine._added_literals``) and how many rules were
 built through the public ``Rule`` constructor, which drops duplicate
 literals, and how many through the private ``Rule._distinct``, which does
-not.
+not, and the sizes of the tables that intern names, predicates, atoms and
+literals (``model._NAMES`` ...), which live for the process.
 
 It then runs the criterion-7 LIKES pairwise pass on the same KB: more_general
 over every ordered pair of the 60 rules of the depth-1 neighbourhood of the
@@ -52,6 +53,7 @@ import pstats
 from collections import Counter
 from importlib import resources
 
+from ontorules import model
 from ontorules.hybrid import _augmented, counters, more_general
 from ontorules.model import ROLE, Predicate, Rule
 from ontorules.parser import parse_bias, parse_kb, parse_rule
@@ -243,6 +245,8 @@ def main() -> None:
     print(f"candidate literals: {_added_literals.cache_info()}")
     print(f"rules built: {code_calls(stats, Rule.__init__.__code__)} public (dedupe), "
           f"{code_calls(stats, Rule._distinct.__code__)} private (Rule._distinct)")
+    print(f"intern tables: {len(model._NAMES)} names, {len(model._PREDICATES)} predicates, "
+          f"{len(model._ATOMS)} atoms, {len(model._LITERALS)} literals")
     tails = count_tails(kb, bias)
     print("memo of key tails: " + "; ".join(
         f"{kind} {tails[kind, 'computed']} computed, {tails[kind, 'reused']} reused"

@@ -154,9 +154,9 @@ def _join(atoms, index, theta, domain):
                     if ext is theta:
                         ext = dict(theta)
                     ext[t] = c
-                elif value != c:
+                elif value is not c:
                     break
-            elif t != c:
+            elif t is not c:
                 break
         else:
             yield from _join(rest, index, ext, domain)

@@ -405,9 +405,9 @@ def _bind_head(head: Atom, example: Atom) -> dict[Var, Const] | None:
     theta: dict[Var, Const] = {}
     for t, c in zip(head.args, example.args):
         if isinstance(t, Var):
-            if theta.setdefault(t, c) != c:
+            if theta.setdefault(t, c) is not c:
                 return None
-        elif t != c:
+        elif t is not c:
             return None
     return theta
 
@@ -519,11 +519,11 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
     ``DEFAULT_GUESS_BUDGET``.
     """
     head1 = h1.head
-    if head1.pred is not h2.head.pred and head1.pred != h2.head.pred:
+    if head1.pred is not h2.head.pred:
         raise ModelError("generality is only defined for rules with the same head predicate")
     # syntactic fast path; a child that adds a literal extends its parent's
     # body tuple, so try a prefix first
-    if head1 is h2.head or head1 == h2.head:
+    if head1 is h2.head:
         if h2.body[: len(h1.body)] == h1.body:
             return True
         missing = set(h1.body).difference(h2.body)

@@ -19,17 +19,25 @@ per-instance ``__dict__``) whose fields are the public names in
 ``__slots__``.  It is written out by hand rather than generated, so that
 importing the package compiles no code at run time.
 
-The term layer -- ``Var``, ``Const``, ``Predicate``, ``Atom``, ``Literal`` and
-``Rule`` -- writes out its own constructor, equality and hash, because
-refinement and the generality test build, compare and hash these objects by
-the million.  The first five compute their hash once, at construction, into a
-``_hash`` slot.  Each cached hash equals the hash of the field tuple --
-``hash((name,))``, ``hash((name, arity, kind))``, ``hash((pred, args))`` and
-``hash((atom, negated))`` -- so every set and dict of these objects iterates
-in the same order as with field-tuple hashes, and output that follows such an
-order stays the same.  The five are ordered by their field tuples, through
-comparisons that :func:`_ordered` builds as closures over the field names.
-``Rule``'s public constructor drops duplicate body literals; its private
+Refinement and the generality test build, compare and hash the term layer
+-- ``Var``, ``Const``, ``Predicate``, ``Atom`` and ``Literal`` -- by the
+million, so these five are hash-consed: each class's ``__new__`` looks its
+field tuple up in a module table (``_NAMES``, ``_PREDICATES``, ``_ATOMS``,
+``_LITERALS``) and builds an object only on a miss, so one object stands for
+each value, by position, keyword, parser, ``substitute``, pickle or copy
+alike.  Equality is then identity and the hash is ``object``'s, both in C.
+The tables live for the process and are never cleared: a cleared entry
+would let a second object with the same fields arise, unequal to the first.
+They are plain dicts, not weak ones, whose lookups would run in Python;
+they grow with the distinct values a process builds, and a second identical
+refinement walk adds no entry.  As the hash follows the object's address,
+sets and dicts of these values iterate in an order that differs between
+processes, so nothing that is printed may follow it unsorted.  The five are
+ordered by their field tuples, through comparisons that :func:`_ordered`
+builds as closures over the field names.
+
+``Rule`` is not interned: it caches the hash of its head and body set, and
+its public constructor drops duplicate body literals; its private
 ``Rule._distinct`` stores a body that its caller knows to be duplicate-free
 as given, through the slots' member descriptors (``Rule.head.__set__``, ...)
 rather than ``object.__setattr__``, as :mod:`ontorules.refine` builds its
@@ -70,6 +78,7 @@ class BudgetError(RuntimeError):
 
 #: Sets a slot past the immutability guard; constructors only.
 _set = object.__setattr__
+_new = object.__new__
 
 
 class Record:
@@ -79,8 +88,8 @@ class Record:
     classes are never equal.  Fields are given by position or keyword, with
     the defaults in ``_defaults``; ``_validate`` checks them after they are
     set.  Pickling and copying rebuild the value through its constructor, so
-    a cached hash is computed afresh, with the receiving process's string
-    hashes.
+    an interned value comes back as the receiving process's object for its
+    fields, and a cached hash is computed afresh.
     """
 
     __slots__ = ()
@@ -157,23 +166,38 @@ def _ordered(cls):
     return cls
 
 
+#: The interned values by field tuple, one table per class family; a name's
+#: key also holds its class, so ``Var("a")`` and ``Const("a")`` stay apart.
+_NAMES: dict[tuple, _Name] = {}
+_PREDICATES: dict[tuple, Predicate] = {}
+_ATOMS: dict[tuple, Atom] = {}
+_LITERALS: dict[tuple, Literal] = {}
+
+
+class _Interned(Record):
+    """A value built once per field tuple by its class's ``__new__``, so that
+    equality is identity and hashing is ``object``'s, both in C."""
+
+    __slots__ = ()
+    __init__ = object.__init__
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+
+
 @_ordered
-class _Name(Record):
+class _Name(_Interned):
     """A variable or constant, identified by its name."""
 
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        _set(self, "name", name)
-        _set(self, "_hash", hash((name,)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
+    def __new__(cls, name: str):
+        found = _NAMES.get((cls, name))
+        if found is None:
+            found = _new(cls)
+            _set(found, "name", name)
+            # setdefault: two threads that race here keep the same object
+            found = _NAMES.setdefault((cls, name), found)
+        return found
 
 
 class Var(_Name):
@@ -193,28 +217,24 @@ def make_term(name: str) -> Term:
 
 
 @_ordered
-class Predicate(Record):
-    __slots__ = ("name", "arity", "kind", "_hash")  # kind: CONCEPT | ROLE | DATALOG
+class Predicate(_Interned):
+    __slots__ = ("name", "arity", "kind")  # kind: CONCEPT | ROLE | DATALOG
 
-    def __init__(self, name: str, arity: int, kind: str):
-        if kind == CONCEPT and arity != 1:
-            raise ModelError(f"concept predicate {name} must have arity 1")
-        if kind == ROLE and arity != 2:
-            raise ModelError(f"role predicate {name} must have arity 2")
-        if kind == DATALOG and arity < 1:
-            raise ModelError(f"datalog predicate {name} must have arity >= 1")
-        _set(self, "name", name)
-        _set(self, "arity", arity)
-        _set(self, "kind", kind)
-        _set(self, "_hash", hash((name, arity, kind)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name and self.arity == other.arity and self.kind == other.kind
-        return NotImplemented
+    def __new__(cls, name: str, arity: int, kind: str):
+        found = _PREDICATES.get((name, arity, kind))
+        if found is None:
+            if kind == CONCEPT and arity != 1:
+                raise ModelError(f"concept predicate {name} must have arity 1")
+            if kind == ROLE and arity != 2:
+                raise ModelError(f"role predicate {name} must have arity 2")
+            if kind == DATALOG and arity < 1:
+                raise ModelError(f"datalog predicate {name} must have arity >= 1")
+            found = _new(cls)
+            _set(found, "name", name)
+            _set(found, "arity", arity)
+            _set(found, "kind", kind)
+            found = _PREDICATES.setdefault((name, arity, kind), found)
+        return found
 
     @property
     def is_dl(self) -> bool:
@@ -222,23 +242,19 @@ class Predicate(Record):
 
 
 @_ordered
-class Atom(Record):
-    __slots__ = ("pred", "args", "_hash")
+class Atom(_Interned):
+    __slots__ = ("pred", "args")
 
-    def __init__(self, pred: Predicate, args: tuple[Term, ...]):
-        if len(args) != pred.arity:
-            raise ModelError(f"{pred.name}/{pred.arity} applied to {len(args)} arguments")
-        _set(self, "pred", pred)
-        _set(self, "args", args)
-        _set(self, "_hash", hash((pred, args)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.pred, self.args) == (other.pred, other.args)
-        return NotImplemented
+    def __new__(cls, pred: Predicate, args: tuple[Term, ...]):
+        found = _ATOMS.get((pred, args))
+        if found is None:
+            if len(args) != pred.arity:
+                raise ModelError(f"{pred.name}/{pred.arity} applied to {len(args)} arguments")
+            found = _new(cls)
+            _set(found, "pred", pred)
+            _set(found, "args", args)
+            found = _ATOMS.setdefault((pred, args), found)
+        return found
 
     def variables(self) -> tuple[Var, ...]:
         seen: dict[Var, None] = {}
@@ -260,23 +276,19 @@ class Atom(Record):
 
 
 @_ordered
-class Literal(Record):
-    __slots__ = ("atom", "negated", "_hash")
+class Literal(_Interned):
+    __slots__ = ("atom", "negated")
 
-    def __init__(self, atom: Atom, negated: bool = False):
-        if negated and atom.pred.kind != DATALOG:
-            raise ModelError(f"negation-as-failure on non-datalog predicate {atom.pred.name}")
-        _set(self, "atom", atom)
-        _set(self, "negated", negated)
-        _set(self, "_hash", hash((atom, negated)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.atom, self.negated) == (other.atom, other.negated)
-        return NotImplemented
+    def __new__(cls, atom: Atom, negated: bool = False):
+        found = _LITERALS.get((atom, negated))
+        if found is None:
+            if negated and atom.pred.kind != DATALOG:
+                raise ModelError(f"negation-as-failure on non-datalog predicate {atom.pred.name}")
+            found = _new(cls)
+            _set(found, "atom", atom)
+            _set(found, "negated", negated)
+            found = _LITERALS.setdefault((atom, negated), found)
+        return found
 
     def substitute(self, theta: dict[Var, Term]) -> "Literal":
         return Literal(self.atom.substitute(theta), self.negated)
@@ -326,7 +338,7 @@ class Rule(Record):
         if not isinstance(other, Rule):
             return NotImplemented
         # canonical forms share their literals, so equal ones match in order
-        return self.head == other.head and (self.body == other.body or set(self.body) == set(other.body))
+        return self.head is other.head and (self.body == other.body or set(self.body) == set(other.body))
 
     def __hash__(self):
         h = self._hash
@@ -365,7 +377,6 @@ class Rule(Record):
         return f"{self.head} :- {', '.join(str(l) for l in self.body)}."
 
 
-_new = object.__new__
 _set_head, _set_body, _set_canonical, _set_hash = (Rule.__dict__[n].__set__ for n in Rule.__slots__)
 
 

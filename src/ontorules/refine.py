@@ -133,20 +133,12 @@ def _added_literals(
     return tuple(out)
 
 
-#: Canonical variable ``V<i>`` by number ``i``, built once and shared by every
-#: canonical rule; :func:`_canonical_var` adds numbers as rules need them.
-_CANONICAL_VARS: dict[int, Var] = {}
-
 #: Canonical body literal by (:func:`_literal_key`, numbers of its variables),
 #: a key of strings, integers and booleans that hashes in C.  Canonical
 #: literals use only the shared ``V<i>`` variables, so few distinct ones occur
 #: and every canonical rule shares them; :func:`_canonical_literal` adds them
 #: as rules need them.
 _CANONICAL_LITERALS: dict[tuple, Literal] = {}
-
-#: Canonical head by (predicate, renamed args), shared in the same way, so that
-#: a canonical rule owns only itself and its body tuple.
-_CANONICAL_HEADS: dict[tuple, Atom] = {}
 
 #: Key tails that :func:`refine` keyed afresh, by a signature of the parent's
 #: literals from a place on and then of the child's new literal (see there),
@@ -156,29 +148,19 @@ _TAILS: dict[tuple, dict[tuple, tuple[Literal, ...]]] = {}
 _TAILS_SIZE = 4096
 
 
-def _canonical_var(i: int) -> Var:
-    # setdefault keeps one object per number even if two threads race here
-    return _CANONICAL_VARS.get(i) or _CANONICAL_VARS.setdefault(i, Var(f"V{i}"))
-
-
 def _canonical_literal(key: tuple, numbers: tuple[int, ...], lit: Literal) -> Literal:
     """``lit``, whose :func:`_literal_key` is ``key``, with its variables
     renamed to the canonical ones numbered ``numbers`` in argument order."""
     found = _CANONICAL_LITERALS.get((key, numbers))
     if found is None:
         number = iter(numbers)
-        args = tuple(_canonical_var(next(number)) if isinstance(t, Var) else t for t in lit.atom.args)
+        args = tuple(Var(f"V{next(number)}") if isinstance(t, Var) else t for t in lit.atom.args)
         found = _CANONICAL_LITERALS.setdefault((key, numbers), Literal(Atom(lit.atom.pred, args), lit.negated))
     return found
 
 
 def _canonical_head(head: Atom, ids: dict[Var, int]) -> Atom:
-    args = tuple(_canonical_var(ids[t]) if isinstance(t, Var) else t for t in head.args)
-    key = (head.pred, args)
-    found = _CANONICAL_HEADS.get(key)
-    if found is None:
-        found = _CANONICAL_HEADS.setdefault(key, Atom(head.pred, args))
-    return found
+    return Atom(head.pred, tuple(Var(f"V{ids[t]}") if isinstance(t, Var) else t for t in head.args))
 
 
 def _order_ties(

@@ -102,6 +102,31 @@ def test_cli_import_generates_no_code():
     assert done.stdout.split() == ["covers", "[]"]
 
 
+def test_reports_do_not_depend_on_hashing():
+    """Terms, atoms and literals hash by their address and names by the
+    string hash, so sets and dicts of them iterate in another order in each
+    process; the JSON reports of ``learn`` LIKES and of a ``compare`` that
+    builds complete models, without their timings, are the same under two
+    hash seeds."""
+    commands = (
+        ["learn", "--kb", KB, "--examples", str(DATA / "likes.oex"), "--bias", str(DATA / "likes.obias")],
+        ["compare", "--kb", KB, "--rule1", "LONER(X) :- famous(X), UNMARRIED(X).",
+         "--rule2", "LONER(X) :- famous(X), not happy(X)."],
+    )
+    reports = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": seed}
+        for argv in commands:
+            done = subprocess.run([sys.executable, "-m", "ontorules.cli", *argv, "--format", "json"],
+                                  env=env, capture_output=True, text=True, check=True)
+            report = json.loads(done.stdout)
+            del report["timings"]
+            reports.append(report)
+    assert reports[:2] == reports[2:]
+    assert reports[0]["rules"][0]["rule"] == "LIKES(X,Y) :- meets(X,Z,Y), RICH(Z)."
+    assert reports[1]["verdict"] == "incomparable"
+
+
 def test_text_and_json_report_same_rules(capsys):
     args = ("learn", "--kb", KB, "--examples", str(DATA / "loner.oex"),
             "--bias", str(DATA / "loner.obias"))

@@ -1,11 +1,15 @@
 import copy
+import os
 import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ontorules.parser import parse_rule
 
+from ontorules import model
 from ontorules.model import (
     Atom,
     ConceptInclusion,
@@ -120,8 +124,8 @@ def _term_layer_sample():
 
 
 def _field_tuple(x):
-    """The compared fields of a term-layer value: equality, ordering and the
-    cached hash all follow this tuple."""
+    """The fields of a term-layer value: its ordering follows this tuple, and
+    equal tuples give one object."""
     if isinstance(x, (Var, Const)):
         return (x.name,)
     if isinstance(x, Predicate):
@@ -131,9 +135,10 @@ def _field_tuple(x):
     return (x.atom, x.negated)
 
 
-def test_cached_hash_equals_the_field_tuple_hash():
+def test_equal_field_tuples_give_one_object():
     for x in _term_layer_sample():
-        assert hash(x) == hash(_field_tuple(x)), repr(x)
+        assert type(x)(*_field_tuple(x)) is x, repr(x)
+        assert type(x)(**dict(zip(x._fields, _field_tuple(x)))) is x, repr(x)
 
 
 def test_rule_hash_is_the_head_and_body_set_hash(kb):
@@ -171,6 +176,8 @@ def test_term_layer_has_no_instance_dict():
 
 
 def test_equal_values_from_different_routes_hash_equal(kb):
+    """Equal term-layer values are one object, whichever route built them:
+    the parser, the constructors, ``substitute``, ``skolemize`` or a copy."""
     parsed = parse_rule("LIKES(X,Y) :- meets(X,Z,Y), RICH(Z), not happy(X).", kb)
     built = Rule(
         Atom(Predicate("LIKES", 2, ROLE), (Var("X"), Var("Y"))),
@@ -184,6 +191,7 @@ def test_equal_values_from_different_routes_hash_equal(kb):
     assert hash(parsed.head) == hash(built.head)
     for p_lit, b_lit in zip(parsed.body, built.body):
         assert p_lit == b_lit and hash(p_lit) == hash(b_lit)
+        assert p_lit is b_lit and copy.copy(p_lit) is p_lit and copy.deepcopy(p_lit) is p_lit
 
     grounded, sigma = skolemize(parsed, set())
     theta = {Var("X"): Const("sk0"), Var("Y"): Const("sk1"), Var("Z"): Const("sk2")}
@@ -192,8 +200,44 @@ def test_equal_values_from_different_routes_hash_equal(kb):
     assert grounded == by_hand and hash(grounded) == hash(by_hand)
     for g_lit, h_lit in zip(grounded.body, by_hand.body):
         assert g_lit == h_lit and hash(g_lit) == hash(h_lit)
-        assert hash(g_lit.atom) == hash((h_lit.atom.pred, h_lit.atom.args))
-    assert hash(sigma[Var("Z")]) == hash(("sk2",))
+        assert g_lit.atom is h_lit.atom is Atom(h_lit.atom.pred, h_lit.atom.args)
+    assert sigma[Var("Z")] is Const("sk2") is theta[Var("Z")]
+
+
+def test_racing_threads_intern_one_object_per_value():
+    """Eight threads that build the same fresh atoms and literals at once all
+    get the same objects: each table keeps the first object stored."""
+    tag = os.urandom(4).hex()  # names no earlier test built
+
+    def build(out):
+        barrier.wait()
+        values = []
+        for i in range(300):
+            pred = Predicate(f"race{tag}{i}", 2, DATALOG)
+            atom = Atom(pred, (Const(f"c{tag}{i}"), Var(f"V{tag}{i}")))
+            values += [pred, atom, Literal(atom), Literal(atom, True)]
+        out.append(values)
+
+    barrier = threading.Barrier(8, timeout=60)
+    results: list[list] = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(results,)) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    first, *rest = results
+    assert len(rest) == 7
+    for other in rest:
+        assert all(x is y for x, y in zip(first, other, strict=True))
+    for x in first:
+        assert type(x)(*_field_tuple(x)) is x
+    assert sum(key[1].startswith(f"c{tag}") for key in model._NAMES) == 300
 
 
 def test_sorting_follows_the_compared_fields():
@@ -223,8 +267,8 @@ def test_terms_compare_and_hash_by_name(m, n):
         assert (x == y) == (m == n) and (x != y) == (m != n)
         assert (x < y) == (m < n) and (x <= y) == (m <= n)
         assert (x > y) == (m > n) and (x >= y) == (m >= n)
-        assert hash(x) == hash((m,))
-    assert Var(m) != Const(m)
+        assert (x is cls(m)) and (x is y) == (m == n)
+    assert Var(m) != Const(m) and Var(m) is not Const(m)
 
 
 @given(st.lists(st.sampled_from([X, Y, Z]), min_size=2, max_size=2),
@@ -233,11 +277,11 @@ def test_atoms_and_literals_compare_by_field_tuples(args1, args2, negated):
     s, t = Atom(Q, tuple(args1)), Atom(Q, tuple(args2))
     assert (s == t) == (tuple(args1) == tuple(args2))
     assert (s < t) == ((Q, tuple(args1)) < (Q, tuple(args2)))
-    assert hash(s) == hash((Q, tuple(args1)))
+    assert s is Atom(Q, tuple(args1)) and (s is t) == (tuple(args1) == tuple(args2))
     ls, lt = Literal(s, negated), Literal(t)
     assert (ls == lt) == (s == t and not negated)
     assert (ls <= lt) == ((s, negated) <= (t, False))
-    assert hash(ls) == hash((s, negated))
+    assert ls is Literal(s, negated) and (ls is lt) == (s is t and not negated)
 
 
 _BODY_LITERALS = st.lists(

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ontorules import parse_rule
+from ontorules import model, parse_rule
 from ontorules.model import (
     Atom,
     ConceptInclusion,
@@ -553,3 +553,27 @@ def test_canonical_form_collapses_renamings(kb):
     assert canonical_form(r1) == canonical_form(r2)
     r3 = parse_rule("LIKES(A,B) :- RICH(A), meets(A,C,B).", kb)
     assert canonical_form(r1) != canonical_form(r3)
+
+
+def test_a_second_identical_walk_interns_no_new_value(likes_bias, kb):
+    """The term tables are never cleared, so they must stop growing once a
+    walk has built its values: repeating a depth-2 LIKES walk adds nothing."""
+
+    def walk():
+        frontier = [seed_rule(Predicate("LIKES", 2, ROLE))]
+        seen = {canonical_form(frontier[0])}
+        for _ in range(2):
+            nxt = []
+            for parent in frontier:
+                for step in refine(parent, likes_bias, kb.tbox):
+                    if step.key not in seen:
+                        seen.add(step.key)
+                        nxt.append(step.child)
+            frontier = nxt
+        return seen
+
+    tables = (model._NAMES, model._PREDICATES, model._ATOMS, model._LITERALS)
+    first = walk()
+    sizes = [len(t) for t in tables]
+    assert walk() == first and len(first) > 100
+    assert [len(t) for t in tables] == sizes

@@ -108,7 +108,7 @@ SAMPLES = [
      ("rule_applied", "literal", "parent", "child", "key")),
 ]
 IDS = [type(value).__name__ for value, _, _ in SAMPLES]
-ORDERED = (Var, Const, Predicate, Atom, Literal)
+ORDERED = INTERNED = (Var, Const, Predicate, Atom, Literal)
 
 #: Values that refinement builds past the public constructors, each with the
 #: repr of its publicly built twin: a rule from ``Rule._distinct`` and the one
@@ -138,7 +138,7 @@ def test_equal_fields_make_equal_values(value, text, fields):
     by_position = type(value)(*values)
     by_keyword = type(value)(**dict(zip(fields, values)))
     for twin in (by_position, by_keyword):
-        assert twin is not value
+        assert (twin is value) == (type(value) in INTERNED)
         assert twin == value and not twin != value
         assert hash(twin) == hash(value)
     assert value != values and value != tuple(values) and value is not None
@@ -195,14 +195,15 @@ def test_pickle_and_copy_round_trips(value, text, fields):
     for twin in twins:
         assert type(twin) is type(value)
         assert twin == value and hash(twin) == hash(value)
+        assert (twin is value) == (type(value) in INTERNED)
         assert repr(twin) == text
     nested = copy.deepcopy({value: [value]})
     assert nested == {value: [value]}
 
 
-def test_unpickling_in_another_process_rebuilds_the_cached_hash():
-    """String hashes differ between processes, so a pickled term carries no
-    hash: the receiving process computes its own."""
+def test_unpickling_in_another_process_returns_the_interned_value():
+    """A pickled term carries its fields only: unpickling rebuilds it through
+    its constructor, which returns this process's object for those fields."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "1"}
     probe = ("import pickle, sys; from ontorules.model import Atom, Predicate, Var; "
@@ -210,7 +211,7 @@ def test_unpickling_in_another_process_rebuilds_the_cached_hash():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, check=True)
     atom = pickle.loads(done.stdout)
     assert atom == PX and hash(atom) == hash(PX) and atom in {PX}
-    assert hash(atom.args[0]) == hash(X) and hash(atom.pred) == hash(P)
+    assert atom is PX and atom.args[0] is X and atom.pred is P
 
 
 def test_construction_by_keyword_and_default():
