@@ -26,7 +26,8 @@ candidate-literal cache (``refine._added_literals``) and how many rules were
 built through the public ``Rule`` constructor, which drops duplicate
 literals, and how many through the private ``Rule._distinct``, which does
 not, and the sizes of the tables that intern names, predicates, atoms and
-literals (``model._NAMES`` ...), which live for the process.
+literals (``model._NAMES`` ...), which live for the process, and how many
+TBoxes ``dlreason.subsumes`` holds closures for (``dlreason._CLOSURES``).
 
 It then runs the criterion-7 LIKES pairwise pass on the same KB: more_general
 over every ordered pair of the 60 rules of the depth-1 neighbourhood of the
@@ -53,7 +54,7 @@ import pstats
 from collections import Counter
 from importlib import resources
 
-from ontorules import model
+from ontorules import dlreason, model
 from ontorules.hybrid import _augmented, counters, more_general
 from ontorules.model import ROLE, Predicate, Rule
 from ontorules.parser import parse_bias, parse_kb, parse_rule
@@ -247,6 +248,7 @@ def main() -> None:
           f"{code_calls(stats, Rule._distinct.__code__)} private (Rule._distinct)")
     print(f"intern tables: {len(model._NAMES)} names, {len(model._PREDICATES)} predicates, "
           f"{len(model._ATOMS)} atoms, {len(model._LITERALS)} literals")
+    print(f"subsumes memo: closures of {len(dlreason._CLOSURES)} TBox(es)")
     tails = count_tails(kb, bias)
     print("memo of key tails: " + "; ".join(
         f"{kind} {tails[kind, 'computed']} computed, {tails[kind, 'reused']} reused"

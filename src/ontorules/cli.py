@@ -165,7 +165,7 @@ def cmd_query(args) -> int:
     kb = parse_kb(_read(args.kb), args.kb)
     atom = parse_ground_atom(args.atom, kb)
     report.phase("parse")
-    verdict = entails(kb, (), (), atom).value
+    verdict = entails(kb, (), atom).value
     report.phase("query")
     report.data["verdict"] = verdict
     _emit(report, args.format, [verdict])

@@ -83,7 +83,7 @@ def grounded_variables(rule: Rule) -> tuple[Var, ...]:
     return tuple(dict.fromkeys(v for a in atoms for v in a.variables()))
 
 
-def ground(rules, facts, domain: tuple[Const, ...], wanted, budget: int = DEFAULT_GROUNDING_BUDGET):
+def ground(rules, facts, domain: tuple[Const, ...], wanted):
     """Instances of ``rules`` that bind the variables ``wanted(rule)`` to
     constants of the sorted tuple ``domain``, per rule in product order.
 
@@ -91,7 +91,8 @@ def ground(rules, facts, domain: tuple[Const, ...], wanted, budget: int = DEFAUL
     rule of ``rules``, are joined with the ``facts``, so an instance that one
     of them fails is never visited; this preserves the stable models.  Only
     the wanted variables that the join leaves unbound range over the domain.
-    Past ``budget`` substitutions in all, :class:`BudgetError` is raised."""
+    Past ``DEFAULT_GROUNDING_BUDGET`` substitutions in all,
+    :class:`BudgetError` is raised."""
     ext = {l.atom.pred for r in rules for l in r.body} - {r.head.pred for r in rules}
     index = _index(facts)
     members = frozenset(domain)
@@ -103,22 +104,17 @@ def ground(rules, facts, domain: tuple[Const, ...], wanted, budget: int = DEFAUL
         found = []
         for theta in _groundings(_join(joined, index, {}, members), [v for v in variables if v not in bound], domain):
             count += 1
-            if count > budget:
-                raise BudgetError(f"grounding exceeded the budget of {budget} instances")
+            if count > DEFAULT_GROUNDING_BUDGET:
+                raise BudgetError(f"grounding exceeded the budget of {DEFAULT_GROUNDING_BUDGET} instances")
             found.append(theta)
         found.sort(key=lambda theta: [theta[v] for v in variables])
         for theta in found:
             yield rule.substitute(theta)
 
 
-def ground_program(
-    rules: tuple[Rule, ...],
-    facts: frozenset[Atom],
-    domain: set[Const],
-    budget: int = DEFAULT_GROUNDING_BUDGET,
-) -> GroundProgram:
+def ground_program(rules: tuple[Rule, ...], facts: frozenset[Atom], domain: set[Const]) -> GroundProgram:
     """Instantiate every rule over ``domain`` (:func:`ground`)."""
-    return GroundProgram(tuple(ground(rules, facts, tuple(sorted(domain)), Rule.variables, budget)), facts)
+    return GroundProgram(tuple(ground(rules, facts, tuple(sorted(domain)), Rule.variables)), facts)
 
 
 def _index(*atom_sets) -> dict[Predicate, list[Atom]]:
@@ -245,14 +241,9 @@ def stable_models(p: GroundProgram) -> list[Interpretation]:
     return models
 
 
-def answer_query(
-    p: GroundProgram,
-    query: tuple[Literal, ...],
-    brave: bool = False,
-) -> list[dict]:
-    """Substitutions grounding the query that hold in every stable model
-    (or in some model, with ``brave=True``), in product order over the
-    program's sorted constants.
+def answer_query(p: GroundProgram, query: tuple[Literal, ...]) -> list[dict]:
+    """Substitutions grounding the query that hold in every stable model, in
+    product order over the program's sorted constants.
 
     The positive literals are joined with each model's true atoms, and only
     the variables that they leave unbound range over the constants.  Raises
@@ -278,5 +269,4 @@ def answer_query(
         }
 
     answers = [holding(m.true_atoms) for m in models]
-    found = set.union(*answers) if brave else set.intersection(*answers)
-    return [dict(zip(variables, combo)) for combo in sorted(found)]
+    return [dict(zip(variables, combo)) for combo in sorted(set.intersection(*answers))]

@@ -83,6 +83,24 @@ def _closure(edges: dict[str, set[str]]) -> dict[str, set[str]]:
     return out
 
 
+#: The closures :func:`subsumes` reads, per TBox tuple, keyed by its ``id``:
+#: hashing a TBox costs more than closing a small one.  Each entry holds its
+#: TBox, so no other live object has that id; cleared at ``_CLOSURES_SIZE``
+#: entries.  Threads that race to fill an entry store equal values.
+_CLOSURES: dict[int, tuple] = {}
+_CLOSURES_SIZE = 64
+
+
+def _closures(tbox: tuple[Axiom, ...]) -> dict[str, dict[str, set[str]]]:
+    """The role and concept closures of ``tbox``, by predicate kind."""
+    entry = _CLOSURES.get(id(tbox))
+    if entry is None:
+        if len(_CLOSURES) >= _CLOSURES_SIZE:
+            _CLOSURES.clear()
+        entry = _CLOSURES[id(tbox)] = (tbox, {ROLE: role_closure(tbox), CONCEPT: concept_closure(tbox)})
+    return entry[1]
+
+
 def subsumes(general: Predicate, specific: Predicate, tbox: tuple[Axiom, ...]) -> bool:
     """True iff ``specific`` is below ``general`` in the inclusion hierarchy.
 
@@ -92,8 +110,7 @@ def subsumes(general: Predicate, specific: Predicate, tbox: tuple[Axiom, ...]) -
         raise ModelError(f"cannot compare {general.name} ({general.kind}) with {specific.name} ({specific.kind})")
     if general.name == specific.name:
         return True
-    closure = role_closure(tbox) if general.kind == ROLE else concept_closure(tbox)
-    return general.name in closure.get(specific.name, set())
+    return general.name in _closures(tbox)[general.kind].get(specific.name, ())
 
 
 def close(atoms, tbox: tuple[Axiom, ...]) -> tuple[set[Atom], set[Atom]]:

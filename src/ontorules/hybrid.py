@@ -305,38 +305,27 @@ def _complete_models(theory: _Theory) -> list[NMModel]:
 
 # --- public operations ------------------------------------------------------
 
-def _kb_theory(kb: HybridKB, extra_rules=(), extra_facts=(), constants=()) -> _Theory:
-    """The KB extended with extra rules and ground facts, over the KB's
-    constants, theirs and ``constants``."""
-    abox = tuple(kb.abox) + tuple(a for a in extra_facts if a.pred.is_dl)
-    facts = frozenset(kb.facts).union(a for a in extra_facts if not a.pred.is_dl)
+def _kb_theory(kb: HybridKB, extra_rules=(), constants=()) -> _Theory:
+    """The KB extended with extra rules, over the KB's constants, theirs and
+    ``constants``."""
     domain = set(kb.constants()).union(constants, *(r.constants() for r in extra_rules))
-    domain.update(t for a in extra_facts for t in a.args if isinstance(t, Const))
-    return _Theory(kb.tbox, abox, kb.rules + tuple(extra_rules), facts, tuple(sorted(domain)))
+    return _Theory(kb.tbox, tuple(kb.abox), kb.rules + tuple(extra_rules), frozenset(kb.facts), tuple(sorted(domain)))
 
 
-def nm_models(
-    kb: HybridKB,
-    extra_rules: tuple[Rule, ...] = (),
-    extra_facts: tuple[Atom, ...] = (),
-) -> list[NMModel]:
-    """Canonical models of the KB extended with extra rules and ground facts:
-    the family that entailment and coverage quantify over.  A canonical
-    model's ontology part is its true atoms alone: ``guess.false_atoms`` is
-    empty, as every other atom is false in it."""
-    return _kb_theory(kb, extra_rules, extra_facts).models
+def nm_models(kb: HybridKB) -> list[NMModel]:
+    """Canonical models of the KB: the family that entailment and coverage
+    quantify over.  A canonical model's ontology part is its true atoms
+    alone: ``guess.false_atoms`` is empty, as every other atom is false in
+    it."""
+    return _kb_theory(kb).models
 
 
-def entails(
-    kb: HybridKB,
-    extra_rules: tuple[Rule, ...],
-    extra_facts: tuple[Atom, ...],
-    query: Atom,
-) -> Entailment:
-    """Cautious ground entailment over the canonical model family."""
+def entails(kb: HybridKB, extra_rules: tuple[Rule, ...], query: Atom) -> Entailment:
+    """Cautious ground entailment over the canonical model family of the KB
+    extended with ``extra_rules``."""
     if not query.is_ground():
         raise ModelError(f"query {query} is not ground")
-    models = _kb_theory(kb, extra_rules, extra_facts, query.args).models
+    models = _kb_theory(kb, extra_rules, query.args).models
     if not models:
         return Entailment.INCONSISTENT
     if query.pred.is_dl:
@@ -352,12 +341,12 @@ def covers(kb: HybridKB, hypothesis_rule: Rule, example: Atom) -> bool:
     This enumerates the models of KB + rule, so it holds for any rule,
     including one whose head predicate already occurs in the KB.  The learner
     uses :class:`KBModels` instead."""
-    if example.pred != hypothesis_rule.head.pred:
+    if example.pred is not hypothesis_rule.head.pred:
         raise ModelError(
             f"example {example} does not match the rule head predicate {hypothesis_rule.head.pred.name}"
         )
     counters["covers_calls"] += 1
-    verdict = entails(kb, (hypothesis_rule,), (), example)
+    verdict = entails(kb, (hypothesis_rule,), example)
     if verdict is Entailment.INCONSISTENT:
         raise InconsistentKBError("background theory plus rule has no model")
     return verdict is Entailment.ENTAILED
@@ -400,7 +389,7 @@ def _split(atoms: tuple[Atom, ...], grounded: tuple[Var, ...], checked=()) -> tu
 
 def _bind_head(head: Atom, example: Atom) -> dict[Var, Const] | None:
     """The substitution that maps the head onto the ground example, if any."""
-    if head.pred != example.pred:
+    if head.pred is not example.pred:
         return None
     theta: dict[Var, Const] = {}
     for t, c in zip(head.args, example.args):
@@ -451,7 +440,7 @@ class KBModels:
         ``DEFAULT_GROUNDING_BUDGET`` groundings), the open atoms meet named
         atoms or nulls (:func:`_holding`), and the negated atoms are false."""
         name = self.target.name
-        if rule.head.pred != self.target or any(l.atom.pred.name == name for l in rule.body):
+        if rule.head.pred is not self.target or any(l.atom.pred.name == name for l in rule.body):
             raise ModelError(f"rule {rule} does not define the target {name} non-recursively")
         truths = self._truths
         negated = tuple(l.atom for l in rule.body if l.negated)
@@ -548,7 +537,7 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
     over = len(domain) ** len(free) > DEFAULT_THETA_BUDGET
     # the skolemization's own substitution, which the join below finds
     # unless the budget stops it or a negated literal drops it
-    if (over or negated) and sigma.keys() >= h1_var_set and head1.substitute(sigma) == head and all(
+    if (over or negated) and sigma.keys() >= h1_var_set and head1.substitute(sigma) is head and all(
         _literal_holds(l.substitute(sigma), cautious, theory.possible) for l in h1.body
     ):
         return True

@@ -15,14 +15,12 @@ from .refine import refine, seed_rule
 
 
 class LearnerParams(Record):
-    __slots__ = ("max_body_len", "laplace", "noise_tolerance")  # int, bool, float
-    _defaults = {"max_body_len": 5, "laplace": True, "noise_tolerance": 0.0}
+    __slots__ = ("max_body_len",)  # int
+    _defaults = {"max_body_len": 5}
 
     def _validate(self):
         if self.max_body_len < 1:
             raise ValueError("max_body_len must be positive")
-        if not 0.0 <= self.noise_tolerance <= 1.0:
-            raise ValueError("noise_tolerance must lie in [0, 1]")
 
 
 class CoverageStats(Record):
@@ -40,10 +38,9 @@ class LearnedHypothesis(Record):
         return not self.uncovered_positives
 
 
-def confidence(pos: int, neg: int, laplace: bool = True) -> float:
-    if laplace:
-        return (pos + 1) / (pos + neg + 2)
-    return pos / (pos + neg) if pos + neg else 0.0
+def confidence(pos: int, neg: int) -> float:
+    """The Laplace estimate of a rule's precision; never 0."""
+    return (pos + 1) / (pos + neg + 2)
 
 
 class _Evaluated:
@@ -56,60 +53,50 @@ class _Evaluated:
         self.pos = pos
         self.neg = neg
 
-    def stats(self, laplace: bool) -> CoverageStats:
-        return CoverageStats(len(self.pos), len(self.neg), confidence(len(self.pos), len(self.neg), laplace))
+    def stats(self) -> CoverageStats:
+        return CoverageStats(len(self.pos), len(self.neg), confidence(len(self.pos), len(self.neg)))
 
 
 def _coverage(models: KBModels, rule: Rule, positives, negatives) -> _Evaluated:
     return _Evaluated(rule, models.covered(rule, positives), models.covered(rule, negatives))
 
 
-def gain(h_new: Rule, h_old: Rule, kb: HybridKB, examples: ExampleSet, laplace: bool = True) -> float:
+def gain(h_new: Rule, h_old: Rule, kb: HybridKB, examples: ExampleSet) -> float:
     """p * (log2 cf(new) - log2 cf(old)), where p counts the positives covered
     by both rules.  Target examples are ground, so each contributes exactly
     one head binding."""
     models = KBModels(kb, examples.target)
     new = _coverage(models, h_new, examples.positives, examples.negatives)
     old = _coverage(models, h_old, examples.positives, examples.negatives)
-    return _gain(new, old, laplace)
+    return _gain(new, old)
 
 
-def _gain(new: _Evaluated, old: _Evaluated, laplace: bool) -> float:
+def _gain(new: _Evaluated, old: _Evaluated) -> float:
     p = len(new.pos & old.pos)
-    cf_new = confidence(len(new.pos), len(new.neg), laplace)
-    cf_old = confidence(len(old.pos), len(old.neg), laplace)
-    if cf_new == 0.0:
-        return float("-inf") if p else 0.0
-    if cf_old == 0.0:
-        return float("inf") if p else 0.0
+    cf_new = confidence(len(new.pos), len(new.neg))
+    cf_old = confidence(len(old.pos), len(old.neg))
     return p * (math.log2(cf_new) - math.log2(cf_old))
 
 
-def _rank_key(cand: _Evaluated, current: _Evaluated, laplace: bool):
+def _rank_key(cand: _Evaluated, current: _Evaluated):
     # positive-coverage retention first, then gain: a gain-optimal but
     # narrow candidate must not beat one that keeps the covered positives
     return (
         -len(cand.pos),
-        -_gain(cand, current, laplace),
+        -_gain(cand, current),
         len(cand.rule.body),
         str(cand.rule),
     )
 
 
-def choose_best(
-    candidates,
-    h_current: Rule,
-    kb: HybridKB,
-    examples: ExampleSet,
-    laplace: bool = True,
-) -> Rule:
+def choose_best(candidates, h_current: Rule, kb: HybridKB, examples: ExampleSet) -> Rule:
     """Deterministic argmax over the ranking used by the inner loop."""
     if not candidates:
         raise ValueError("choose_best needs a non-empty candidate set")
     models = KBModels(kb, examples.target)
     current = _coverage(models, h_current, examples.positives, examples.negatives)
     evaluated = [_coverage(models, c, examples.positives, examples.negatives) for c in candidates]
-    return min(evaluated, key=lambda e: _rank_key(e, current, laplace)).rule
+    return min(evaluated, key=lambda e: _rank_key(e, current)).rule
 
 
 def learn(
@@ -134,15 +121,10 @@ def learn(
         if found is None:
             break
         rules.append(found.rule)
-        stats.append(found.stats(params.laplace))
+        stats.append(found.stats())
         remaining = [e for e in remaining if e not in found.pos]
 
     return LearnedHypothesis(tuple(rules), tuple(stats), tuple(remaining))
-
-
-def _consistent(ev: _Evaluated, params: LearnerParams) -> bool:
-    total = len(ev.pos) + len(ev.neg)
-    return len(ev.neg) <= params.noise_tolerance * total
 
 
 def _learn_one(
@@ -155,7 +137,7 @@ def _learn_one(
     seed = seed_rule(models.target)
     current = _coverage(models, seed, positives, negatives)
     while True:
-        if current.rule.body and _consistent(current, params) and current.pos:
+        if current.rule.body and not current.neg and current.pos:
             return current
         if len(current.rule.body) >= params.max_body_len:
             return None
@@ -164,7 +146,7 @@ def _learn_one(
             return None
         # every move specializes, so a child covers only what its parent covers
         evaluated = [_coverage(models, s.child, current.pos, current.neg) for s in steps]
-        best = min(evaluated, key=lambda e: _rank_key(e, current, params.laplace))
+        best = min(evaluated, key=lambda e: _rank_key(e, current))
         if not best.pos:
             return None  # nothing retains a positive example: dead end
         current = best

@@ -387,7 +387,7 @@ def refine(
         if not l.atom.pred.is_dl:
             continue
         for pred in ontology:
-            if pred == l.atom.pred or pred.kind != l.atom.pred.kind:
+            if pred is l.atom.pred or pred.kind != l.atom.pred.kind:
                 continue
             if not subsumes(l.atom.pred, pred, tbox):
                 continue
@@ -407,11 +407,11 @@ def refine(
     return tuple(out)
 
 
-def in_language(h: Rule, bias: LanguageBias, target: Predicate | None = None) -> bool:
-    """Membership in the hypothesis language: alphabet and polarity of every
-    body literal, plus safeness and linkedness (and the head predicate, when a
-    target is given)."""
-    if target is not None and h.head.pred != target:
+def in_language(h: Rule, bias: LanguageBias, target: Predicate) -> bool:
+    """Membership in the hypothesis language: the head predicate ``target``,
+    alphabet and polarity of every body literal, plus safeness and
+    linkedness."""
+    if h.head.pred is not target:
         return False
     for l in h.body:
         pred = l.atom.pred

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from genhybrid import CONCEPTS, ROLES, random_hybrid_kb
 from ontorules.dlreason import DLGuess, close, role_closure, subsumes
 from ontorules.parser import ParseError, parse_ground_atom
 from ontorules.model import (
@@ -134,3 +137,35 @@ def test_closures_are_strict_and_subsumes_is_reflexive(kb):
     # subsumes makes it reflexive
     assert role_closure(kb.tbox) == {"WANTS-TO-MARRY": {"LOVES"}}
     assert subsumes(WTM, WTM, kb.tbox) and subsumes(LOVES, LOVES, kb.tbox)
+
+
+def _below(tbox, name: str) -> set[str]:
+    """The names that ``name`` reaches over the atomic inclusions of
+    ``tbox``, itself included: a graph search from scratch."""
+    edges = [(ax.sub, ax.sup) if isinstance(ax, RoleInclusion) else (ax.lhs[0], ax.rhs)
+             for ax in tbox if isinstance(ax, RoleInclusion) or (len(ax.lhs) == 1 and isinstance(ax.rhs, str))]
+    seen, todo = {name}, [name]
+    while todo:
+        sub = todo.pop()
+        for a, b in edges:
+            if a == sub and b not in seen:
+                seen.add(b)
+                todo.append(b)
+    return seen
+
+
+def test_subsumes_agrees_with_a_closure_from_scratch_on_random_tboxes():
+    # 200 TBoxes, more than the memo of closures holds, so it is cleared
+    # along the way; each TBox is asked twice, the second time as an equal
+    # tuple that is another object
+    checked = 0
+    for seed in range(200):
+        tbox = random_hybrid_kb(random.Random(seed)).tbox
+        for preds in (CONCEPTS, ROLES):
+            for specific in preds:
+                above = _below(tbox, specific.name)
+                for general in preds:
+                    assert subsumes(general, specific, tbox) == (general.name in above)
+                    assert subsumes(general, specific, tuple(list(tbox))) == (general.name in above)
+                    checked += general.name != specific.name and general.name in above
+    assert checked  # some TBox puts one predicate strictly below another

@@ -22,6 +22,7 @@ import pytest
 
 from genhybrid import CONCEPTS, D, E, IDB, ROLES, random_hybrid_kb
 from ontorules import hybrid, model, parse_bias
+from ontorules.datalog import _index
 from ontorules.dlreason import concept_closure, subsumes
 from ontorules.hybrid import _join, _Theory, more_general
 from ontorules.model import (
@@ -507,10 +508,7 @@ def test_the_join_yields_each_binding_of_the_product_once():
             else:
                 atoms.append(Atom(q, (rng.choice(terms), rng.choice(terms))))
         theta = {x: rng.choice(names)} if rng.random() < 0.3 else {}
-        index = {}
-        for a in facts:
-            index.setdefault(a.pred, []).append(a)
-        got = list(_join(atoms, index, theta, domain))
+        got = list(_join(atoms, _index(facts), theta, domain))
         want = _reference_join(atoms, facts, theta, domain)
         key = lambda t: sorted((str(v), str(c)) for v, c in t.items())  # noqa: E731
         assert sorted(map(key, got)) == sorted(map(key, want)), seed

@@ -90,14 +90,14 @@ def test_odd_loop_kb_has_no_models():
         alphabet=(p,),
     )
     assert nm_models(kb) == []
-    assert entails(kb, (), (), Atom(p, (c,))) is Entailment.INCONSISTENT
+    assert entails(kb, (), Atom(p, (c,))) is Entailment.INCONSISTENT
 
 
 def test_entailment_basics(kb):
     def q(text):
         from ontorules import parse_ground_atom
 
-        return entails(kb, (), (), parse_ground_atom(text, kb))
+        return entails(kb, (), parse_ground_atom(text, kb))
 
     assert q("famous(Mary)") is Entailment.ENTAILED
     assert q("RICH(Mary)") is Entailment.ENTAILED
@@ -241,7 +241,7 @@ def test_entails_agrees_with_datalog_engine_without_dl():
     prog = ground_program(kb.rules, frozenset(kb.facts), kb.constants())
     for atom in [Atom(q, (a,)), Atom(q, (b,)), Atom(p, (a,)), Atom(p, (b,))]:
         certain = bool(answer_query(prog, (Literal(atom),)))
-        assert (entails(kb, (), (), atom) is Entailment.ENTAILED) == certain
+        assert (entails(kb, (), atom) is Entailment.ENTAILED) == certain
 
 
 def test_nm_models_agree_with_brute_force_checker(monkeypatch):

@@ -44,14 +44,16 @@ def _script(monkeypatch, name):
 def test_the_refine_profile_runs_and_counts_private_constructions(monkeypatch, capsys):
     """``profile_refine.py`` runs to its end, the rules it counts as built
     through ``Rule._distinct`` are some, it prints the sizes of the intern
-    tables, and ``refine``'s memo of key tails reuses both suffixes and tie
-    tails on the LIKES walk."""
+    tables and of the memo of ``subsumes``, and ``refine``'s memo of key
+    tails reuses both suffixes and tie tails on the LIKES walk."""
     _script(monkeypatch, "profile_refine").main()
     out = capsys.readouterr().out
     built = re.search(r"^rules built: (\d+) public \(dedupe\), (\d+) private \(Rule._distinct\)$", out, re.M)
     assert built and int(built[2]) > 0, out[-2000:]
     tables = re.search(r"^intern tables: (\d+) names, (\d+) predicates, (\d+) atoms, (\d+) literals$", out, re.M)
     assert tables and all(int(tables[i]) > 0 for i in (1, 2, 3, 4)), out[-2000:]
+    closures = re.search(r"^subsumes memo: closures of (\d+) TBox\(es\)$", out, re.M)
+    assert closures and int(closures[1]) > 0, out[-2000:]
     tails = re.search(r"^memo of key tails: suffixes (\d+) computed, (\d+) reused; "
                       r"tie tails (\d+) computed, (\d+) reused$", out, re.M)
     assert tails and all(int(tails[i]) > 0 for i in (1, 2, 3, 4)), out[-2000:]

@@ -94,8 +94,7 @@ SAMPLES = [
      "NMModel(guess=DLGuess(true_atoms=frozenset(), false_atoms=frozenset()), "
      "datalog_model=Interpretation(true_atoms=frozenset()), existentials=frozenset())",
      ("guess", "datalog_model", "existentials")),
-    (LearnerParams(max_body_len=3), "LearnerParams(max_body_len=3, laplace=True, noise_tolerance=0.0)",
-     ("max_body_len", "laplace", "noise_tolerance")),
+    (LearnerParams(max_body_len=3), "LearnerParams(max_body_len=3)", ("max_body_len",)),
     (STATS, "CoverageStats(pos_covered=2, neg_covered=1, confidence=0.5)",
      ("pos_covered", "neg_covered", "confidence")),
     (LearnedHypothesis((RULE,), (STATS,), ()),
@@ -218,9 +217,8 @@ def test_construction_by_keyword_and_default():
     assert Literal(PX, negated=True) == Literal(PX, True) == Literal(atom=PX, negated=True)
     assert Literal(PX) == Literal(PX, False) and Literal(PX).negated is False
     assert Rule(PX).body == () and Rule(head=PX, body=(Literal(PA),)).body == (Literal(PA),)
-    assert LearnerParams(max_body_len=3) == LearnerParams(3, True, 0.0)
-    assert LearnerParams() == LearnerParams(5, True, 0.0)
-    assert LearnerParams(noise_tolerance=0.5).max_body_len == 5
+    assert LearnerParams(max_body_len=3) == LearnerParams(3)
+    assert LearnerParams() == LearnerParams(5)
     assert Existential("R") == Existential(role="R", inverse=False)
     assert HybridKB() == HybridKB((), (), (), (), ())
     assert HybridKB(alphabet=(C,)).tbox == ()
@@ -280,8 +278,6 @@ def test_rule_drops_duplicate_body_literals():
     (lambda: GroundProgram((), frozenset({CA})), ModelError, "bad fact: C(a)"),
     (lambda: GroundProgram((), frozenset({PX})), ModelError, "bad fact: p(X)"),
     (lambda: LearnerParams(max_body_len=0), ValueError, "max_body_len must be positive"),
-    (lambda: LearnerParams(noise_tolerance=1.5), ValueError, "noise_tolerance must lie in [0, 1]"),
-    (lambda: LearnerParams(noise_tolerance=-0.1), ValueError, "noise_tolerance must lie in [0, 1]"),
 ])
 def test_validation_errors(make, error, message):
     with pytest.raises(error) as info:
