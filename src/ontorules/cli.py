@@ -1,6 +1,6 @@
 """Command-line interface: ``ontorules COMMAND OPTIONS`` for learn, check,
-compare, refine and query, parsed from the table ``COMMANDS`` as argparse
-would (``--opt value`` or ``--opt=value``, unique prefixes, its messages).
+compare, refine and query, from the table ``COMMANDS``: read directly if plain
+(:func:`_direct`), else by argparse, with its messages and its ``-h`` help.
 
 Exit codes: 0 success, 1 input error (a missing or malformed option, an int
 option below 1, an input file that is not UTF-8 text, with or without a BOM,
@@ -12,7 +12,6 @@ Output is deterministic; there is no randomness anywhere, so no seed flag.
 from __future__ import annotations
 
 import json
-import re
 import sys
 import time
 from types import SimpleNamespace
@@ -22,7 +21,7 @@ from .hybrid import InconsistentKBError, compare, covers, entails, nm_models
 from .learner import LearnerParams, learn
 from .model import BudgetError, ModelError, Rule
 from .parser import ParseError, parse_bias, parse_examples, parse_ground_atom, parse_kb, parse_rule
-from .refine import canonical_form, refine, seed_rule
+from .refine import canonical_form, refine
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -195,88 +194,63 @@ COMMANDS = {
 }
 
 
-def _option(token: str, flags) -> tuple | None:
-    """argparse's reading of a token: None for a value, else the option it
-    names (None for an unknown one) and the value after its ``=`` or ``-h``."""
-    if token[:1] != "-" or token in ("-", "--"):
+def _direct(argv: list[str]) -> SimpleNamespace | None:
+    """The options of a plain command line, or None: ``COMMAND`` first, then
+    each option by its whole name, as ``--opt value`` or ``--opt=value``, with
+    a value that is non-empty, does not start with ``-``, and is ASCII digits
+    for an int or a choice for a choice.  argparse reads such lines trivially."""
+    if not argv or argv[0] not in COMMANDS:
         return None
-    flag, eq, value = token.partition("=")
-    if token in flags or eq and flag in flags:
-        return (token, None) if token in flags else (flag, value)
-    found = [f for f in flags if f.startswith(flag)] if token[1] == "-" else []
-    if len(found) > 1:
-        raise UsageError(f"ambiguous option: {token} could match {', '.join(found)}")
-    if found or token[:2] in flags:
-        return (found[0], value if eq else None) if found else (token[:2], token[2:])
-    return None if " " in token or re.match(r"-\d+$|-\d*\.\d+$", token) else (None, None)
+    fn, _, options = COMMANDS[argv[0]]
+    options = {**_SHARED, **options}
+    values = {flag: default for flag, (_, _, default) in options.items()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if not eq:
+            value = next(tokens, "")
+        if flag not in options or value[:1] in ("", "-"):
+            return None
+        kind = options[flag][1]
+        if kind is int and not (value.isascii() and value.isdigit()) or isinstance(kind, tuple) and value not in kind:
+            return None
+        values[flag] = int(value) if kind is int else value
+    if REQUIRED in values.values():
+        return None
+    return SimpleNamespace(fn=fn, **{flag[2:].replace("-", "_"): value for flag, value in values.items()})
 
 
-def _help(commands, flag: str, value: str | None) -> None:
-    """Lists the options of ``commands`` and exits 0; ``-hh`` is ``-h -h``, other values are errors."""
-    if value is not None and (flag != "-h" or not value or value.strip("h")):
-        raise UsageError(f"argument -h/--help: ignored explicit argument "
-                         f"{value.lstrip('h') if flag == '-h' else value!r}")
-    lines = ["usage: ontorules COMMAND OPTIONS   (-h or --help prints this help)"]
-    for name in commands:
-        lines += ["", f"{name}: {COMMANDS[name][1]}"]
-        for option, (text, _, default) in {**_SHARED, **COMMANDS[name][2]}.items():
-            lines.append(f"  {option}  {text} ({'required' if default is REQUIRED else f'default: {default}'})")
-    print("\n".join(lines))
-    raise SystemExit(0)
+def _argparse(argv: list[str]) -> SimpleNamespace:
+    """argparse's reading of ``argv``, built from :data:`COMMANDS`: its
+    messages, raised as :class:`UsageError`, and its help, which exits 0."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
+    parser = Parser(prog="ontorules")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, text, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=text, description=text)
+        for flag, (help_text, kind, default) in {**_SHARED, **options}.items():
+            command.add_argument(flag, required=default is REQUIRED,
+                                 help=help_text if default is REQUIRED else f"{help_text} (default: %(default)s)",
+                                 default=None if default is REQUIRED else default, type=int if kind is int else str,
+                                 choices=kind if isinstance(kind, tuple) else None)
+        command.set_defaults(fn=fn)
+    return SimpleNamespace(**vars(parser.parse_args(argv)))
 
 
 def parse_args(argv: list[str]) -> SimpleNamespace:
-    """Parses ``COMMAND OPTIONS`` against :data:`COMMANDS` as argparse does:
-    every token is classified (an ambiguous prefix fails first) before values
-    are read in order; unknown options, also before ``COMMAND``, and tokens
-    after ``--`` are unrecognized.  Returns the options and ``fn``, the command."""
-    at = 0
-    while at < len(argv) and (option := _option(argv[at], ("-h", "--help"))):
-        if option[0]:
-            _help(COMMANDS, *option)
-        at += 1
-    if argv[at:] in ([], ["--"]):
-        raise UsageError("the following arguments are required: command")
-    command, extras, rest = argv[at], argv[:at], argv[at + 1:]
-    if command not in COMMANDS:
-        raise UsageError(f"argument command: invalid choice: {command!r} "
-                         f"(choose from {', '.join(map(repr, COMMANDS))})")
-    fn, _, options = COMMANDS[command]
-    options = {**_SHARED, **options}
-    values = {flag: default for flag, (_, _, default) in options.items()}
-    end = rest.index("--") if "--" in rest else len(rest)
-    read = [_option(token, ("-h", "--help", *options)) for token in rest[:end]]
-    tokens = iter(zip(rest, read))
-    for token, option in tokens:
-        flag, value = option or (None, None)
-        if not flag:
-            extras.append(token)
-            continue
-        if flag in ("-h", "--help"):
-            _help([command], flag, value)
-        if value is None:
-            value, option = next(tokens, ("", True))  # with none left, as if an option followed
-            if option:
-                raise UsageError(f"argument {flag}: expected one argument")
-        kind = options[flag][1]
-        if kind is int:
-            try:
-                value = int(value)
-            except ValueError:
-                raise UsageError(f"argument {flag}: invalid int value: {value!r}") from None
-        elif kind is not str and value not in kind:
-            raise UsageError(f"argument {flag}: invalid choice: {value!r} "
-                             f"(choose from {', '.join(map(repr, kind))})")
-        values[flag] = value
-    missing = [flag for flag, value in values.items() if value is REQUIRED]
-    if missing:
-        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
-    if extras + rest[end:]:
-        raise UsageError(f"unrecognized arguments: {' '.join(extras + rest[end:])}")
-    for flag, value in values.items():
-        if options[flag][1] is int and value < 1:
-            raise UsageError(f"{flag} must be at least 1, got {value}")
-    return SimpleNamespace(fn=fn, **{flag[2:].replace("-", "_"): value for flag, value in values.items()})
+    """Parses ``COMMAND OPTIONS`` against :data:`COMMANDS`: a plain command
+    line directly (:func:`_direct`), any other through argparse, which is
+    only imported then.  Returns the options and ``fn``, the command."""
+    args = _direct(argv) or _argparse(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, int) and value < 1:
+            raise UsageError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

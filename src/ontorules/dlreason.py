@@ -83,22 +83,27 @@ def _closure(edges: dict[str, set[str]]) -> dict[str, set[str]]:
     return out
 
 
-#: The closures :func:`subsumes` reads, per TBox tuple, keyed by its ``id``:
-#: hashing a TBox costs more than closing a small one.  Each entry holds its
-#: TBox, so no other live object has that id; cleared at ``_CLOSURES_SIZE``
-#: entries.  Threads that race to fill an entry store equal values.
+#: What :func:`subsumes` and :func:`close` read, never change, per TBox tuple,
+#: keyed by its ``id``: hashing a TBox costs more than closing a small one.
+#: Each entry holds its TBox, so no other live object has that id; cleared at
+#: ``_CLOSURES_SIZE`` entries.  Threads that race to fill an entry store equal values.
 _CLOSURES: dict[int, tuple] = {}
 _CLOSURES_SIZE = 64
 
 
-def _closures(tbox: tuple[Axiom, ...]) -> dict[str, dict[str, set[str]]]:
-    """The role and concept closures of ``tbox``, by predicate kind."""
+def _closures(tbox: tuple[Axiom, ...]) -> tuple:
+    """``tbox``, its closures by predicate kind and its concept inclusions by left-hand-side concept."""
     entry = _CLOSURES.get(id(tbox))
     if entry is None:
         if len(_CLOSURES) >= _CLOSURES_SIZE:
             _CLOSURES.clear()
-        entry = _CLOSURES[id(tbox)] = (tbox, {ROLE: role_closure(tbox), CONCEPT: concept_closure(tbox)})
-    return entry[1]
+        by_concept: dict[str, list[ConceptInclusion]] = {}
+        for ax in tbox:
+            if isinstance(ax, ConceptInclusion):
+                for c in set(ax.lhs):
+                    by_concept.setdefault(c, []).append(ax)
+        entry = _CLOSURES[id(tbox)] = (tbox, {ROLE: role_closure(tbox), CONCEPT: concept_closure(tbox)}, by_concept)
+    return entry
 
 
 def subsumes(general: Predicate, specific: Predicate, tbox: tuple[Axiom, ...]) -> bool:
@@ -110,7 +115,7 @@ def subsumes(general: Predicate, specific: Predicate, tbox: tuple[Axiom, ...]) -
         raise ModelError(f"cannot compare {general.name} ({general.kind}) with {specific.name} ({specific.kind})")
     if general.name == specific.name:
         return True
-    return general.name in _closures(tbox)[general.kind].get(specific.name, ())
+    return general.name in _closures(tbox)[1][general.kind].get(specific.name, ())
 
 
 def close(atoms, tbox: tuple[Axiom, ...]) -> tuple[set[Atom], set[Atom]]:
@@ -122,12 +127,8 @@ def close(atoms, tbox: tuple[Axiom, ...]) -> tuple[set[Atom], set[Atom]]:
     role and every super-role.  Returns the named atoms and the null atoms."""
     true: set[Atom] = set(atoms)
     nulls: set[Atom] = set()
-    role_sup = role_closure(tbox)
-    by_concept: dict[str, list[ConceptInclusion]] = {}
-    for ax in tbox:
-        if isinstance(ax, ConceptInclusion):
-            for c in set(ax.lhs):
-                by_concept.setdefault(c, []).append(ax)
+    _, closures, by_concept = _closures(tbox)
+    role_sup = closures[ROLE]
     concepts: dict[Const, set[str]] = {}  # concept names held by each individual
     todo = list(true)
     while todo:

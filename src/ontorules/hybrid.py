@@ -39,7 +39,6 @@ import enum
 import itertools
 from functools import cached_property
 
-from . import datalog
 from .datalog import (
     GroundProgram,
     Interpretation,
@@ -448,17 +447,19 @@ class KBModels:
         rest = tuple(v for v in split[2] if v not in rule.head.args)
         constants = self._constants | rule.constants()
         out = set()
+        ordered = ()
         for example in examples:
             theta = _bind_head(rule.head, example)
             if theta is None:
                 continue
-            domain = constants.union(example.args)
-            if len(domain) ** len(rest) > DEFAULT_GROUNDING_BUDGET:
-                raise BudgetError(f"grounding exceeded the budget of {DEFAULT_GROUNDING_BUDGET} instances")
-            ordered = tuple(sorted(domain)) if rest else ()
+            if rest:  # an example constant absent from the KB is in no model atom, so only these range over it
+                domain = constants.union(example.args)
+                if len(domain) ** len(rest) > DEFAULT_GROUNDING_BUDGET:
+                    raise BudgetError(f"grounding exceeded the budget of {DEFAULT_GROUNDING_BUDGET} instances")
+                ordered = tuple(sorted(domain))
             if all(
                 any(not any(a.substitute(full) in dtrue for a in negated)
-                    for full in _holding(split, index, theta, domain, ordered, members))
+                    for full in _holding(split, index, theta, constants, ordered, members))
                 for dtrue, index, members in truths
             ):
                 out.add(example)

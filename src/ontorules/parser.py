@@ -40,7 +40,6 @@ from .model import (
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*")
 _INT_RE = re.compile(r"[0-9]+")
-_KEYWORDS = {"concept", "role", "pred", "subclass", "subrole", "and", "some", "inv", "Top", "not"}
 
 
 class SourceLocation(Record):

@@ -29,7 +29,6 @@ from .model import (
     _set_canonical,
     CONCEPT,
     DATALOG,
-    ROLE,
     is_linked,
     validate_safeness,
 )

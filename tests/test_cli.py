@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import jsonschema
 import pytest
 
 from genhybrid import PLACES, template_text
-from ontorules.cli import _SHARED, COMMANDS, REQUIRED, UsageError, main, parse_args
+from ontorules.cli import _SHARED, COMMANDS, REQUIRED, UsageError, _direct, main, parse_args
 from ontorules.hybrid import KBModels
 from ontorules.model import Atom, Const
 from ontorules.parser import parse_kb, parse_rule
@@ -448,7 +449,7 @@ def test_option_parser_agrees_with_argparse():
     valid = {name: [token for flag, (_, kind, _) in {**_SHARED, **options}.items()
                     for token in (flag, "json" if isinstance(kind, tuple) else "1" if kind is int else rule)]
              for name, (_, _, options) in COMMANDS.items()}
-    reference, rng, checked = _argparse_from_table(), random.Random(0), 0
+    reference, rng, checked, plain = _argparse_from_table(), random.Random(0), 0, 0
     for _ in range(3000):
         argv = [rng.choice([*COMMANDS, "-h", "x", "-x", "--"])]
         argv += valid.get(argv[0], [])
@@ -458,12 +459,38 @@ def test_option_parser_agrees_with_argparse():
             elif argv:
                 del argv[rng.randrange(len(argv))]
         ours, theirs = _outcome(parse_args, argv), _outcome(reference.parse_args, argv)
+        direct = _direct(argv)
+        if direct is not None:  # a plain line: read as argparse reads it
+            assert theirs == ("ok", vars(direct)), argv
+            plain += 1
         if ours[0] == "error" and "must be at least 1" in ours[1]:  # the CLI's own check, after argparse's
             assert theirs[0] == "ok" and min(v for v in theirs[1].values() if isinstance(v, int)) < 1, argv
         else:
             assert ours == theirs, argv
             checked += theirs[0] == "ok"
     assert checked > 300  # enough of the edits still parse
+    assert plain > 300  # enough of them are plain
+
+
+@pytest.mark.parametrize("depth", ["\u00b2", "\u0663", "+1", " 1", "1_0"])
+def test_an_int_of_other_than_ascii_digits_is_left_to_argparse(depth):
+    argv = ["refine", "--kb", KB, "--bias", "b", "--rule", "r", "--depth", depth]
+    assert _direct(argv) is None
+    assert _outcome(parse_args, argv) == _outcome(_argparse_from_table().parse_args, argv)
+
+
+def test_bundled_command_lines_are_read_directly():
+    """Each of the benchmark's bundled command lines is plain, so a call
+    never builds the argparse parser."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    tasks, reference = workloads.bundled_tasks(), _argparse_from_table()
+    assert len(tasks) == 29
+    for task in tasks:
+        args = _direct(task["argv"])
+        assert args is not None, task["name"]
+        assert _outcome(reference.parse_args, task["argv"]) == ("ok", vars(args)), task["name"]
 
 
 def test_help_exits_zero(capsys):

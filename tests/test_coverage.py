@@ -106,6 +106,16 @@ def test_example_constant_absent_from_kb(kb, loner_rules):
     assert _disagreements(kb, rules, [stranger]) == []
 
 
+def test_a_variable_only_under_negation_ranges_over_an_absent_example_constant():
+    # every KB constant is a d, so only z, which the KB lacks, makes not d(Y)
+    # true: Y ranges over the example's constants, which no model atom holds
+    kb = parse_kb("pred d/1.\npred e/1.\n#facts\nd(a).\nd(b).\ne(a).\n")
+    rules = [parse_rule(text, kb) for text in ("T(X) :- not d(Y).", "T(X) :- e(X), not d(Y).")]
+    examples = [Atom(rules[0].head.pred, (Const(c),)) for c in "abz"]
+    assert [[covers(kb, r, e) for e in examples] for r in rules] == [[False, False, True], [False, False, False]]
+    assert _disagreements(kb, rules, examples) == []
+
+
 def test_open_variable_met_only_by_anonymous_witness(kb):
     # Mary is RICH and UNMARRIED, so the TBox forces an unnamed suitor;
     # Paul is RICH but married, and nobody is a named WANTS-TO-MARRY filler

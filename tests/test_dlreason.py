@@ -154,13 +154,50 @@ def _below(tbox, name: str) -> set[str]:
     return seen
 
 
+def _chase(atoms, tbox) -> tuple[set, list]:
+    """The one-step chase from scratch: the named atoms closed under the
+    atomic inclusions until nothing changes, and per existential demand
+    (anchor, role, direction) its null's (role, anchor, anchor position)
+    triples, one per role that the demanded one reaches."""
+    true = set(atoms)
+    while True:
+        held = {}  # each individual's concept names
+        for a in true:
+            if a.pred.kind == CONCEPT:
+                held.setdefault(a.args[0], set()).add(a.pred.name)
+        new = set(true)
+        for ax in tbox:
+            if isinstance(ax, RoleInclusion):
+                new |= {Atom(Predicate(ax.sup, 2, ROLE), a.args) for a in true if a.pred.name == ax.sub}
+            elif isinstance(ax.rhs, str):
+                new |= {Atom(Predicate(ax.rhs, 1, CONCEPT), (c,)) for c, names in held.items() if names >= set(ax.lhs)}
+        if new == true:
+            break
+        true = new
+    demands = {(c, ax.rhs.role, ax.rhs.inverse) for ax in tbox if isinstance(getattr(ax, "rhs", None), Existential)
+               for c, names in held.items() if names >= set(ax.lhs)}
+    return true, sorted(sorted((r, c.name, int(inverse)) for r in _below(tbox, role)) for c, role, inverse in demands)
+
+
+def _null_shape(nulls, true) -> list:
+    """Per null of ``nulls``, the sorted (role, anchor, anchor position)
+    triples of its atoms, where the anchor is the argument that an atom of
+    ``true`` names."""
+    named, filled = {t for a in true for t in a.args}, {}
+    for a in nulls:
+        pos = 0 if a.args[0] in named else 1
+        filled.setdefault(a.args[1 - pos], []).append((a.pred.name, a.args[pos].name, pos))
+    return sorted(sorted(triples) for triples in filled.values())
+
+
 def test_subsumes_agrees_with_a_closure_from_scratch_on_random_tboxes():
     # 200 TBoxes, more than the memo of closures holds, so it is cleared
     # along the way; each TBox is asked twice, the second time as an equal
     # tuple that is another object
-    checked = 0
+    checked = derived = filled = 0
     for seed in range(200):
-        tbox = random_hybrid_kb(random.Random(seed)).tbox
+        kb = random_hybrid_kb(random.Random(seed))
+        tbox = kb.tbox
         for preds in (CONCEPTS, ROLES):
             for specific in preds:
                 above = _below(tbox, specific.name)
@@ -168,4 +205,11 @@ def test_subsumes_agrees_with_a_closure_from_scratch_on_random_tboxes():
                     assert subsumes(general, specific, tbox) == (general.name in above)
                     assert subsumes(general, specific, tuple(list(tbox))) == (general.name in above)
                     checked += general.name != specific.name and general.name in above
+        want, want_nulls = _chase(kb.abox, tbox)
+        for box in (tbox, tuple(list(tbox))):
+            true, nulls = close(kb.abox, box)
+            assert (true, _null_shape(nulls, true)) == (want, want_nulls), seed
+        derived += len(want) > len(set(kb.abox))
+        filled += bool(want_nulls)
     assert checked  # some TBox puts one predicate strictly below another
+    assert derived and filled  # some TBox derives a named atom, and some a null
