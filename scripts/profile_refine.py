@@ -28,6 +28,9 @@ literals, and how many through the private ``Rule._distinct``, which does
 not, and the sizes of the tables that intern names, predicates, atoms and
 literals (``model._NAMES`` ...), which live for the process, and how many
 TBoxes ``dlreason.subsumes`` holds closures for (``dlreason._CLOSURES``).
+Canonical keys are shared too, through a bounded table (``refine._KEYS``):
+it prints the table's size after the walk and how many steps got a key that
+an earlier step had already interned, the same object.
 
 It then runs the criterion-7 LIKES pairwise pass on the same KB: more_general
 over every ordered pair of the 60 rules of the depth-1 neighbourhood of the
@@ -249,6 +252,9 @@ def main() -> None:
     print(f"intern tables: {len(model._NAMES)} names, {len(model._PREDICATES)} predicates, "
           f"{len(model._ATOMS)} atoms, {len(model._LITERALS)} literals")
     print(f"subsumes memo: closures of {len(dlreason._CLOSURES)} TBox(es)")
+    shared = len(steps) - len({id(step.key) for step in steps})
+    print(f"key table: {len(importlib.import_module('ontorules.refine')._KEYS)} canonical keys; "
+          f"{shared} of {len(steps)} steps got a key already interned")
     tails = count_tails(kb, bias)
     print("memo of key tails: " + "; ".join(
         f"{kind} {tails[kind, 'computed']} computed, {tails[kind, 'reused']} reused"

@@ -38,10 +38,11 @@ builds as closures over the field names.
 
 ``Rule`` is not interned: it caches the hash of its head and body set, and
 its public constructor drops duplicate body literals; its private
-``Rule._distinct`` stores a body that its caller knows to be duplicate-free
-as given, through the slots' member descriptors (``Rule.head.__set__``, ...)
-rather than ``object.__setattr__``, as :mod:`ontorules.refine` builds its
-steps.  The ontology axiom records -- ``ConceptInclusion``,
+``Rule._distinct`` stores a duplicate-free body as given, through the slots'
+member descriptors rather than ``object.__setattr__``.  Only canonical forms
+are shared, one per form, through a bounded table of :mod:`ontorules.refine`
+that is cleared when full: as ``Rule`` equality is structural, a clear loses
+only the sharing.  The ontology axiom records -- ``ConceptInclusion``,
 ``RoleInclusion`` and ``Existential`` -- keep :class:`Record`'s hash of the
 field tuple, computed per call: no cache hashes a whole TBox.
 """

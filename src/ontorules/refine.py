@@ -146,6 +146,10 @@ _CANONICAL_LITERALS: dict[tuple, Literal] = {}
 _TAILS: dict[tuple, dict[tuple, tuple[Literal, ...]]] = {}
 _TAILS_SIZE = 4096
 
+#: Canonical forms by head and body (see :func:`_key`): at most ``_KEYS_SIZE``.
+_KEYS: dict[tuple[Atom, tuple[Literal, ...]], Rule] = {}
+_KEYS_SIZE = 1 << 14
+
 
 def _canonical_literal(key: tuple, numbers: tuple[int, ...], lit: Literal) -> Literal:
     """``lit``, whose :func:`_literal_key` is ``key``, with its variables
@@ -236,6 +240,18 @@ def _canonical_tail(n: int, new: tuple[int, ...], keyed: list[tuple]) -> tuple[L
     return tuple([_canonical_literal(keys[j], tuple([names[i] for i in occ[j]]), keyed[j][2]) for j in placed])
 
 
+def _key(head: Atom, body: tuple[Literal, ...]) -> Rule:
+    """The canonical form ``head :- body``: one object, whose hash is computed
+    once, while ``_KEYS`` holds it (a clear loses only that sharing)."""
+    key = _KEYS.get((head, body))
+    if key is None:
+        if len(_KEYS) >= _KEYS_SIZE:
+            _KEYS.clear()
+        key = _KEYS.setdefault((head, body), Rule._distinct(head, body))
+        _set_canonical(key, key)
+    return key
+
+
 def canonical_form(rule: Rule) -> Rule:
     """Rename variables to a canonical sequence, modulo body reordering, so
     that alphabetic variants collapse to an identical rule.
@@ -246,19 +262,18 @@ def canonical_form(rule: Rule) -> Rule:
     canonical rules.
 
     This function computes the form from scratch; :func:`refine` builds its
-    added-literal children's forms from their parent's instead.  The form is
-    computed once per rule object and kept in its ``_canonical`` slot, where
-    :func:`refine` has already put it for every child it returns; the form is
-    its own form, so it is kept on the form too.  A copy of a rule, or an
-    equal rule built anew, computes it again.
+    added-literal children's forms from their parent's instead; both share
+    the object through :func:`_key`.  The form is computed once per rule
+    object and kept in its ``_canonical`` slot, where :func:`refine` has
+    already put it for every child it returns, and on the form itself.  A
+    copy of a rule, or an equal rule built anew, computes it again.
     """
     key = rule._canonical
     if key is None:
         ids = _head_ids(rule.head)
         head = _canonical_head(rule.head, ids)
         n_head = len(ids)  # before _keyed_body numbers the body's variables
-        key = Rule._distinct(head, _canonical_tail(n_head, (), _keyed_body(rule.body, ids)))
-        _set_canonical(key, key)
+        key = _key(head, _canonical_tail(n_head, (), _keyed_body(rule.body, ids)))
         _set_canonical(rule, key)
     return key
 
@@ -295,11 +310,11 @@ def refine(
 
     The literals a child adds come from :func:`_added_literals`, with their
     sort keys and positions, so parents with the same head and variables
-    share them; only the key, and then the child if the key is new, are
-    built.  Both skip the public constructor's duplicate check
-    (:meth:`Rule._distinct`): an added literal's atom is not in ``h``'s
-    body.  A specialized child goes through it, as the specialized literal
-    may already be in the body.  Steps are built past the constructor too.
+    share them.  Children are deduplicated on their keys' bodies (interned
+    literals, hashed in C); only a new body gets a key, shared with its
+    variants by :func:`_key`, and a child.  Keys, steps and added-literal
+    children skip the public constructors (:meth:`Rule._distinct`); a
+    specialized child does not, as its literal may already be in the body.
     """
     head, body = h.head, h.body
     distinct = Rule._distinct
@@ -307,7 +322,7 @@ def refine(
     body_atoms = {l.atom for l in body}
     out: list[RefinementStep] = []
     parent_key = canonical_form(h)
-    seen: set[Rule] = {parent_key}
+    seen: set[tuple[Literal, ...]] = {parent_key.body}  # bodies of keys, all with parent_key.head
     check_children = not _admissible(h)
     head_ids = _head_ids(head)
     ids = dict(head_ids)
@@ -362,17 +377,16 @@ def refine(
                         suffix = memos[p].get(new) or memos[p].setdefault(
                             new, _canonical_tail(n, new, keyed_parent[p:]))
                     key_body = parent_key.body[:p] + (canon,) + suffix
-                key = distinct(parent_key.head, key_body)
                 size = len(seen)
-                seen.add(key)
+                seen.add(key_body)
                 if len(seen) == size:
                     continue  # a variant of a child kept, or refused, before
+                key = _key(parent_key.head, key_body)
                 # a literal whose atom h lacks is none of h's literals, so the
                 # child's body is distinct and needs no dedupe pass
                 child = distinct(head, body + (lit,), key)
                 if check_children and not _admissible(child):
                     continue
-                _set_canonical(key, key)
                 out.append(_step(label, lit, h, child, key))
 
     add(ADD_DATALOG, sorted(bias.datalog_pos), existing, max_new_vars)
@@ -396,8 +410,8 @@ def refine(
             if check_children and not _admissible(child):
                 continue
             key = canonical_form(child)
-            if key not in seen:
-                seen.add(key)
+            if key.body not in seen:
+                seen.add(key.body)
                 out.append(_step(SPECIALIZE_ONTOLOGY, lit, h, child, key))
 
     if bias.datalog_neg:

@@ -1,10 +1,13 @@
-"""Metamorphic tests of the learner: relations that hold by the semantics,
-checked on inputs too large for a brute-force oracle.
+"""Metamorphic tests of the learner and of the ``check`` and ``query``
+verdicts: relations that hold by the semantics, checked on inputs too large
+for a brute-force oracle.
 
 Renaming the KB's constants by a bijection and listing its facts in another
 order change no verdict, so ``learn`` must return the same rules, their
 bodies in the same order, the same ``per_rule_stats`` and the uncovered
-positives renamed.  The inputs are the criterion-8 template KBs
+positives renamed, and ``covers`` and ``entails``, which ``check`` and
+``query`` call, the same verdicts on the renamed atoms.  The inputs are the
+criterion-8 template KBs
 (``genhybrid.template_text``), labelled as ``scripts/scale_ladder.py``
 labels its LONER and LIKES ladders.  Predicates are not renamed: the learner
 breaks ties by ``str(rule)``.
@@ -18,8 +21,8 @@ import pytest
 
 from conftest import data_text
 from genhybrid import PLACES, template_text
-from ontorules import learn, parse_bias, parse_kb, parse_rule
-from ontorules.hybrid import KBModels
+from ontorules import covers, entails, learn, parse_bias, parse_kb, parse_rule
+from ontorules.hybrid import Entailment, KBModels
 from ontorules.model import Atom, Const, ExampleSet
 
 TASKS = {
@@ -27,6 +30,11 @@ TASKS = {
     "likes": ("LIKES(X,Y) :- meets(X,Z,Y), famous(Z).",
               "datalog+ = happy/1, meets/3, famous/1\nconcepts = RICH/1\nroles = LOVES/2, WANTS-TO-MARRY/2\n"),
 }
+#: A second rule checked per task, through a concept that a datalog rule with
+#: a negated literal derives.
+CHECKED = {"loner": "LONER(X) :- RICH(X), not happy(X).", "likes": "LIKES(X,Y) :- meets(X,Z,Y), RICH(Z)."}
+#: The predicates queried on every person.
+QUERIED = ("famous", "scientist", "happy", "RICH", "UNMARRIED", "WANTS-TO-MARRY")
 NAME = re.compile(r"\b(?:Person\d+|" + "|".join(PLACES) + r")\b")
 
 
@@ -87,3 +95,44 @@ def test_learn_is_invariant_under_renaming_constants_and_reordering_facts(task, 
         assert list(map(str, got.rules)) == list(map(str, expected.rules))  # body order included
         assert got.per_rule_stats == expected.per_rule_stats
         assert got.uncovered_positives == tuple(_renamed(a, renaming) for a in expected.uncovered_positives)
+
+
+@pytest.mark.parametrize("n", [20, 40])
+@pytest.mark.parametrize("task", sorted(TASKS))
+def test_check_is_invariant_under_renaming_constants_and_reordering_facts(task, n):
+    text = template_text(n, seed=n)
+    kb = parse_kb(text)
+    rules = [parse_rule(TASKS[task][0], kb), parse_rule(CHECKED[task], kb)]
+    examples = _labelled(kb, rules[0], n)
+    atoms = examples.positives + examples.negatives
+    expected = [[covers(kb, rule, a) for a in atoms] for rule in rules]
+    assert all(True in verdicts and False in verdicts for verdicts in expected)
+
+    rng = random.Random(f"check-{task}-{n}")
+    for _ in range(3):
+        variant_text, renaming = _variant(text, n, rng)
+        variant = parse_kb(variant_text)
+        renamed = [_renamed(a, renaming) for a in atoms]
+        assert [[covers(variant, rule, a) for a in renamed] for rule in rules] == expected
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_query_is_invariant_under_renaming_constants_and_reordering_facts(n):
+    text = template_text(n, seed=n)
+    kb = parse_kb(text)
+    preds = {p.name: p for p in kb.alphabet}
+    people = [Const(f"Person{i}") for i in range(n)]
+    # each unary predicate on each person, a role on each person and the
+    # next, and each meets fact and its reversal
+    atoms = [Atom(preds[name], (p,) if preds[name].arity == 1 else (p, q))
+             for name in QUERIED for p, q in zip(people, people[1:] + people[:1])]
+    meets = [f for f in kb.facts if f.pred.name == "meets"]
+    atoms += meets + [Atom(f.pred, (f.args[1], f.args[0], f.args[2])) for f in meets]
+    expected = [entails(kb, (), a) for a in atoms]
+    assert set(expected) == {Entailment.ENTAILED, Entailment.NOT_ENTAILED}
+
+    rng = random.Random(f"query-{n}")
+    for _ in range(3):
+        variant_text, renaming = _variant(text, n, rng)
+        variant = parse_kb(variant_text)
+        assert [entails(variant, (), _renamed(a, renaming)) for a in atoms] == expected

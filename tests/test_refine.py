@@ -2,13 +2,16 @@ import bisect
 import copy
 import hashlib
 import pickle
+import random
 import sys
+import threading
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ontorules import model, parse_rule
+from ontorules.dlreason import subsumes
 from ontorules.model import (
     Atom,
     ConceptInclusion,
@@ -30,7 +33,10 @@ from ontorules.refine import (
     ADD_ONTOLOGY,
     SPECIALIZE_ONTOLOGY,
     _added_literals,
+    _canonical_head,
+    _canonical_tail,
     _head_ids,
+    _keyed_body,
     _literal_key,
     canonical_form,
     in_language,
@@ -357,39 +363,120 @@ def _parents_sharing_tails(draw):
     return family + [draw(variants(r)) for r in family]
 
 
-def test_key_tails_are_reused_across_parents_in_any_order():
-    """The memo of key tails that ``refine`` shares between calls gives every
-    step its child's from-scratch key, literal for literal, whichever parents
-    filled it: for parents that share tails, refined in two orders, from a
-    cold memo and from a warm one, with one fresh variable per added literal
-    and with two."""
-    module = sys.modules["ontorules.refine"]
+def _form(rule):
+    """``rule``'s canonical form as a new ``Rule``, its body computed from
+    scratch without the table of shared keys."""
+    ids = _head_ids(rule.head)
+    n = len(ids)
+    return Rule(_canonical_head(rule.head, ids), _canonical_tail(n, (), _keyed_body(rule.body, ids)))
 
-    def keys(parents, order, max_new):
-        out = {}
-        for i in order:
-            steps = refine(parents[i], PROPERTY_BIAS, PROPERTY_TBOX, max_new)
-            for step in steps:
-                fresh = _scratch(step.child)
-                assert step.key.head is fresh.head and len(step.key.body) == len(fresh.body)
-                assert all(a is b for a, b in zip(step.key.body, fresh.body))
-            out[i] = [(s.rule_applied, s.literal, s.key.body) for s in steps]
-        return out
+
+def _reference_steps(parent, bias, tbox, max_new):
+    """``(label, literal, key body)`` of each step that :func:`refine` should
+    return: each candidate in ``refine``'s order, keyed by :func:`_form` and
+    kept unless its key equals, as a ``Rule``, one met before; a child that
+    fails safeness or linkedness, which only an inadmissible parent can have,
+    is dropped, after its key is met if it adds a literal."""
+    head, body = parent.head, parent.body
+
+    def admissible(rule):
+        return not validate_safeness(rule) and is_linked(rule)
+
+    check, atoms = not admissible(parent), {l.atom for l in body}
+    met, out = {_form(parent)}, []
+
+    def add(label, preds, variables, max_new, negated=False):
+        for pred in preds:
+            for lit, _, _ in _added_literals(pred, variables, head, max_new, negated):
+                if lit.atom in atoms:
+                    continue
+                child = Rule(head, body + (lit,))
+                key = _form(child)
+                if key in met:
+                    continue
+                met.add(key)
+                if not check or admissible(child):
+                    out.append((label, lit, key.body))
+
+    add(ADD_DATALOG, sorted(bias.datalog_pos), parent.variables(), max_new)
+    ontology = sorted(bias.concepts | bias.roles)
+    blocked = {l.atom.pred for l in body if l.atom.pred.is_dl}
+    add(ADD_ONTOLOGY, [p for p in ontology if not any(subsumes(p, b, tbox) for b in blocked if b.kind == p.kind)],
+        parent.variables(), max_new)
+    for i, l in enumerate(body):
+        for pred in ontology:
+            if l.atom.pred.is_dl and pred is not l.atom.pred and pred.kind == l.atom.pred.kind \
+                    and subsumes(l.atom.pred, pred, tbox):
+                lit = Literal(Atom(pred, l.atom.args))
+                child = Rule(head, body[:i] + (lit,) + body[i + 1 :])
+                key = _form(child)
+                if (not check or admissible(child)) and key not in met:
+                    met.add(key)
+                    out.append((SPECIALIZE_ONTOLOGY, lit, key.body))
+    if bias.datalog_neg:
+        positive = tuple(sorted({v for l in body if not l.negated for v in l.atom.variables()}))
+        add(ADD_NEGATED_DATALOG, sorted(bias.datalog_neg), positive, 0, True)
+    return out
+
+
+def _parent_of_variant_specializations():
+    """``T(X) :- q(X,Y), q(X,Z), C(Y), C(Z).``: specializing ``C(Y)`` or
+    ``C(Z)`` to ``D`` gives variants."""
+    x, y, z = Var("X"), Var("Y"), Var("Z")
+    pred = {p.name: p for p in PREDICATES}
+    body = (Atom(pred["q"], (x, y)), Atom(pred["q"], (x, z)), Atom(pred["C"], (y,)), Atom(pred["C"], (z,)))
+    return Rule(Atom(Predicate("T", 1, CONCEPT), (x,)), tuple(map(Literal, body)))
+
+
+def test_key_tails_are_reused_across_parents_in_any_order():
+    """The memo of key tails and the table of keys that ``refine`` shares
+    between calls give the steps of a reference that keys every candidate
+    from scratch and dedupes the keys by ``Rule`` equality, whichever parents
+    filled them: for parents that share tails, their variants and the first
+    of them under another head (whose keys have the same bodies), refined in
+    two orders, from a cold memo and table and from warm ones, with one fresh
+    variable per added literal and with two.  Equal keys, of one parent or of
+    several, are one object, which ``canonical_form`` of a body-shuffled copy
+    of the child returns too, and the warm table returns the cold one's."""
+    module = sys.modules["ontorules.refine"]
+    across = Counter()
 
     @settings(max_examples=100, deadline=None)
-    @given(_parents_sharing_tails(), st.sampled_from((1, 2)))
-    @example(_parents_after_one_and_two_variables(), 1)
-    @example([_parent_of_an_unnumbered_tail()], 2)
-    def check(parents, max_new):
+    @given(_parents_sharing_tails(), st.sampled_from((1, 2)), st.integers(0, 2**16))
+    @example(_parents_after_one_and_two_variables(), 1, 0)
+    @example([_parent_of_an_unnumbered_tail()], 2, 0)
+    @example([_parent_of_variant_specializations()], 1, 0)
+    def check(parents, max_new, seed):
+        first = parents[0].head
+        other = Atom(Predicate(first.pred.name + "2", first.pred.arity, first.pred.kind), first.args)
+        parents = parents + [Rule(other, parents[0].body)]
+        rng = random.Random(seed)
         forward, backward = range(len(parents)), range(len(parents) - 1, -1, -1)
-        module._TAILS.clear()
-        cold = keys(parents, forward, max_new)
-        assert keys(parents, backward, max_new) == cold
-        module._TAILS.clear()
-        assert keys(parents, backward, max_new) == cold
-        assert keys(parents, forward, max_new) == cold
+        # key bodies compare literal for literal, as literals are interned
+        expected = [_reference_steps(p, PROPERTY_BIAS, PROPERTY_TBOX, max_new) for p in parents]
+        cold: dict = {}
+        for clear, order in ((True, forward), (False, backward), (True, backward), (False, forward)):
+            if clear:
+                module._TAILS.clear()
+                module._KEYS.clear()
+                cold.clear()
+            keys, owners = {}, {}
+            for i in order:
+                steps = refine(parents[i], PROPERTY_BIAS, PROPERTY_TBOX, max_new)
+                assert [(s.rule_applied, s.literal, s.key.body) for s in steps] == expected[i]
+                head = _form(parents[i]).head
+                for s in steps:
+                    assert s.key.head is head
+                    form = (s.key.head, s.key.body)
+                    assert keys.setdefault(form, s.key) is s.key
+                    assert cold.setdefault(form, s.key) is s.key
+                    owners.setdefault(form, set()).add(i)
+                    shuffled = Rule(s.child.head, tuple(rng.sample(s.child.body, len(s.child.body))))
+                    assert canonical_form(shuffled) is s.key
+            across["shared"] += sum(len(o) > 1 for o in owners.values())
 
     check()
+    assert across["shared"] > 0
 
 
 def test_the_memo_of_key_tails_is_cleared_when_full(monkeypatch):
@@ -407,6 +494,64 @@ def test_the_memo_of_key_tails_is_cleared_when_full(monkeypatch):
         for step in refine(parent, PROPERTY_BIAS, PROPERTY_TBOX):
             assert step.key.body == _scratch(step.child).body
         assert 0 < len(module._TAILS) <= 5
+
+
+def test_the_table_of_keys_is_cleared_when_full(monkeypatch):
+    """With room for a few keys, the table is cleared before a key would
+    take it past its bound; keys stay the from-scratch ones, and a key built
+    after a clear is equal to, but not, the one built before it."""
+    module = sys.modules["ontorules.refine"]
+    parents = _tail_parents() + _parents_after_one_and_two_variables()
+    module._KEYS.clear()
+    before = {}
+    for parent in parents:
+        for step in refine(parent, PROPERTY_BIAS, PROPERTY_TBOX):
+            before[step.key.head, step.key.body] = step.key
+    assert len(module._KEYS) > 5
+    monkeypatch.setattr(module, "_KEYS_SIZE", 5)
+    module._KEYS.clear()
+    for parent in parents:
+        for step in refine(parent, PROPERTY_BIAS, PROPERTY_TBOX):
+            fresh = _form(step.child)
+            assert step.key.head is fresh.head and step.key.body == fresh.body
+            old = before[step.key.head, step.key.body]
+            assert step.key == old and hash(step.key) == hash(old) and step.key is not old
+            assert 0 < len(module._KEYS) <= 5
+
+
+def test_the_likes_walk_from_eight_threads(kb, likes_bias):
+    """Eight threads that walk LIKES to depth 3 at once each get the serial
+    steps, and, as they fill one table of keys, one key object per form."""
+    module = sys.modules["ontorules.refine"]
+
+    def walk():
+        steps = _steps(seed_rule(Predicate("LIKES", 2, ROLE)), likes_bias, kb.tbox, 3)
+        return [(s.rule_applied, s.literal, s.child, s.key) for s in steps]
+
+    module._KEYS.clear()
+    serial = walk()
+    module._KEYS.clear()
+    assert len(serial) == 20682
+    interval = sys.getswitchinterval()
+    barrier, results = threading.Barrier(8), [None] * 8
+
+    def run(i):
+        barrier.wait()
+        results[i] = walk()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+    sys.setswitchinterval(1e-5)  # switch threads often, so that they race
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    objects = {}
+    for result in results:
+        assert result == serial
+        assert all(objects.setdefault((key.head, key.body), key) is key for *_, key in result)
 
 
 def test_children_carry_their_key(kb, likes_bias, likes_rules, monkeypatch):

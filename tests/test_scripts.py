@@ -2,12 +2,12 @@
 
 The scripts read private names of the package (``hybrid._partial_ground``,
 ``hybrid._augmented``, ``refine._added_literals``, ``refine._head_ids``,
-``refine._literal_key``, ``refine._TAILS``, ``Rule._distinct``), which a
-refactor can rename or reshape without any other test noticing.  Each script
-is imported by path under a name other than ``__main__``, so its ``main``
-does not run on import; the tests below run the ``main`` of
-``profile_refine.py``, that of ``output_digest.py`` on two commands, and small
-sizes of ``scale_ladder.py``.
+``refine._literal_key``, ``refine._TAILS``, ``refine._KEYS``,
+``Rule._distinct``), which a refactor can rename or reshape without any
+other test noticing.  Each script is imported by path under a name other
+than ``__main__``, so its ``main`` does not run on import; the tests below
+run the ``main`` of ``profile_refine.py``, that of ``output_digest.py`` on
+two commands, and small sizes of ``scale_ladder.py``.
 """
 
 import importlib.util
@@ -44,8 +44,9 @@ def _script(monkeypatch, name):
 def test_the_refine_profile_runs_and_counts_private_constructions(monkeypatch, capsys):
     """``profile_refine.py`` runs to its end, the rules it counts as built
     through ``Rule._distinct`` are some, it prints the sizes of the intern
-    tables and of the memo of ``subsumes``, and ``refine``'s memo of key
-    tails reuses both suffixes and tie tails on the LIKES walk."""
+    tables and of the memo of ``subsumes``, some steps share a key that an
+    earlier step interned, and ``refine``'s memo of key tails reuses both
+    suffixes and tie tails on the LIKES walk."""
     _script(monkeypatch, "profile_refine").main()
     out = capsys.readouterr().out
     built = re.search(r"^rules built: (\d+) public \(dedupe\), (\d+) private \(Rule._distinct\)$", out, re.M)
@@ -54,6 +55,8 @@ def test_the_refine_profile_runs_and_counts_private_constructions(monkeypatch, c
     assert tables and all(int(tables[i]) > 0 for i in (1, 2, 3, 4)), out[-2000:]
     closures = re.search(r"^subsumes memo: closures of (\d+) TBox\(es\)$", out, re.M)
     assert closures and int(closures[1]) > 0, out[-2000:]
+    keys = re.search(r"^key table: (\d+) canonical keys; (\d+) of (\d+) steps got a key already interned$", out, re.M)
+    assert keys and 0 < int(keys[2]) < int(keys[3]) and 0 < int(keys[1]), out[-2000:]
     tails = re.search(r"^memo of key tails: suffixes (\d+) computed, (\d+) reused; "
                       r"tie tails (\d+) computed, (\d+) reused$", out, re.M)
     assert tails and all(int(tails[i]) > 0 for i in (1, 2, 3, 4)), out[-2000:]
