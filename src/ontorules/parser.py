@@ -3,11 +3,15 @@
 Three file kinds: ``.okb`` (knowledge base), ``.oex`` (labelled examples),
 ``.obias`` (language bias).  Comments start with ``%``.  A ``.okb`` file holds
 predicate declarations plus the sections ``#tbox``, ``#rules`` and ``#facts``
-in any order; declarations must precede use.
+in any order; declarations must precede use.  Each example of a ``.oex`` file
+is a sign ``+`` or ``-``, then an atom that starts on the sign's line, then an
+optional ``.``; nothing else may follow on that line.
 
-Identifiers are ``[A-Za-z][A-Za-z0-9_-]*``.  An identifier that is a single
-capital letter optionally followed by digits (``X``, ``Y``, ``Z1``) is a
-variable; every other identifier is a constant or predicate name.
+Identifiers are ``[A-Za-z][A-Za-z0-9_]*(-[A-Za-z0-9_]+)*``: a hyphen only
+joins two runs of letters, digits or underscores (``WANTS-TO-MARRY``).  An
+identifier that is a single capital letter optionally followed by digits
+(``X``, ``Y``, ``Z1``) is a variable; every other identifier is a constant or
+predicate name.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ def _tokenize(text: str, filename: str) -> list[_Token]:
                 tokens.append(_Token("punct", ":-", loc))
                 col += 2
                 continue
-            if ch in "(),./":
+            if ch in "(),./+-":
                 tokens.append(_Token("punct", ch, loc))
                 col += 1
                 continue
@@ -123,77 +127,82 @@ class _TokenStream:
             self.pos += 1
         return tok
 
+    def accept(self, text: str) -> bool:
+        """Consume the next token if it is ``text``."""
+        if self.tokens[self.pos].text == text:
+            self.pos += 1
+            return True
+        return False
+
     def expect(self, text: str) -> _Token:
         tok = self.next()
         if tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.loc)
         return tok
 
-
-class _KBBuilder:
-    __slots__ = ("predicates", "tbox", "abox", "rules", "facts")
-
-    def __init__(self, predicates: dict[str, Predicate]):
-        self.predicates = predicates
-        self.tbox: list[Axiom] = []
-        self.abox: list[Atom] = []
-        self.rules: list[Rule] = []
-        self.facts: list[Atom] = []
-
-    def lookup(self, name: str, loc: SourceLocation) -> Predicate:
-        pred = self.predicates.get(name)
-        if pred is None:
-            raise ParseError(f"undeclared predicate {name!r}", loc)
-        return pred
+    def end(self, same_line: bool = False) -> None:
+        """Refuse a further token, or with ``same_line`` only one on the line
+        of the token before it."""
+        tok = self.tokens[self.pos]
+        if tok.kind != "end" and (not same_line or tok.loc.line == self.tokens[self.pos - 1].loc.line):
+            raise ParseError(f"trailing input {tok.text!r}", tok.loc)
 
 
-def _parse_term(stream: _TokenStream) -> tuple[Term, SourceLocation]:
+def _declared(predicates: dict[str, Predicate], tok: _Token) -> Predicate:
+    pred = predicates.get(tok.text)
+    if pred is None:
+        raise ParseError(f"undeclared predicate {tok.text!r}", tok.loc)
+    return pred
+
+
+def _parse_term(stream: _TokenStream) -> Term:
     tok = stream.next()
     if tok.kind != "ident":
         raise ParseError(f"expected a term, found {tok.text!r}", tok.loc)
     term = make_term(tok.text)
     if isinstance(term, Const) and SKOLEM_RE.match(term.name):
         raise ParseError(f"constant name {tok.text!r} uses the reserved skolem prefix", tok.loc)
-    return term, tok.loc
+    return term
 
 
-def _parse_atom(stream: _TokenStream, builder: _KBBuilder) -> Atom:
+def _parse_atom(stream: _TokenStream, predicates: dict[str, Predicate], target: bool = False) -> Atom:
+    """An atom over ``predicates``.  With ``target``, an undeclared predicate
+    is the learning target: a concept if it has one argument, a role if two.
+    It is added to ``predicates``."""
     name = stream.next()
     if name.kind != "ident":
         raise ParseError(f"expected a predicate name, found {name.text!r}", name.loc)
-    pred = builder.lookup(name.text, name.loc)
+    pred = predicates.get(name.text) if target else _declared(predicates, name)
     stream.expect("(")
-    args: list[Term] = []
-    while True:
-        term, _ = _parse_term(stream)
-        args.append(term)
+    args = [_parse_term(stream)]
+    while not stream.accept(")"):
         tok = stream.next()
-        if tok.text == ")":
-            break
         if tok.text != ",":
             raise ParseError(f"expected ',' or ')', found {tok.text!r}", tok.loc)
-    if len(args) != pred.arity:
-        raise ParseError(
-            f"{pred.name}/{pred.arity} applied to {len(args)} arguments", name.loc
-        )
+        args.append(_parse_term(stream))
+    if pred is None:
+        if len(args) not in (1, 2):
+            raise ParseError(f"target predicate {name.text!r} must be unary or binary", name.loc)
+        pred = predicates[name.text] = Predicate(name.text, len(args), CONCEPT if len(args) == 1 else ROLE)
+    elif len(args) != pred.arity:
+        raise ParseError(f"{pred.name}/{pred.arity} applied to {len(args)} arguments", name.loc)
     return Atom(pred, tuple(args))
 
 
-def _parse_literal(stream: _TokenStream, builder: _KBBuilder) -> Literal:
-    negated = False
+def _parse_literal(stream: _TokenStream, predicates: dict[str, Predicate]) -> Literal:
     loc = stream.peek().loc
-    if stream.peek().text == "not":
-        stream.next()
-        negated = True
-    atom = _parse_atom(stream, builder)
+    negated = stream.accept("not")
+    atom = _parse_atom(stream, predicates)
     if negated and atom.pred.kind != DATALOG:
         raise ParseError(f"negation-as-failure on ontology predicate {atom.pred.name!r}", loc)
     return Literal(atom, negated)
 
 
-def _parse_clause(stream: _TokenStream, builder: _KBBuilder) -> tuple[Atom, tuple[Literal, ...]]:
+def _parse_clause(
+    stream: _TokenStream, predicates: dict[str, Predicate], target: bool = False
+) -> tuple[Atom, tuple[Literal, ...]]:
     """A head atom, then ``.`` or ``:-`` and a body ended by ``.``."""
-    head = _parse_atom(stream, builder)
+    head = _parse_atom(stream, predicates, target)
     tok = stream.next()
     if tok.text == ".":
         return head, ()
@@ -201,7 +210,7 @@ def _parse_clause(stream: _TokenStream, builder: _KBBuilder) -> tuple[Atom, tupl
         raise ParseError(f"expected ':-' or '.', found {tok.text!r}", tok.loc)
     body: list[Literal] = []
     while True:
-        body.append(_parse_literal(stream, builder))
+        body.append(_parse_literal(stream, predicates))
         tok = stream.next()
         if tok.text == ".":
             return head, tuple(body)
@@ -209,7 +218,7 @@ def _parse_clause(stream: _TokenStream, builder: _KBBuilder) -> tuple[Atom, tupl
             raise ParseError(f"expected ',' or '.', found {tok.text!r}", tok.loc)
 
 
-def _parse_declaration(stream: _TokenStream, builder: _KBBuilder) -> None:
+def _parse_declaration(stream: _TokenStream, predicates: dict[str, Predicate]) -> None:
     kw = stream.next()
     name = stream.next()
     if name.kind != "ident":
@@ -220,59 +229,45 @@ def _parse_declaration(stream: _TokenStream, builder: _KBBuilder) -> None:
         raise ParseError(f"expected an arity, found {arity_tok.text!r}", arity_tok.loc)
     stream.expect(".")
     kind = {"concept": CONCEPT, "role": ROLE, "pred": DATALOG}[kw.text]
-    if name.text in builder.predicates:
+    if name.text in predicates:
         raise ParseError(f"predicate {name.text!r} declared twice", name.loc)
     try:
-        builder.predicates[name.text] = Predicate(name.text, int(arity_tok.text), kind)
+        predicates[name.text] = Predicate(name.text, int(arity_tok.text), kind)
     except ModelError as exc:
         raise ParseError(str(exc), name.loc) from exc
 
 
-def _parse_concept_name(stream: _TokenStream, builder: _KBBuilder) -> str:
+def _parse_name(stream: _TokenStream, predicates: dict[str, Predicate], kind: str) -> str:
+    """A declared concept or role name, as ``kind`` asks."""
     tok = stream.next()
-    pred = builder.lookup(tok.text, tok.loc)
-    if pred.kind != CONCEPT:
-        raise ParseError(f"{tok.text!r} is not a concept", tok.loc)
-    return pred.name
+    if _declared(predicates, tok).kind != kind:
+        raise ParseError(f"{tok.text!r} is not a {kind}", tok.loc)
+    return tok.text
 
 
-def _parse_role_name(stream: _TokenStream, builder: _KBBuilder) -> str:
-    tok = stream.next()
-    pred = builder.lookup(tok.text, tok.loc)
-    if pred.kind != ROLE:
-        raise ParseError(f"{tok.text!r} is not a role", tok.loc)
-    return pred.name
-
-
-def _parse_axiom(stream: _TokenStream, builder: _KBBuilder) -> Axiom:
-    first = stream.peek()
-    pred = builder.predicates.get(first.text)
+def _parse_axiom(stream: _TokenStream, predicates: dict[str, Predicate]) -> Axiom:
+    pred = predicates.get(stream.peek().text)
     if pred is not None and pred.kind == ROLE:
-        sub = _parse_role_name(stream, builder)
+        sub = _parse_name(stream, predicates, ROLE)
         stream.expect("subrole")
-        sup = _parse_role_name(stream, builder)
+        sup = _parse_name(stream, predicates, ROLE)
         stream.expect(".")
         return RoleInclusion(sub, sup)
-    lhs = [_parse_concept_name(stream, builder)]
-    while stream.peek().text == "and":
-        stream.next()
-        lhs.append(_parse_concept_name(stream, builder))
+    lhs = [_parse_name(stream, predicates, CONCEPT)]
+    while stream.accept("and"):
+        lhs.append(_parse_name(stream, predicates, CONCEPT))
     stream.expect("subclass")
-    if stream.peek().text == "some":
-        stream.next()
-        inverse = False
-        if stream.peek().text == "inv":
-            stream.next()
+    if stream.accept("some"):
+        inverse = stream.accept("inv")
+        if inverse:
             stream.expect("(")
-            role = _parse_role_name(stream, builder)
+        role = _parse_name(stream, predicates, ROLE)
+        if inverse:
             stream.expect(")")
-            inverse = True
-        else:
-            role = _parse_role_name(stream, builder)
         stream.expect("Top")
         stream.expect(".")
         return ConceptInclusion(tuple(lhs), Existential(role, inverse))
-    rhs = _parse_concept_name(stream, builder)
+    rhs = _parse_name(stream, predicates, CONCEPT)
     stream.expect(".")
     return ConceptInclusion(tuple(lhs), rhs)
 
@@ -288,7 +283,11 @@ def _build_rule(head: Atom, body: tuple[Literal, ...], loc: SourceLocation) -> R
 def parse_kb(text: str, filename: str = "<kb>") -> HybridKB:
     """Parse a ``.okb`` knowledge base."""
     stream = _TokenStream(_tokenize(text, filename))
-    builder = _KBBuilder({})
+    predicates: dict[str, Predicate] = {}
+    tbox: list[Axiom] = []
+    abox: list[Atom] = []
+    rules: list[Rule] = []
+    facts: list[Atom] = []
     section: str | None = None
     while True:
         tok = stream.peek()
@@ -301,26 +300,26 @@ def parse_kb(text: str, filename: str = "<kb>") -> HybridKB:
             stream.next()
             continue
         if tok.text in ("concept", "role", "pred"):
-            _parse_declaration(stream, builder)
+            _parse_declaration(stream, predicates)
             continue
         if section == "#tbox":
-            builder.tbox.append(_parse_axiom(stream, builder))
+            tbox.append(_parse_axiom(stream, predicates))
         elif section == "#rules":
-            builder.rules.append(_build_rule(*_parse_clause(stream, builder), tok.loc))
+            rules.append(_build_rule(*_parse_clause(stream, predicates), tok.loc))
         elif section == "#facts":
-            atom = _parse_atom(stream, builder)
+            atom = _parse_atom(stream, predicates)
             stream.expect(".")
             if not atom.is_ground():
                 raise ParseError(f"fact {atom} is not ground", tok.loc)
-            (builder.abox if atom.pred.is_dl else builder.facts).append(atom)
+            (abox if atom.pred.is_dl else facts).append(atom)
         else:
             raise ParseError("statement outside any section", tok.loc)
     return HybridKB(
-        tbox=tuple(builder.tbox),
-        abox=tuple(builder.abox),
-        rules=tuple(builder.rules),
-        facts=tuple(builder.facts),
-        alphabet=tuple(sorted(builder.predicates.values())),
+        tbox=tuple(tbox),
+        abox=tuple(abox),
+        rules=tuple(rules),
+        facts=tuple(facts),
+        alphabet=tuple(sorted(predicates.values())),
     )
 
 
@@ -331,85 +330,55 @@ def parse_rule(text: str, kb: HybridKB, filename: str = "<rule>") -> Rule:
     from the arity.  Body predicates must be declared in the KB.
     """
     stream = _TokenStream(_tokenize(text, filename))
-    builder = _KBBuilder(predicates={p.name: p for p in kb.alphabet})
-    name = stream.peek()
-    if name.kind == "ident" and name.text not in builder.predicates:
-        builder.predicates[name.text] = _target_predicate(name.text, text, name.loc)
-    head, body = _parse_clause(stream, builder)
-    if stream.peek().kind != "end":
-        raise ParseError(f"trailing input {stream.peek().text!r}", stream.peek().loc)
+    head, body = _parse_clause(stream, {p.name: p for p in kb.alphabet}, target=True)
+    stream.end()
     return Rule(head, body)
 
 
 def parse_ground_atom(text: str, kb: HybridKB, filename: str = "<atom>") -> Atom:
     """Parse one ground atom over the KB's alphabet."""
     stream = _TokenStream(_tokenize(text, filename))
-    builder = _KBBuilder(predicates={p.name: p for p in kb.alphabet})
-    atom = _parse_atom(stream, builder)
-    if stream.peek().text == ".":
-        stream.next()
-    if stream.peek().kind != "end":
-        raise ParseError(f"trailing input {stream.peek().text!r}", stream.peek().loc)
+    atom = _parse_atom(stream, {p.name: p for p in kb.alphabet})
+    stream.accept(".")
+    stream.end()
     if not atom.is_ground():
         raise ParseError(f"atom {atom} is not ground", SourceLocation(filename, 1, 1))
     return atom
 
 
-def _target_predicate(name: str, context: str, loc: SourceLocation) -> Predicate:
-    m = re.search(re.escape(name) + r"\(([^)]*)\)", context)
-    arity = len(m.group(1).split(",")) if m and m.group(1).strip() else 0
-    if arity == 1:
-        return Predicate(name, 1, CONCEPT)
-    if arity == 2:
-        return Predicate(name, 2, ROLE)
-    raise ParseError(f"target predicate {name!r} must be unary or binary", loc)
-
-
 def parse_examples(text: str, kb: HybridKB, filename: str = "<examples>") -> ExampleSet:
-    """Parse a ``.oex`` file of ``+ p(a)`` / ``- p(a)`` lines against a KB.
+    """Parse a ``.oex`` file of ``+ p(a)`` / ``- p(a)`` examples against a KB.
 
     The target predicate is inferred from the atoms; it must not occur in the
     KB alphabet, and every argument must be a constant known to the KB.
     """
-    target: Predicate | None = None
-    positives: list[Atom] = []
-    negatives: list[Atom] = []
+    stream = _TokenStream(_tokenize(text, filename))
+    predicates = {p.name: p for p in kb.alphabet}
     known = {c.name for c in kb.constants()}
-    builder = _KBBuilder(predicates={p.name: p for p in kb.alphabet})
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
-        if not line:
-            continue
-        loc = SourceLocation(filename, lineno, 1)
-        sign, _, rest = line.partition(" ")
-        if sign not in ("+", "-") or not rest.strip():
-            raise ParseError("expected '+ atom' or '- atom'", loc)
-        stream = _TokenStream(_tokenize(rest.strip(), filename))
+    target: Predicate | None = None
+    signed: dict[str, list[Atom]] = {"+": [], "-": []}
+    while (sign := stream.next()).kind != "end":
         name = stream.peek()
-        if name.text in builder.predicates:
-            raise ParseError(
-                f"target predicate {name.text!r} already occurs in the knowledge base", loc
-            )
-        if target is None:
-            target = _target_predicate(name.text, rest, loc)
-        elif name.text != target.name:
-            raise ParseError(
-                f"mixed target predicates {target.name!r} and {name.text!r}", loc
-            )
-        local = _KBBuilder(predicates=dict(builder.predicates))
-        local.predicates[target.name] = target
-        atom = _parse_atom(stream, local)
-        if stream.peek().text == ".":
-            stream.next()
+        if sign.text not in signed or name.kind != "ident" or name.loc.line != sign.loc.line:
+            raise ParseError("expected '+ atom' or '- atom'", sign.loc)
+        if target is None or name.text != target.name:
+            if name.text in predicates:
+                raise ParseError(f"target predicate {name.text!r} already occurs in the knowledge base", name.loc)
+            if target is not None:
+                raise ParseError(f"mixed target predicates {target.name!r} and {name.text!r}", name.loc)
+        atom = _parse_atom(stream, predicates, target=True)
+        target = atom.pred
+        stream.accept(".")
+        stream.end(same_line=True)
         if not atom.is_ground():
-            raise ParseError(f"example {atom} is not ground", loc)
+            raise ParseError(f"example {atom} is not ground", sign.loc)
         for t in atom.args:
             if t.name not in known:
-                raise ParseError(f"constant {t.name!r} does not occur in the knowledge base", loc)
-        (positives if sign == "+" else negatives).append(atom)
+                raise ParseError(f"constant {t.name!r} does not occur in the knowledge base", sign.loc)
+        signed[sign.text].append(atom)
     if target is None:
         raise ParseError("no examples found", SourceLocation(filename, 1, 1))
-    return ExampleSet(target, tuple(positives), tuple(negatives))
+    return ExampleSet(target, tuple(signed["+"]), tuple(signed["-"]))
 
 
 _BIAS_KEYS = {"concepts": CONCEPT, "roles": ROLE, "datalog+": DATALOG, "datalog-": DATALOG}

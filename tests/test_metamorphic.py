@@ -13,17 +13,21 @@ labels its LONER and LIKES ladders.  Predicates are not renamed: the learner
 breaks ties by ``str(rule)``.
 """
 
+import importlib.util
 import itertools
+import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
 from conftest import data_text
 from genhybrid import PLACES, template_text
 from ontorules import covers, entails, learn, parse_bias, parse_kb, parse_rule
+from ontorules.cli import main
 from ontorules.hybrid import Entailment, KBModels
-from ontorules.model import Atom, Const, ExampleSet
+from ontorules.model import Atom, Const, ExampleSet, Var
 
 TASKS = {
     "loner": ("LONER(X) :- famous(X), UNMARRIED(X), not happy(X).", data_text("loner.obias")),
@@ -136,3 +140,61 @@ def test_query_is_invariant_under_renaming_constants_and_reordering_facts(n):
         variant_text, renaming = _variant(text, n, rng)
         variant = parse_kb(variant_text)
         assert [entails(variant, (), _renamed(a, renaming)) for a in atoms] == expected
+
+
+def _bundled():
+    """The benchmark's workload module, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _run(capsys, argv: list[str]) -> tuple[int, dict]:
+    """The exit code and the JSON report, without its timings, of one call."""
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    del report["timings"]
+    return code, report
+
+
+def test_every_bundled_report_is_invariant_under_duplicating_facts(capsys, tmp_path):
+    workloads = _bundled()
+    tasks = workloads.bundled_tasks()
+    kb = tasks[0]["argv"][tasks[0]["argv"].index("--kb") + 1]
+    header, facts = Path(kb).read_text(encoding="utf-8").split("#facts\n")
+    doubled = tmp_path / "doubled.okb"
+    doubled.write_text(header + "#facts\n" + "".join(f"{line}\n{line}\n" for line in facts.splitlines()))
+    assert len(tasks) == 29
+    for task in tasks:
+        code, report = _run(capsys, task["argv"])
+        assert workloads.check_cli_result(task["expect"], code, report) is None, task["name"]
+        argv = [str(doubled) if arg == kb else arg for arg in task["argv"]]
+        assert _run(capsys, argv) == (code, report), task["name"]
+
+
+#: Variable names that the bundled rules do not use.
+FRESH = tuple(Var(n) for n in ("A", "B", "C", "F", "G", "H", "U", "V", "W", "X1", "Y2", "Z3"))
+
+
+def _renamed_apart(text: str, kb, fresh) -> str:
+    rule = parse_rule(text, kb)
+    return str(rule.substitute(dict(zip(sorted(rule.variables(), key=str), fresh))))
+
+
+@pytest.mark.parametrize("renamed", ["rule1", "rule2", "both"])
+def test_compare_is_invariant_under_renaming_variables_apart(capsys, kb, renamed):
+    workloads = _bundled()
+    tasks = [t for t in workloads.bundled_tasks() if t["argv"][0] == "compare"]
+    assert len(tasks) == 9
+    rng = random.Random(f"compare-{renamed}")
+    for task in tasks:
+        for _ in range(24):
+            fresh = rng.sample(FRESH, 6)
+            argv = list(task["argv"])
+            for i, option in enumerate(("--rule1", "--rule2")):
+                if renamed in (option[2:], "both"):
+                    at = argv.index(option) + 1
+                    argv[at] = _renamed_apart(argv[at], kb, fresh[3 * i:3 * i + 3])
+            assert workloads.check_cli_result(task["expect"], *_run(capsys, argv)) is None, argv

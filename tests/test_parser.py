@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from ontorules import parse_bias, parse_examples, parse_ground_atom, parse_kb, parse_rule, serialize_rule
 from ontorules.model import Atom, Const, Literal, Predicate, Rule, Var, CONCEPT, DATALOG, ROLE
+from ontorules.model import ExampleSet
 from ontorules.parser import ParseError, _tokenize
 from ontorules.refine import canonical_form
 
@@ -174,3 +175,69 @@ def _rules(draw):
 def test_round_trip_up_to_renaming(kb, rule):
     back = parse_rule(serialize_rule(rule), kb)
     assert canonical_form(back) == canonical_form(rule)
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    # the error's own line, not the file's first
+    ("+ LONER(Mary)\n\n- LONER(Joe,)", "expected a term, found ')'", 3, 13),
+    ("+ LONER(Mary)\n- LONER(Mary) extra", "trailing input 'extra'", 2, 15),
+    ("+ LONER(Mary) + LONER(Joe)\n", "trailing input '+'", 1, 15),
+    ("+\nLONER(Mary)\n", "expected '+ atom' or '- atom'", 1, 1),
+    ("+ LONER(Mary)\n  LONER(Joe)\n", "expected '+ atom' or '- atom'", 2, 3),
+    ("+ LONER(Mary)\n- OTHER(Joe)\n", "mixed target predicates 'LONER' and 'OTHER'", 2, 3),
+    ("+ LONER(Mary)\n- LONER(Mary,Joe)\n", "LONER/1 applied to 2 arguments", 2, 3),
+    ("+ LONER(Mary,Joe,Paul)\n", "target predicate 'LONER' must be unary or binary", 1, 3),
+])
+def test_example_errors_carry_their_line_and_column(kb, text, message, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_examples(text, kb, "e.oex")
+    assert str(exc.value) == f"e.oex:{line}:{column}: {message}"
+
+
+@pytest.mark.parametrize("parse, text, plain", [
+    (parse_rule, "LONER (X) :- famous(X).", "LONER(X) :- famous(X)."),
+    (parse_rule, "LIKES\t(X, Y) :- meets(X,Z,Y).", "LIKES(X,Y) :- meets(X,Z,Y)."),
+    (parse_examples, "+ LONER (Mary)", "+ LONER(Mary)"),
+    (parse_examples, "+LONER(Mary)\n-\tLONER(Paul).", "+ LONER(Mary)\n- LONER(Paul)"),
+])
+def test_blanks_only_separate_tokens(kb, parse, text, plain):
+    assert parse(text, kb) == parse(plain, kb)
+
+
+# round-trip property for examples: a written-out example file parses back to
+# its target and its examples in order, whatever blanks and comments it holds
+
+_TARGETS = st.sampled_from([Predicate("LONER", 1, CONCEPT), Predicate("LIKES", 2, ROLE)])
+_KB_CONSTANTS = st.sampled_from(["Mary", "Joe", "Paul", "Italy", "Germany"])
+_blanks = st.text(alphabet=" \t", max_size=2)
+_comments = st.one_of(st.just(""), st.text(alphabet="ab +-().,%\t", max_size=6).map("%".__add__))
+_filler_lines = st.lists(st.tuples(_blanks, _comments).map("".join), max_size=2)
+
+
+@st.composite
+def _example_files(draw):
+    target = draw(_TARGETS)
+    examples = draw(st.lists(
+        st.tuples(st.booleans(), st.lists(_KB_CONSTANTS, min_size=target.arity, max_size=target.arity)),
+        min_size=1, max_size=5,
+    ))
+    lines = []
+    for positive, args in examples:
+        lines += draw(_filler_lines)
+        spaced = ",".join(draw(_blanks) + a + draw(_blanks) for a in args)
+        lines.append(
+            draw(_blanks) + ("+" if positive else "-") + draw(_blanks) + target.name + draw(_blanks)
+            + "(" + spaced + ")" + draw(_blanks) + draw(st.sampled_from(["", "."])) + draw(_blanks)
+            + draw(_comments)
+        )
+    lines += draw(_filler_lines)
+    atoms = [(positive, Atom(target, tuple(map(Const, args)))) for positive, args in examples]
+    positives = tuple(a for positive, a in atoms if positive)
+    negatives = tuple(a for positive, a in atoms if not positive)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), ExampleSet(target, positives, negatives)
+
+
+@given(_example_files())
+def test_examples_round_trip(kb, case):
+    text, expected = case
+    assert parse_examples(text, kb) == expected
