@@ -7,21 +7,26 @@ of the facts, and only the variables that it leaves unbound range over the
 domain (:func:`_groundings`).  :func:`answer_query` joins a query's positive
 literals against each stable model the same way.
 
-Stable models are found by iterating the reduct fixpoint from the closed-world
-guess, which settles on every stratified program, and otherwise by branching
-on the atoms that occur under negation-as-failure and verifying each branch
-with the reduct fixpoint.  The hybrid model builder runs the same search
-(:func:`branch_search`) over its joint fixpoint.
-``is_stable_model`` checks a candidate with the search's own reduct fixpoint,
-so it is no independent oracle; ``tests/genprog.brute_force_stable_models`` is.
+One least-model loop, :func:`_joint_fixpoint`, closes a set of rule
+instances (:func:`_instances`) under a fixed truth assignment to their
+negated atoms; the hybrid model builder runs it with its assertions and
+axioms, this module with none, where it is the least model of the reduct.
+Stable models are found by iterating that loop from the closed-world guess,
+which settles on every stratified program, and otherwise by branching on the
+atoms that occur under negation-as-failure and verifying each branch with it
+(:func:`branch_search`, which the hybrid builder runs too).
+``is_stable_model`` checks a candidate with the same loop, so it is no
+independent oracle; ``tests/genprog.brute_force_stable_models`` is.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from .dlreason import close
 from .model import (
     Atom,
+    Axiom,
     BudgetError,
     Const,
     Literal,
@@ -169,30 +174,88 @@ def _groundings(bindings, variables, domain):
             yield full
 
 
-def _reduct_least_model(p: GroundProgram, naf_truth: dict[Atom, bool]) -> set[Atom]:
-    """Least model of the reduct determined by a truth assignment to the
-    negated atoms."""
-    true = set(p.facts)
-    rules = []
-    for r in p.rules:
-        if any(naf_truth.get(l.atom, False) for l in r.body if l.negated):
-            continue
-        rules.append((r.head, tuple(l.atom for l in r.body if not l.negated)))
-    changed = True
-    while changed:
-        changed = False
-        for head, body in rules:
-            if head not in true and all(a in true for a in body):
-                true.add(head)
-                changed = True
-    return true
+class _Instance:
+    """A rule instance ground except for ontology-only variables: its head
+    and tuples of body atoms by kind."""
+
+    __slots__ = ("head", "pos_datalog", "naf", "dl_ground", "dl_open")
+
+    def __init__(self, head, pos_datalog, naf, dl_ground, dl_open):
+        self.head = head
+        self.pos_datalog = pos_datalog
+        self.naf = naf
+        self.dl_ground = dl_ground
+        self.dl_open = dl_open
+
+
+def _instances(rules) -> list[_Instance]:
+    """The rule instances ``rules``, their bodies split by kind: positive and
+    negated datalog atoms, ground ontology atoms and open ones."""
+    out: list[_Instance] = []
+    for inst in rules:
+        pos_d, naf, dl_g, dl_o = [], [], [], []
+        for lit in inst.body:
+            if lit.atom.pred.kind == DATALOG:
+                (naf if lit.negated else pos_d).append(lit.atom)
+            else:
+                (dl_g if lit.atom.is_ground() else dl_o).append(lit.atom)
+        out.append(_Instance(inst.head, tuple(pos_d), tuple(naf), tuple(dl_g), tuple(dl_o)))
+    return out
+
+
+def _open_satisfied(open_atoms: tuple[Atom, ...], index: dict, members) -> bool:
+    """Satisfaction of ontology atoms whose variables only ontology atoms use:
+    one :func:`_join` against ``index``, the named and null atoms, that binds
+    them to ``members``, the named constants and the nulls."""
+    return not open_atoms or next(_join(open_atoms, index, {}, members), None) is not None
+
+
+def _joint_fixpoint(
+    instances: list[_Instance],
+    naf_truth: dict[Atom, bool],
+    facts: frozenset[Atom],
+    abox: tuple[Atom, ...],
+    tbox: tuple[Axiom, ...],
+    domain: tuple[Const, ...],
+) -> tuple[frozenset[Atom], frozenset[Atom], frozenset[Atom]]:
+    """Least joint closure of datalog derivation and the ontology's chase
+    (:func:`dlreason.close`) under a fixed truth assignment for the negated
+    atoms (reduct semantics): the datalog, named ontology and null atoms.
+    The ontology truth is closed and indexed in the first round and again
+    only after a round adds an ontology head.  With no assertions and no
+    axioms the result is the least model of a datalog program's reduct."""
+    dtrue: set[Atom] = set(facts)
+    gtrue: set[Atom] = set(abox)
+    active = [i for i in instances if not any(naf_truth.get(a, False) for a in i.naf)]
+    grew = True  # the ontology truth has grown since it was last closed
+    while True:
+        if grew:
+            gtrue, nulls = close(gtrue, tbox)
+            index = _index(gtrue, nulls)
+            members = frozenset(domain).union(*(a.args for a in nulls))  # the domain and the nulls
+        fired = grew = False
+        for inst in active:
+            target = gtrue if inst.head.pred.is_dl else dtrue
+            if (
+                inst.head not in target
+                and dtrue.issuperset(inst.pos_datalog)
+                and gtrue.issuperset(inst.dl_ground)
+                and _open_satisfied(inst.dl_open, index, members)
+            ):
+                target.add(inst.head)
+                if target is gtrue:
+                    index.setdefault(inst.head.pred, []).append(inst.head)
+                    grew = True
+                fired = True
+        if not fired:
+            return frozenset(dtrue), frozenset(gtrue), frozenset(nulls)
 
 
 def is_stable_model(p: GroundProgram, i: Interpretation) -> bool:
     """True iff ``i`` equals the least model of the reduct of ``p`` by ``i``."""
-    naf_atoms = {l.atom for r in p.rules for l in r.body if l.negated}
-    truth = {a: a in i.true_atoms for a in naf_atoms}
-    return _reduct_least_model(p, truth) == set(i.true_atoms)
+    instances = _instances(p.rules)
+    truth = {a: a in i.true_atoms for inst in instances for a in inst.naf}
+    return _joint_fixpoint(instances, truth, p.facts, (), (), ())[0] == set(i.true_atoms)
 
 
 def branch_search(naf_atoms: list[Atom], least_model) -> list:
@@ -234,8 +297,9 @@ def stable_models(p: GroundProgram) -> list[Interpretation]:
 
     May return the empty list ("no stable model" is a valid outcome).
     """
-    naf_atoms = sorted({l.atom for r in p.rules for l in r.body if l.negated})
-    found = branch_search(naf_atoms, lambda truth: (frozenset(_reduct_least_model(p, truth)),))
+    instances = _instances(p.rules)
+    naf_atoms = sorted({a for i in instances for a in i.naf})
+    found = branch_search(naf_atoms, lambda truth: _joint_fixpoint(instances, truth, p.facts, (), (), ())[:1])
     models = [Interpretation(m) for (m,) in found]
     models.sort(key=lambda m: sorted(map(str, m.true_atoms)))
     return models

@@ -12,24 +12,27 @@ a query, a skolemized rule body), ground once.
   null per existential that fires, in the role atoms that it fills.  A rule
   variable that only ontology atoms use may bind a null; a head or datalog
   variable may not.  Entailment and coverage are cautious truth over this
-  family.  The assignments are searched by :func:`datalog.branch_search`, so
-  a KB that is stratified once its axioms are read as rules settles in its
-  fast path on its single model instead of trying all 2^n assignments.
+  family.  Each model is the fixpoint of :func:`datalog._joint_fixpoint`,
+  the loop that the datalog layer's stable models run too; the assignments
+  are searched by :func:`datalog.branch_search`, so a KB that is stratified
+  once its axioms are read as rules settles in its fast path on its single
+  model instead of trying all 2^n assignments.
 
 * the *complete* family enumerates every consistent open-world guess over the
   relevant ground ontology atoms, at most ``DEFAULT_GUESS_BUDGET`` of them
   (read at call time).  It backs the negation-as-failure side of the
   generality test, where "not u" must mean that u cannot be made true in any
-  admissible completion.  A theory builds it on demand from its instances.
+  admissible completion.  A theory builds it on demand from its instances,
+  with :func:`datalog.stable_models` of the datalog part each guess leaves.
 
 One backtracking join, :func:`datalog._join`, matches every body against
 atoms by predicate: a rule's datalog literals of extensional predicates
 against the facts when a theory is ground (:func:`datalog.ground`), open
 ontology atoms against the named truth plus the null role atoms
-(:func:`_open_satisfied`) in the model builders, a rule against each KB model
-(:meth:`KBModels.covered`) and ``h1`` in :func:`more_general`, unless its
-syntactic fast path, which also reads the TBox's inclusions, decides the pair
-without models.  Only a head or datalog variable that no joined atom binds
+(:func:`datalog._open_satisfied`) in the model builders, a rule against each
+KB model (:meth:`KBModels.covered`) and ``h1`` in :func:`more_general`, unless
+its syntactic fast path, which also reads the TBox's inclusions, decides the
+pair without models.  Only a head or datalog variable that no joined atom binds
 ranges over the domain (:func:`datalog._groundings`).
 """
 
@@ -42,9 +45,13 @@ from functools import cached_property
 from .datalog import (
     GroundProgram,
     Interpretation,
+    _Instance,
     _groundings,
     _index,
+    _instances,
     _join,
+    _joint_fixpoint,
+    _open_satisfied,
     branch_search,
     ground,
     grounded_variables,
@@ -114,40 +121,11 @@ def reset_counters() -> None:
 
 # --- grounding --------------------------------------------------------------
 
-class _Instance:
-    """A rule instance ground except for ontology-only variables: its head
-    and tuples of body atoms by kind."""
-
-    __slots__ = ("head", "pos_datalog", "naf", "dl_ground", "dl_open")
-
-    def __init__(self, head, pos_datalog, naf, dl_ground, dl_open):
-        self.head = head
-        self.pos_datalog = pos_datalog
-        self.naf = naf
-        self.dl_ground = dl_ground
-        self.dl_open = dl_open
-
-
 def _partial_ground(rules: tuple[Rule, ...], facts: frozenset[Atom], domain: tuple[Const, ...]) -> list[_Instance]:
-    """Ground every variable that reaches the head or a datalog atom
-    (:func:`datalog.ground`); leave ontology-only variables open for
-    existential matching.  ``domain`` is a sorted tuple; every caller sorts it
-    once."""
-    out: list[_Instance] = []
-    for inst in ground(rules, facts, domain, grounded_variables):
-        pos_d, naf, dl_g, dl_o = [], [], [], []
-        for lit in inst.body:
-            if lit.atom.pred.kind == DATALOG:
-                if lit.negated:
-                    naf.append(lit.atom)
-                else:
-                    pos_d.append(lit.atom)
-            elif lit.atom.is_ground():
-                dl_g.append(lit.atom)
-            else:
-                dl_o.append(lit.atom)
-        out.append(_Instance(inst.head, tuple(pos_d), tuple(naf), tuple(dl_g), tuple(dl_o)))
-    return out
+    """Ground every variable that reaches the head or a datalog atom over the
+    sorted ``domain`` (:func:`datalog.ground`), leaving ontology-only
+    variables open for existential matching (:func:`datalog._instances`)."""
+    return _instances(ground(rules, facts, domain, grounded_variables))
 
 
 def _dl_base(
@@ -178,49 +156,6 @@ def _dl_base(
 
 # --- model construction -----------------------------------------------------
 
-def _open_satisfied(open_atoms: tuple[Atom, ...], index: dict, members) -> bool:
-    """Satisfaction of ontology atoms whose variables only ontology atoms use:
-    one :func:`_join` against ``index``, the named and null atoms, that binds
-    them to ``members``, the named constants and the nulls."""
-    return not open_atoms or next(_join(open_atoms, index, {}, members), None) is not None
-
-
-def _joint_fixpoint(
-    instances: list[_Instance],
-    naf_truth: dict[Atom, bool],
-    facts: frozenset[Atom],
-    abox: tuple[Atom, ...],
-    tbox: tuple[Axiom, ...],
-    domain: tuple[Const, ...],
-) -> tuple[set[Atom], set[Atom], set[Atom]]:
-    """Least joint closure of datalog derivation and the ontology's chase
-    under a fixed truth assignment for the negated atoms (reduct semantics):
-    the datalog, named ontology and null atoms.  Each round indexes the
-    ontology truth once and adds the ontology heads it fires."""
-    dtrue: set[Atom] = set(facts)
-    gtrue: set[Atom] = set(abox)
-    active = [i for i in instances if not any(naf_truth.get(a, False) for a in i.naf)]
-    while True:
-        gtrue, nulls = close(gtrue, tbox)
-        index = _index(gtrue, nulls)
-        members = frozenset(domain).union(*(a.args for a in nulls))  # the domain and the nulls
-        fired = False
-        for inst in active:
-            target = gtrue if inst.head.pred.is_dl else dtrue
-            if (
-                inst.head not in target
-                and all(a in dtrue for a in inst.pos_datalog)
-                and all(a in gtrue for a in inst.dl_ground)
-                and _open_satisfied(inst.dl_open, index, members)
-            ):
-                target.add(inst.head)
-                if target is gtrue:
-                    index.setdefault(inst.head.pred, []).append(inst.head)
-                fired = True
-        if not fired:
-            return dtrue, gtrue, nulls
-
-
 class _Theory:
     """A hybrid theory ground once: the TBox, the assertions ``abox``, the
     ``rules`` over the datalog ``facts`` and the sorted ``domain``, whose
@@ -241,16 +176,9 @@ class _Theory:
         self.instances = instances = _partial_ground(rules, facts, domain)
         self._possible = None
         naf_atoms = sorted({a for i in instances for a in i.naf})
-
-        def least_model(truth):
-            dtrue, gtrue, nulls = _joint_fixpoint(instances, truth, facts, abox, tbox, domain)
-            return frozenset(dtrue), frozenset(gtrue), frozenset(nulls)
-
-        self.models = [
-            NMModel(DLGuess(gtrue), Interpretation(dtrue), nulls)
-            for dtrue, gtrue, nulls in branch_search(naf_atoms, least_model)
-            if not forbidden & dtrue
-        ]
+        found = branch_search(naf_atoms, lambda truth: _joint_fixpoint(instances, truth, facts, abox, tbox, domain))
+        self.models = [NMModel(DLGuess(gtrue), Interpretation(dtrue), nulls)
+                       for dtrue, gtrue, nulls in found if not forbidden & dtrue]
 
     def possible(self) -> frozenset[Atom]:
         """Datalog atoms true in at least one admissible complete model."""

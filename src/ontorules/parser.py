@@ -35,6 +35,7 @@ from .model import (
     Rule,
     SKOLEM_RE,
     Term,
+    Var,
     CONCEPT,
     DATALOG,
     ROLE,
@@ -189,6 +190,21 @@ def _parse_atom(stream: _TokenStream, predicates: dict[str, Predicate], target: 
     return Atom(pred, tuple(args))
 
 
+def _parse_located_atom(stream: _TokenStream, predicates: dict[str, Predicate], target: bool = False) -> tuple:
+    """An atom (:func:`_parse_atom`) and the location of each argument: every
+    other token after its name and ``(``."""
+    start = stream.pos
+    atom = _parse_atom(stream, predicates, target)
+    return atom, [tok.loc for tok in stream.tokens[start + 2 : stream.pos : 2]]
+
+
+def _refuse_variables(atom: Atom, locations: list[SourceLocation], what: str) -> None:
+    """Refuse ``atom`` at its first variable argument."""
+    for t, loc in zip(atom.args, locations):
+        if isinstance(t, Var):
+            raise ParseError(f"{what} {atom} is not ground", loc)
+
+
 def _parse_literal(stream: _TokenStream, predicates: dict[str, Predicate]) -> Literal:
     loc = stream.peek().loc
     negated = stream.accept("not")
@@ -307,10 +323,9 @@ def parse_kb(text: str, filename: str = "<kb>") -> HybridKB:
         elif section == "#rules":
             rules.append(_build_rule(*_parse_clause(stream, predicates), tok.loc))
         elif section == "#facts":
-            atom = _parse_atom(stream, predicates)
+            atom, locations = _parse_located_atom(stream, predicates)
             stream.expect(".")
-            if not atom.is_ground():
-                raise ParseError(f"fact {atom} is not ground", tok.loc)
+            _refuse_variables(atom, locations, "fact")
             (abox if atom.pred.is_dl else facts).append(atom)
         else:
             raise ParseError("statement outside any section", tok.loc)
@@ -338,11 +353,10 @@ def parse_rule(text: str, kb: HybridKB, filename: str = "<rule>") -> Rule:
 def parse_ground_atom(text: str, kb: HybridKB, filename: str = "<atom>") -> Atom:
     """Parse one ground atom over the KB's alphabet."""
     stream = _TokenStream(_tokenize(text, filename))
-    atom = _parse_atom(stream, {p.name: p for p in kb.alphabet})
+    atom, locations = _parse_located_atom(stream, {p.name: p for p in kb.alphabet})
     stream.accept(".")
     stream.end()
-    if not atom.is_ground():
-        raise ParseError(f"atom {atom} is not ground", SourceLocation(filename, 1, 1))
+    _refuse_variables(atom, locations, "atom")
     return atom
 
 
@@ -366,15 +380,14 @@ def parse_examples(text: str, kb: HybridKB, filename: str = "<examples>") -> Exa
                 raise ParseError(f"target predicate {name.text!r} already occurs in the knowledge base", name.loc)
             if target is not None:
                 raise ParseError(f"mixed target predicates {target.name!r} and {name.text!r}", name.loc)
-        atom = _parse_atom(stream, predicates, target=True)
+        atom, locations = _parse_located_atom(stream, predicates, target=True)
         target = atom.pred
         stream.accept(".")
         stream.end(same_line=True)
-        if not atom.is_ground():
-            raise ParseError(f"example {atom} is not ground", sign.loc)
-        for t in atom.args:
+        _refuse_variables(atom, locations, "example")
+        for t, loc in zip(atom.args, locations):
             if t.name not in known:
-                raise ParseError(f"constant {t.name!r} does not occur in the knowledge base", sign.loc)
+                raise ParseError(f"constant {t.name!r} does not occur in the knowledge base", loc)
         signed[sign.text].append(atom)
     if target is None:
         raise ParseError("no examples found", SourceLocation(filename, 1, 1))

@@ -169,6 +169,19 @@ def test_every_returned_model_is_stable(seed):
         assert is_stable_model(prog, m)
 
 
+def test_is_stable_model_holds_exactly_of_the_brute_force_models():
+    """Both directions over every interpretation of the Herbrand base:
+    ``is_stable_model`` accepts exactly the oracle's stable models."""
+    rng = random.Random(31)
+    for _ in range(40):
+        prog = random_ground_program(rng, max_atoms=8)
+        stable = brute_force_stable_models(prog)
+        base = sorted(prog.herbrand_base(), key=str)
+        for bits in itertools.product((False, True), repeat=len(base)):
+            interp = frozenset(a for a, b in zip(base, bits) if b)
+            assert is_stable_model(prog, Interpretation(interp)) == (interp in stable), sorted(map(str, interp))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_fact_monotonicity_naf_free(seed):

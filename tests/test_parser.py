@@ -194,6 +194,20 @@ def test_example_errors_carry_their_line_and_column(kb, text, message, line, col
     assert str(exc.value) == f"e.oex:{line}:{column}: {message}"
 
 
+@pytest.mark.parametrize("parse, text, error", [
+    # at the offending argument, not at the atom or the example's sign
+    (parse_ground_atom, "  meets(Mary,X,Italy)", "<atom>:1:14: atom meets(Mary,X,Italy) is not ground"),
+    (lambda t, kb: parse_examples(t, kb, "e.oex"), "+ LIKES(Mary,  Nobody)",
+     "e.oex:1:16: constant 'Nobody' does not occur in the knowledge base"),
+    (lambda t, kb: parse_examples(t, kb, "e.oex"), "+ LONER(Mary)\n- LONER(X)", "e.oex:2:9: example LONER(X) is not ground"),
+    (lambda t, kb: parse_kb(t), "pred p/1.\n#facts\np(a).\n  p(X).", "<kb>:4:5: fact p(X) is not ground"),
+], ids=["atom-variable", "example-constant", "example-variable", "fact-variable"])
+def test_ground_errors_point_at_the_argument(kb, parse, text, error):
+    with pytest.raises(ParseError) as exc:
+        parse(text, kb)
+    assert str(exc.value) == error
+
+
 @pytest.mark.parametrize("parse, text, plain", [
     (parse_rule, "LONER (X) :- famous(X).", "LONER(X) :- famous(X)."),
     (parse_rule, "LIKES\t(X, Y) :- meets(X,Z,Y).", "LIKES(X,Y) :- meets(X,Z,Y)."),
