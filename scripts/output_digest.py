@@ -5,9 +5,10 @@ identical.
 Prints two SHA-256 digests for the checkout that holds this script:
 
 - ``bundled``: the 29 commands of the ``bundled`` workload, as
-  ``perfbench/workloads.py`` lists them, each run in a fresh interpreter on
-  this checkout's ``src/``: per command, its exit code, its standard error
-  and its JSON report without ``timings``.
+  ``perfbench/workloads.py`` lists them, each run as ``python -m
+  ontorules.cli`` on this checkout's ``src/``, as the benchmark runs it: per
+  command, its exit code, its standard error and its JSON report without
+  ``timings``.
 - ``refine-generality``: the ``outputs`` of one pass of the benchmark's
   worker (``perfbench/worker.py refine-generality``): the edges of the
   depth-3 walks and both relation matrices.
@@ -29,8 +30,6 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import bundled_tasks  # noqa: E402
 
-CLI = "import sys; from ontorules.cli import main; sys.exit(main(sys.argv[1:]))"
-
 
 def _run(argv: list[str]) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -45,7 +44,7 @@ def digest(value) -> str:
 def bundled_outcome(task: dict) -> dict:
     """One ``bundled`` command's exit code, standard error and report
     without ``timings`` (None when it printed no report)."""
-    proc = _run(["-c", CLI, *task["argv"]])
+    proc = _run(["-m", "ontorules.cli", *task["argv"]])
     report = json.loads(proc.stdout) if proc.stdout.strip() else None
     if isinstance(report, dict):
         report.pop("timings", None)

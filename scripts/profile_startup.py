@@ -12,7 +12,12 @@ Runs one bundled ``check`` (does ``LONER(X) :- famous(X).`` cover
 * argument parsing: ``ontorules.cli.parse_args``;
 * the command: the function it returns, report printing included;
 * the whole call, ``python -m ontorules.cli check ...`` timed from outside
-  like the benchmark's ``bundled`` workload, against ``python -c pass``.
+  like the benchmark's ``bundled`` workload, and the part of it outside the
+  command: the whole call less the report's ``timings.total`` (the
+  benchmark's ``setup_s`` is this plus the report's ``parse`` phase);
+* two bare interpreters: ``python -c pass``, and ``python -c "import os;
+  os._exit(0)"``, which ends without the interpreter's teardown, as
+  ``ontorules.cli.entry`` does.
 
 The first five steps run in this order in one probe process, each timed with
 ``time.perf_counter``.  ``src/`` is byte-compiled first, as the benchmark
@@ -24,6 +29,7 @@ Run from a checkout: ``python scripts/profile_startup.py`` (no flags)
 """
 
 import compileall
+import json
 import os
 import statistics
 import subprocess
@@ -63,10 +69,10 @@ print(code, t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, file=sys.stderr)
 STEPS = ("stdlib imports", "import ontorules", "rest of ontorules.cli", "argument parsing", "the command")
 
 
-def _timed(argv: list[str], env: dict) -> tuple[float, str]:
+def _timed(argv: list[str], env: dict) -> tuple[float, subprocess.CompletedProcess]:
     t0 = time.perf_counter()
     done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, check=True)
-    return time.perf_counter() - t0, done.stderr
+    return time.perf_counter() - t0, done
 
 
 def main() -> None:
@@ -74,16 +80,19 @@ def main() -> None:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     stdlib = subprocess.run([sys.executable, "-c", LIST_STDLIB], env=env, capture_output=True, text=True,
                             check=True).stdout.strip()
-    samples: dict[str, list[float]] = {name: [] for name in (*STEPS, "whole call", "python -c pass")}
+    names = (*STEPS, "whole call", "outside the command", "python -c pass", "python -c os._exit(0)")
+    samples: dict[str, list[float]] = {name: [] for name in names}
     for round_ in range(RUNS + 1):
-        _, stderr = _timed(["-c", PROBE, stdlib, *ARGV], env)
-        code, *times = stderr.split()
+        _, probe = _timed(["-c", PROBE, stdlib, *ARGV], env)
+        code, *times = probe.stderr.split()
         if code != "0":
             raise SystemExit(f"the probe's check exited {code}")
-        whole, _ = _timed(["-m", "ontorules.cli", *ARGV], env)
+        whole, call = _timed(["-m", "ontorules.cli", *ARGV], env)
+        outside = whole - json.loads(call.stdout)["timings"]["total"]
         bare, _ = _timed(["-c", "pass"], env)
+        bare_exit, _ = _timed(["-c", "import os; os._exit(0)"], env)
         if round_:  # round 0 warms the file cache
-            for name, value in zip(samples, [*map(float, times), whole, bare]):
+            for name, value in zip(samples, [*map(float, times), whole, outside, bare, bare_exit]):
                 samples[name].append(value)
     print(f"median ms of {RUNS} fresh processes, one bundled check, Python {sys.version.split()[0]}")
     print(f"stdlib modules loaded: {stdlib.replace(',', ', ')}")

@@ -4,14 +4,16 @@ compare, refine and query, from the table ``COMMANDS``: read directly if plain
 
 Exit codes: 0 success, 1 input error (a missing or malformed option, an int
 option below 1, an input file that is not UTF-8 text, with or without a BOM,
-or a KB with no model, except for ``check``, ``compare`` and ``query``, which
-report the verdict ``inconsistent-kb``), 2 partial result, 3 budget exceeded.
-Output is deterministic; there is no randomness anywhere, so no seed flag.
+a KB with no model, except for ``check``, ``compare`` and ``query``, which
+report ``inconsistent-kb``, or a report that cannot be written), 2 partial
+result, 3 budget exceeded; :func:`entry` ends the process right after the
+flush.  Output is deterministic; there is no randomness, so no seed flag.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from types import SimpleNamespace
@@ -265,5 +267,23 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
 
 
+def entry() -> None:
+    """The ``ontorules`` program: :func:`main`, then ``os._exit`` once its output
+    is flushed, which skips the interpreter's teardown, or ``sys.exit`` under a
+    tracer, a profiler or ``-i``, which still have exit work to do."""
+    try:
+        code = main()
+    except SystemExit as exc:  # -h
+        code = exc.code
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None if closed at start-up
+        try:
+            stream.flush()
+        except OSError as exc:  # the reader has gone, or the disk is full
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())  # so no exit flush fails again
+            print(f"error: {exc}", file=sys.stderr)
+            code = EXIT_INPUT_ERROR
+    (sys.exit if sys.gettrace() or sys.getprofile() or sys.flags.inspect else os._exit)(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import importlib
 import importlib.util
 import io
 import json
@@ -14,6 +15,7 @@ import jsonschema
 import pytest
 
 from genhybrid import PLACES, template_text
+from ontorules import cli
 from ontorules.cli import _SHARED, COMMANDS, REQUIRED, UsageError, _direct, main, parse_args
 from ontorules.hybrid import KBModels
 from ontorules.model import Atom, Const
@@ -479,13 +481,17 @@ def test_an_int_of_other_than_ascii_digits_is_left_to_argparse(depth):
     assert _outcome(parse_args, argv) == _outcome(_argparse_from_table().parse_args, argv)
 
 
-def test_bundled_command_lines_are_read_directly():
-    """Each of the benchmark's bundled command lines is plain, so a call
-    never builds the argparse parser."""
+def _bundled_tasks():
     spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    tasks, reference = workloads.bundled_tasks(), _argparse_from_table()
+    return workloads.bundled_tasks()
+
+
+def test_bundled_command_lines_are_read_directly():
+    """Each of the benchmark's bundled command lines is plain, so a call
+    never builds the argparse parser."""
+    tasks, reference = _bundled_tasks(), _argparse_from_table()
     assert len(tasks) == 29
     for task in tasks:
         args = _direct(task["argv"])
@@ -498,6 +504,79 @@ def test_help_exits_zero(capsys):
         main(["refine", "--help"])
     assert exc.value.code == 0
     assert "--depth" in capsys.readouterr().out
+
+
+def _program(*args, **kwargs):
+    """A child ``python *args`` on this checkout's ``src/``, without
+    ``PYTHONUNBUFFERED``, so that its report stays in stdout's buffer until
+    the exit flushes it."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    return subprocess.run([sys.executable, *args], env=env, capture_output="stdout" not in kwargs,
+                          text=True, check=False, **kwargs)
+
+
+def test_the_program_reports_what_main_reports(capsys):
+    """Through ``python -m ontorules.cli``, each of the 29 bundled command
+    lines exits with the code, and writes the standard error and the report
+    without ``timings``, that ``main`` gives in process."""
+    def outcome(code, out, err):
+        report = json.loads(out)
+        del report["timings"]
+        return code, err, report
+
+    for task in _bundled_tasks():
+        done = _program("-m", "ontorules.cli", *task["argv"])
+        code = main(task["argv"])
+        ours = capsys.readouterr()
+        assert outcome(done.returncode, done.stdout, done.stderr) == outcome(code, ours.out, ours.err), task["name"]
+
+
+@pytest.mark.parametrize("route", ["full disk", "closed pipe", "closed pipe, traced"])
+def test_a_report_that_cannot_be_written_is_an_input_error(route):
+    """A report that cannot be written, to a full disk or to a pipe whose
+    reader has gone, prints ``error: ...`` and exits 1; so it does under a
+    tracer, where the process exits through ``sys.exit`` and flushes stdout
+    again."""
+    entry = ("import sys; from ontorules.cli import entry; sys.settrace(lambda *a: None); "
+             "sys.argv[0] = 'ontorules'; entry()")
+    args = ["-c", entry] if route.endswith("traced") else ["-m", "ontorules.cli"]
+    args += [*CHECK, "--format", "json"]
+    if route == "full disk":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "w") as full:
+            done = _program(*args, stdout=full, stderr=subprocess.PIPE)
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = _program(*args, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+    errno = 28 if route == "full disk" else 32  # ENOSPC, EPIPE
+    assert (done.returncode, done.stderr) == (1, f"error: [Errno {errno}] {os.strerror(errno)}\n")
+
+
+def test_a_profiled_call_writes_its_profile(tmp_path):
+    """Under ``cProfile`` the program exits normally, so the profile is written."""
+    profile = tmp_path / "check.prof"
+    done = _program("-m", "cProfile", "-o", str(profile), "-m", "ontorules.cli", *CHECK, "--format", "json")
+    assert done.returncode == 0 and json.loads(done.stdout)["verdict"] == "covers", done.stderr
+    assert profile.stat().st_size > 0
+
+
+def test_the_program_prints_its_help():
+    done = _program("-m", "ontorules.cli", "-h")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: ontorules") and all(name in done.stdout for name in COMMANDS)
+
+
+def test_the_installed_script_is_the_program_entry():
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]
+    module, _, name = scripts["ontorules"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.entry
 
 
 def test_learn_max_body_len_zero_is_an_input_error(capsys):
