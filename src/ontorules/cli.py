@@ -3,15 +3,16 @@ compare, refine and query, from the table ``COMMANDS``: read directly if plain
 (:func:`_direct`), else by argparse, with its messages and its ``-h`` help.
 
 Exit codes: 0 success, 1 input error (a missing or malformed option, an int
-option below 1, an input file that is not UTF-8 text, with or without a BOM,
-a KB with no model, except for ``check``, ``compare`` and ``query``, which
-report ``inconsistent-kb``, or a report that cannot be written), 2 partial
-result, 3 budget exceeded; :func:`entry` ends the process right after the
-flush.  Output is deterministic; there is no randomness, so no seed flag.
+option below 1, an input file that is not UTF-8 text, with or without a BOM, a
+KB with no model, except for ``check``, ``compare`` and ``query``, which report
+``inconsistent-kb``, or a report that cannot be written), 2 partial result, 3
+budget exceeded.  :func:`entry` ends the process once flushed, by ``os._exit``,
+or by ``sys.exit`` under a tracer, a profiler or ``-i``.  Nothing is random.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -268,9 +269,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    """The ``ontorules`` program: :func:`main`, then ``os._exit`` once its output
-    is flushed, which skips the interpreter's teardown, or ``sys.exit`` under a
-    tracer, a profiler or ``-i``, which still have exit work to do."""
     try:
         code = main()
     except SystemExit as exc:  # -h
@@ -280,9 +278,11 @@ def entry() -> None:
             stream.flush()
         except OSError as exc:  # the reader has gone, or the disk is full
             os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())  # so no exit flush fails again
-            print(f"error: {exc}", file=sys.stderr)
             code = EXIT_INPUT_ERROR
-    (sys.exit if sys.gettrace() or sys.getprofile() or sys.flags.inspect else os._exit)(code)
+            with contextlib.suppress(OSError):  # stderr may be the same file: the loop mends it next
+                print(f"error: {exc}", file=sys.stderr)
+    tools = sys.version_info >= (3, 12) and any(map(sys.monitoring.get_tool, range(6)))  # cProfile, coverage
+    (sys.exit if tools or sys.gettrace() or sys.getprofile() or sys.flags.inspect else os._exit)(code)
 
 
 if __name__ == "__main__":

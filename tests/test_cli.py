@@ -532,12 +532,14 @@ def test_the_program_reports_what_main_reports(capsys):
         assert outcome(done.returncode, done.stdout, done.stderr) == outcome(code, ours.out, ours.err), task["name"]
 
 
-@pytest.mark.parametrize("route", ["full disk", "closed pipe", "closed pipe, traced"])
+@pytest.mark.parametrize("route", ["full disk", "closed pipe", "closed pipe, traced",
+                                   "closed pipe, both streams", "closed pipe, both streams, traced"])
 def test_a_report_that_cannot_be_written_is_an_input_error(route):
     """A report that cannot be written, to a full disk or to a pipe whose
     reader has gone, prints ``error: ...`` and exits 1; so it does under a
     tracer, where the process exits through ``sys.exit`` and flushes stdout
-    again."""
+    again, and when standard error is the same closed pipe, which takes no
+    message."""
     entry = ("import sys; from ontorules.cli import entry; sys.settrace(lambda *a: None); "
              "sys.argv[0] = 'ontorules'; entry()")
     args = ["-c", entry] if route.endswith("traced") else ["-m", "ontorules.cli"]
@@ -551,11 +553,26 @@ def test_a_report_that_cannot_be_written_is_an_input_error(route):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            done = _program(*args, stdout=write_end, stderr=subprocess.PIPE)
+            done = _program(*args, stdout=write_end, stderr=write_end if "both" in route else subprocess.PIPE)
         finally:
             os.close(write_end)
     errno = 28 if route == "full disk" else 32  # ENOSPC, EPIPE
-    assert (done.returncode, done.stderr) == (1, f"error: [Errno {errno}] {os.strerror(errno)}\n")
+    message = None if "both" in route else f"error: [Errno {errno}] {os.strerror(errno)}\n"
+    assert (done.returncode, done.stderr) == (1, message)
+
+
+@pytest.mark.parametrize("hook", ["trace", "profile", "monitoring"])
+def test_a_hooked_call_does_its_exit_work(hook):
+    """Under a tracer, a profiler or a ``sys.monitoring`` tool (Python 3.12+,
+    as ``cProfile`` and coverage use), the program exits through ``sys.exit``,
+    so ``atexit`` handlers still run."""
+    if hook == "monitoring" and sys.version_info < (3, 12):
+        pytest.skip("sys.monitoring is new in Python 3.12")
+    install = {"trace": "sys.settrace(lambda *a: None)", "profile": "sys.setprofile(lambda *a: None)",
+               "monitoring": "sys.monitoring.use_tool_id(sys.monitoring.COVERAGE_ID, 'test')"}[hook]
+    done = _program("-c", f"import atexit, sys; atexit.register(print, 'exit work', file=sys.stderr); {install}; "
+                          "from ontorules.cli import entry; sys.argv[0] = 'ontorules'; entry()", *CHECK)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "covers\n", "exit work\n")
 
 
 def test_a_profiled_call_writes_its_profile(tmp_path):
