@@ -43,7 +43,11 @@ their premises and theory through ``hybrid._prepared``), how many augmented
 theories the generality test prepared (calls of ``hybrid._augmented``, one
 ``skolemize`` and one ground ``hybrid._Theory`` each) and how many canonical
 model runs those took (``hybrid.counters``).  The pairs reuse the theories
-that the edges left in the KB's memo.  Times include the profiler's own
+that the edges left in the KB's memo.  After each phase's first line it
+prints what CPython's cyclic garbage collector did in that phase, through
+``gc.callbacks``: ``collector: <g0>/<g1>/<g2> collections, <ms> ms, <n>
+collected``, by generation; each phase starts after a full collection, so
+that the line counts its own work alone.  Times include the profiler's own
 per-call cost; use the benchmark for end-to-end timings.
 
 Run from a checkout: ``PYTHONPATH=src python scripts/profile_refine.py``
@@ -51,9 +55,11 @@ Run from a checkout: ``PYTHONPATH=src python scripts/profile_refine.py``
 
 import bisect
 import cProfile
+import gc
 import importlib
 import io
 import pstats
+import time
 from collections import Counter
 from importlib import resources
 
@@ -86,6 +92,33 @@ LIKES_RULES = (
     "LIKES(X,Y) :- meets(X,Z,Y), LOVES(X,Z).",
     "LIKES(X,Y) :- meets(X,Z,Y), WANTS-TO-MARRY(X,Z).",
 )
+
+
+class Collections:
+    """The cyclic collector's passes while the ``with`` block runs, which
+    starts after a full collection: their number per generation, the time
+    they took and the objects they freed."""
+
+    def __enter__(self):
+        gc.collect()
+        self.passes, self.seconds, self.collected, self._start = [0, 0, 0], 0.0, 0, 0.0
+        gc.callbacks.append(self._observe)
+        return self
+
+    def __exit__(self, *exc):
+        gc.callbacks.remove(self._observe)
+
+    def _observe(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._start = time.perf_counter()
+        else:
+            self.passes[info["generation"]] += 1
+            self.seconds += time.perf_counter() - self._start
+            self.collected += info["collected"]
+
+    def __str__(self) -> str:
+        return (f"collector: {'/'.join(map(str, self.passes))} collections, "
+                f"{self.seconds * 1e3:.1f} ms, {self.collected} collected")
 
 
 def refine_with_generality(kb, bias, steps: list) -> tuple[int, int]:
@@ -222,11 +255,13 @@ def main() -> None:
     profiler = cProfile.Profile()
     steps: list = []
     runs = [counters["canonical_runs"]]
-    edges, nongeneral = profiler.runcall(refine_with_generality, kb, bias, steps)
+    with Collections() as walk_collections:
+        edges, nongeneral = profiler.runcall(refine_with_generality, kb, bias, steps)
     runs.append(counters["canonical_runs"])
     out = io.StringIO()
     stats = pstats.Stats(profiler, stream=out)
     print(f"LIKES depth {DEPTH}: {edges} edges, {nongeneral} with a parent not more general")
+    print(walk_collections)
     stats.sort_stats(pstats.SortKey.TIME).print_stats(25)
     print(out.getvalue())
     for filename, name in COUNTED:
@@ -262,9 +297,11 @@ def main() -> None:
 
     space = likes_space(kb, bias)
     pairs = cProfile.Profile()
-    related = pairs.runcall(pairwise, space, kb)
+    with Collections() as pair_collections:
+        related = pairs.runcall(pairwise, space, kb)
     runs.append(counters["canonical_runs"])
     print(f"\nLIKES pairwise: {len(space)} rules, {related} of {len(space) ** 2} ordered pairs related")
+    print(pair_collections)
     print(f"{'phase':>6} {'more_general':>13} {'by inclusion':>13} {'theories':>9} {'canonical runs':>15}")
     phases = (("edges", stats, [(s.parent, s.child) for s in steps], runs[1] - runs[0]),
               ("pairs", pstats.Stats(pairs), [(a, b) for a in space for b in space], runs[2] - runs[1]))

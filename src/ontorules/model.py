@@ -4,7 +4,7 @@ Every value here is immutable after construction and safe to share across
 concurrent workers; the module-level operations are pure functions.  The
 exceptions are private memo slots: :class:`Rule` has two write-once ones,
 ``_hash``, its hash, filled on first use, and ``_canonical``, its canonical
-form, filled by :mod:`ontorules.refine`; :class:`HybridKB` has
+form, filled by :mod:`ontorules.refine` except on a form; :class:`HybridKB` has
 ``_generality``, which :func:`ontorules.hybrid.more_general` fills with all
 of its state for that KB: the KB's rule constants and a bounded memo of the
 rules it read as ``h1`` and of the theories it augmented with an ``h2``.
@@ -45,10 +45,16 @@ that is cleared when full: as ``Rule`` equality is structural, a clear loses
 only the sharing.  The ontology axiom records -- ``ConceptInclusion``,
 ``RoleInclusion`` and ``Existential`` -- keep :class:`Record`'s hash of the
 field tuple, computed per call: no cache hashes a whole TBox.
+
+No value or memo slot here makes a reference cycle (a canonical form leaves its
+slot empty), so the cyclic collector, run about 130 times per refinement walk
+at CPython's default young threshold of 700, frees nothing: import sets it to
+100,000, keeping the older two, unless it is 0 (collection off) or higher.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import operator
 import re
@@ -67,6 +73,9 @@ SKOLEM_RE = re.compile(r"^sk[0-9]+$")
 
 #: Hard cap on enumerated ground rule instances.
 DEFAULT_GROUNDING_BUDGET = 10**6
+
+if 0 < gc.get_threshold()[0] < 100_000:  # see the module docstring
+    gc.set_threshold(100_000, *gc.get_threshold()[1:])
 
 
 class ModelError(ValueError):
@@ -308,7 +317,7 @@ class Rule(Record):
     by the first :meth:`__hash__`, and ``_canonical`` by
     :func:`ontorules.refine.canonical_form`, which stores the rule's canonical
     form there (:func:`ontorules.refine.refine` passes it to
-    :meth:`_distinct` for the children it builds).
+    :meth:`_distinct` for the children it builds), but not on the form.
     """
 
     __slots__ = ("head", "body", "_canonical", "_hash")

@@ -248,7 +248,6 @@ def _key(head: Atom, body: tuple[Literal, ...]) -> Rule:
         if len(_KEYS) >= _KEYS_SIZE:
             _KEYS.clear()
         key = _KEYS.setdefault((head, body), Rule._distinct(head, body))
-        _set_canonical(key, key)
     return key
 
 
@@ -265,11 +264,13 @@ def canonical_form(rule: Rule) -> Rule:
     added-literal children's forms from their parent's instead; both share
     the object through :func:`_key`.  The form is computed once per rule
     object and kept in its ``_canonical`` slot, where :func:`refine` has
-    already put it for every child it returns, and on the form itself.  A
+    already put it for every child it returns, but a form's stays empty.  A
     copy of a rule, or an equal rule built anew, computes it again.
     """
     key = rule._canonical
     if key is None:
+        if _KEYS.get((rule.head, rule.body)) is rule:
+            return rule
         ids = _head_ids(rule.head)
         head = _canonical_head(rule.head, ids)
         n_head = len(ids)  # before _keyed_body numbers the body's variables

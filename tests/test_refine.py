@@ -1,5 +1,6 @@
 import bisect
 import copy
+import gc
 import hashlib
 import pickle
 import random
@@ -722,3 +723,23 @@ def test_a_second_identical_walk_interns_no_new_value(likes_bias, kb):
     sizes = [len(t) for t in tables]
     assert walk() == first and len(first) > 100
     assert [len(t) for t in tables] == sizes
+
+
+def test_a_dropped_walk_leaves_no_garbage_for_the_collector(kb, likes_bias):
+    """No canonical key refers to itself: with the cyclic collector off, a
+    LIKES depth-2 walk whose steps and tables of keys and tails are then
+    dropped leaves nothing that only the collector could free."""
+    module = sys.modules["ontorules.refine"]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        steps = _steps(seed_rule(Predicate("LIKES", 2, ROLE)), likes_bias, kb.tbox, 2)
+        assert len(steps) == 6 + 318
+        del steps
+        module._KEYS.clear()
+        module._TAILS.clear()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

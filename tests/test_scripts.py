@@ -45,8 +45,9 @@ def test_the_refine_profile_runs_and_counts_private_constructions(monkeypatch, c
     """``profile_refine.py`` runs to its end, the rules it counts as built
     through ``Rule._distinct`` are some, it prints the sizes of the intern
     tables and of the memo of ``subsumes``, some steps share a key that an
-    earlier step interned, and ``refine``'s memo of key tails reuses both
-    suffixes and tie tails on the LIKES walk."""
+    earlier step interned, ``refine``'s memo of key tails reuses both
+    suffixes and tie tails on the LIKES walk, and the cyclic collector,
+    reported once per phase, frees nothing in either."""
     _script(monkeypatch, "profile_refine").main()
     out = capsys.readouterr().out
     built = re.search(r"^rules built: (\d+) public \(dedupe\), (\d+) private \(Rule._distinct\)$", out, re.M)
@@ -60,6 +61,8 @@ def test_the_refine_profile_runs_and_counts_private_constructions(monkeypatch, c
     tails = re.search(r"^memo of key tails: suffixes (\d+) computed, (\d+) reused; "
                       r"tie tails (\d+) computed, (\d+) reused$", out, re.M)
     assert tails and all(int(tails[i]) > 0 for i in (1, 2, 3, 4)), out[-2000:]
+    passes = re.findall(r"^collector: \d+/\d+/\d+ collections, \d+\.\d ms, (\d+) collected$", out, re.M)
+    assert passes == ["0", "0"], out[-2000:]
 
 
 @pytest.mark.parametrize("task, size", [("loner", 40), ("likes", 10)])
