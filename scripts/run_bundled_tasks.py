@@ -6,6 +6,8 @@ generality verdicts, and the learned hypothesis for each task.
 """
 
 import argparse
+import os
+import sys
 import time
 from importlib import resources
 
@@ -90,4 +92,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader has gone: end without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so that the exit flush cannot fail again
+        sys.exit(1)

@@ -46,7 +46,7 @@ class DLGuess(Record):
 
 def role_closure(tbox: tuple[Axiom, ...]) -> dict[str, set[str]]:
     """Transitive closure of the atomic role inclusions: a role's super-roles,
-    itself only through a cycle (:func:`subsumes` checks names first)."""
+    itself only through a cycle (:func:`subsumes` checks identity first)."""
     edges: dict[str, set[str]] = {}
     for ax in tbox:
         if isinstance(ax, RoleInclusion):
@@ -83,26 +83,30 @@ def _closure(edges: dict[str, set[str]]) -> dict[str, set[str]]:
     return out
 
 
-#: What :func:`subsumes` and :func:`close` read, never change, per TBox tuple,
-#: keyed by its ``id``: hashing a TBox costs more than closing a small one.
-#: Each entry holds its TBox, so no other live object has that id; cleared at
-#: ``_CLOSURES_SIZE`` entries.  Threads that race to fill an entry store equal values.
+#: What :func:`subsumes`, :func:`close` and :func:`ontorules.hybrid.more_general`
+#: read, never change, per TBox tuple, keyed by its ``id``: hashing a TBox costs
+#: more than closing a small one.  Each entry holds its TBox, so no other live object
+#: has that id; cleared at ``_CLOSURES_SIZE`` entries.  Threads that race to fill an
+#: entry store equal values.
 _CLOSURES: dict[int, tuple] = {}
 _CLOSURES_SIZE = 64
 
 
 def _closures(tbox: tuple[Axiom, ...]) -> tuple:
-    """``tbox``, its closures by predicate kind and its concept inclusions by left-hand-side concept."""
+    """``tbox``, each concept's and role's strict super-predicates and its concept inclusions by left-hand side."""
     entry = _CLOSURES.get(id(tbox))
     if entry is None:
         if len(_CLOSURES) >= _CLOSURES_SIZE:
             _CLOSURES.clear()
+        sups = {Predicate(sub, arity, kind): frozenset(Predicate(n, arity, kind) for n in names)
+                for kind, arity, closure in ((CONCEPT, 1, concept_closure(tbox)), (ROLE, 2, role_closure(tbox)))
+                for sub, names in closure.items()}
         by_concept: dict[str, list[ConceptInclusion]] = {}
         for ax in tbox:
             if isinstance(ax, ConceptInclusion):
                 for c in set(ax.lhs):
                     by_concept.setdefault(c, []).append(ax)
-        entry = _CLOSURES[id(tbox)] = (tbox, {ROLE: role_closure(tbox), CONCEPT: concept_closure(tbox)}, by_concept)
+        entry = _CLOSURES[id(tbox)] = (tbox, sups, by_concept)
     return entry
 
 
@@ -113,9 +117,7 @@ def subsumes(general: Predicate, specific: Predicate, tbox: tuple[Axiom, ...]) -
     """
     if general.kind != specific.kind or general.kind not in (CONCEPT, ROLE):
         raise ModelError(f"cannot compare {general.name} ({general.kind}) with {specific.name} ({specific.kind})")
-    if general.name == specific.name:
-        return True
-    return general.name in _closures(tbox)[1][general.kind].get(specific.name, ())
+    return general is specific or general in _closures(tbox)[1].get(specific, ())
 
 
 def close(atoms, tbox: tuple[Axiom, ...]) -> tuple[set[Atom], set[Atom]]:
@@ -127,14 +129,13 @@ def close(atoms, tbox: tuple[Axiom, ...]) -> tuple[set[Atom], set[Atom]]:
     role and every super-role.  Returns the named atoms and the null atoms."""
     true: set[Atom] = set(atoms)
     nulls: set[Atom] = set()
-    _, closures, by_concept = _closures(tbox)
-    role_sup = closures[ROLE]
+    _, sups, by_concept = _closures(tbox)
     concepts: dict[Const, set[str]] = {}  # concept names held by each individual
     todo = list(true)
     while todo:
         atom = todo.pop()
         if atom.pred.kind == ROLE:
-            derived = [Atom(Predicate(sup, 2, ROLE), atom.args) for sup in role_sup.get(atom.pred.name, ())]
+            derived = [Atom(sup, atom.args) for sup in sups.get(atom.pred, ())]
         else:
             ind = atom.args[0]
             names = concepts.setdefault(ind, set())
@@ -146,10 +147,9 @@ def close(atoms, tbox: tuple[Axiom, ...]) -> tuple[set[Atom], set[Atom]]:
                 if isinstance(ax.rhs, str):
                     derived.append(Atom(Predicate(ax.rhs, 1, CONCEPT), (ind,)))
                     continue
-                role, inverse = ax.rhs.role, ax.rhs.inverse
-                null = Const(f"_:{ind.name}.inv({role})" if inverse else f"_:{ind.name}.{role}")
-                nulls.update(Atom(Predicate(r, 2, ROLE), (null, ind) if inverse else (ind, null))
-                             for r in {role} | role_sup.get(role, set()))
+                role, inverse = Predicate(ax.rhs.role, 2, ROLE), ax.rhs.inverse
+                null = Const(f"_:{ind.name}.inv({role.name})" if inverse else f"_:{ind.name}.{role.name}")
+                nulls.update(Atom(r, (null, ind) if inverse else (ind, null)) for r in {role} | sups.get(role, set()))
         for d in derived:
             if d not in true:
                 true.add(d)

@@ -57,7 +57,7 @@ from .datalog import (
     grounded_variables,
     stable_models,
 )
-from .dlreason import DLGuess, close, role_closure, concept_closure
+from .dlreason import DLGuess, _closures, close, role_closure, concept_closure
 from .model import (
     Atom,
     Axiom,
@@ -75,7 +75,6 @@ from .model import (
     CONCEPT,
     DATALOG,
     DEFAULT_GROUNDING_BUDGET,
-    ROLE,
 )
 
 #: Cap on guessable ontology atoms in the complete enumeration.
@@ -446,8 +445,8 @@ def more_general(h1: Rule, h2: Rule, kb: HybridKB) -> bool:
             return True
         missing = set(h1.body).difference(h2.body)
         if not missing or (not any(l.negated for l in h1.body) and all(
-            any(not m.negated and m.atom.args == l.atom.args and l.atom.pred in _memo(kb)[2].get(m.atom.pred, ())
-                for m in h2.body) for l in missing
+            any(not m.negated and m.atom.args == l.atom.args
+                and l.atom.pred in _closures(kb.tbox)[1].get(m.atom.pred, ()) for m in h2.body) for l in missing
         )):
             return True
     premises = _prepared(kb, (h1, h1.body), _premises)
@@ -508,18 +507,14 @@ _MEMO_SIZE = 4096
 
 def _memo(kb: HybridKB) -> tuple:
     """The KB's generality memo in ``kb._generality``, made on first use:
-    the KB's rule constants, the dict of prepared entries and each ontology
-    predicate's super-predicates in the TBox's closures."""
+    the KB's rule constants and the dict of prepared entries."""
     memo = kb._generality
     if memo is None:
         # relative to the intensional part only: constants from the rules, not the data
         rule_constants: set[Const] = set()
         for r in kb.rules:
             rule_constants |= r.constants()
-        sups = {Predicate(sub, arity, kind): frozenset(Predicate(n, arity, kind) for n in names)
-                for kind, arity, closure in ((CONCEPT, 1, concept_closure(kb.tbox)), (ROLE, 2, role_closure(kb.tbox)))
-                for sub, names in closure.items()}
-        memo = (frozenset(rule_constants), {}, sups)
+        memo = (frozenset(rule_constants), {})
         object.__setattr__(kb, "_generality", memo)
     return memo
 
@@ -531,7 +526,7 @@ def _prepared(kb: HybridKB, key: tuple, build):
     or :func:`_augmented`, whose entry holds the one :class:`_Theory` the
     test grounds per key.  The dict is cleared at ``_MEMO_SIZE`` entries.
     Threads that race to fill it store equal values."""
-    kb_constants, prepared, _ = _memo(kb)
+    kb_constants, prepared = _memo(kb)
     entry = prepared.get(key)
     if entry is None:
         entry = build(kb, kb_constants, key)

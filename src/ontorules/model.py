@@ -4,7 +4,7 @@ Every value here is immutable after construction and safe to share across
 concurrent workers; the module-level operations are pure functions.  The
 exceptions are private memo slots: :class:`Rule` has two write-once ones,
 ``_hash``, its hash, filled on first use, and ``_canonical``, its canonical
-form, filled by :mod:`ontorules.refine` except on a form; :class:`HybridKB` has
+form or :data:`FORM`, filled by :mod:`ontorules.refine`; :class:`HybridKB` has
 ``_generality``, which :func:`ontorules.hybrid.more_general` fills with all
 of its state for that KB: the KB's rule constants and a bounded memo of the
 rules it read as ``h1`` and of the theories it augmented with an ``h2``.
@@ -39,15 +39,15 @@ builds as closures over the field names.
 ``Rule`` is not interned: it caches the hash of its head and body set, and
 its public constructor drops duplicate body literals; its private
 ``Rule._distinct`` stores a duplicate-free body as given, through the slots'
-member descriptors rather than ``object.__setattr__``.  Only canonical forms
-are shared, one per form, through a bounded table of :mod:`ontorules.refine`
-that is cleared when full: as ``Rule`` equality is structural, a clear loses
-only the sharing.  The ontology axiom records -- ``ConceptInclusion``,
-``RoleInclusion`` and ``Existential`` -- keep :class:`Record`'s hash of the
-field tuple, computed per call: no cache hashes a whole TBox.
+member descriptors rather than ``object.__setattr__``.  No table shares
+rules, canonical forms included: ``Rule`` equality is structural, so equal
+rules built apart are equal, not one object.  The ontology axiom records --
+``ConceptInclusion``, ``RoleInclusion`` and ``Existential`` -- keep
+:class:`Record`'s hash of the field tuple, computed per call: no cache
+hashes a whole TBox.
 
-No value or memo slot here makes a reference cycle (a canonical form leaves its
-slot empty), so the cyclic collector, run about 130 times per refinement walk
+No value or memo slot here makes a reference cycle (a form's slot holds
+:data:`FORM`), so the cyclic collector, run about 130 times per refinement walk
 at CPython's default young threshold of 700, frees nothing: import sets it to
 100,000, keeping the older two, unless it is 0 (collection off) or higher.
 """
@@ -316,8 +316,8 @@ class Rule(Record):
     Two private slots start empty and are each written at most once: ``_hash``
     by the first :meth:`__hash__`, and ``_canonical`` by
     :func:`ontorules.refine.canonical_form`, which stores the rule's canonical
-    form there (:func:`ontorules.refine.refine` passes it to
-    :meth:`_distinct` for the children it builds), but not on the form.
+    form there, or :data:`FORM` on the form (:func:`ontorules.refine.refine`
+    passes either to :meth:`_distinct` for the children and forms it builds).
     """
 
     __slots__ = ("head", "body", "_canonical", "_hash")
@@ -329,12 +329,12 @@ class Rule(Record):
         _set(self, "_hash", None)
 
     @staticmethod
-    def _distinct(head: Atom, body: tuple[Literal, ...], canonical: Rule | None = None) -> Rule:
+    def _distinct(head: Atom, body: tuple[Literal, ...], canonical: object) -> Rule:
         """The rule ``head :- body`` for a ``body`` tuple whose literals are
         pairwise distinct, stored as given, with ``canonical``, the rule's
-        canonical form or None, in its ``_canonical`` slot.  The caller
-        guarantees both; a duplicate would break equality and hashing, which
-        treat the body as a set of its literals."""
+        canonical form, :data:`FORM` or None, in its ``_canonical`` slot.  The
+        caller guarantees both; a duplicate would break equality and hashing,
+        which treat the body as a set of its literals."""
         rule = _new(Rule)
         _set_head(rule, head)
         _set_body(rule, body)
@@ -388,6 +388,8 @@ class Rule(Record):
 
 
 _set_head, _set_body, _set_canonical, _set_hash = (Rule.__dict__[n].__set__ for n in Rule.__slots__)
+#: What a canonical form holds in its ``_canonical`` slot: the form itself, without a reference cycle.
+FORM = object()
 
 
 # --- ontology axioms --------------------------------------------------------

@@ -394,7 +394,14 @@ def parse_examples(text: str, kb: HybridKB, filename: str = "<examples>") -> Exa
     return ExampleSet(target, tuple(signed["+"]), tuple(signed["-"]))
 
 
-_BIAS_KEYS = {"concepts": CONCEPT, "roles": ROLE, "datalog+": DATALOG, "datalog-": DATALOG}
+_BIAS_KINDS = {"concepts": CONCEPT, "roles": ROLE, "datalog+": DATALOG, "datalog-": DATALOG}
+
+
+def _pieces(text: str, sep: str, column: int):
+    """Each non-blank piece of ``text`` between ``sep`` characters, stripped,
+    with the column where it starts, ``text`` starting at ``column``."""
+    for m in re.finditer(rf"[^{sep}\s](?:[^{sep}]*[^{sep}\s])?", text):
+        yield m[0], column + m.start()
 
 
 def parse_bias(text: str, kb: HybridKB, filename: str = "<bias>") -> LanguageBias:
@@ -402,29 +409,24 @@ def parse_bias(text: str, kb: HybridKB, filename: str = "<bias>") -> LanguageBia
 
     Assignments ``concepts = ... ; roles = ... ; datalog+ = ... ; datalog- = ...``
     separated by semicolons or newlines; absent lists default to empty.  Every
-    predicate must belong to the matching KB alphabet.
+    predicate must belong to the matching KB alphabet.  An error points at the
+    assignment, or at the list item, that it is about.
     """
     sets: dict[str, set[Predicate]] = {k: set() for k in ("concepts", "roles", "datalog+", "datalog-")}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0]
-        for chunk in line.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            loc = SourceLocation(filename, lineno, 1)
+        for chunk, column in _pieces(raw.split("%", 1)[0], ";", 1):
+            loc = SourceLocation(filename, lineno, column)
             key, eq, items = chunk.partition("=")
             key = key.strip()
-            if not eq or key not in _BIAS_KEYS:
-                raise ParseError(f"expected one of {sorted(_BIAS_KEYS)} before '='", loc)
-            for item in items.split(","):
-                item = item.strip()
-                if not item:
-                    continue
+            if not eq or key not in _BIAS_KINDS:
+                raise ParseError(f"expected one of {sorted(_BIAS_KINDS)} before '='", loc)
+            for item, at in _pieces(items, ",", column + len(chunk) - len(items)):
+                loc = SourceLocation(filename, lineno, at)
                 name, slash, arity = item.partition("/")
                 pred = kb.predicate(name.strip())
                 if pred is None:
                     raise ParseError(f"undeclared predicate {name.strip()!r}", loc)
-                if pred.kind != _BIAS_KEYS[key]:
+                if pred.kind != _BIAS_KINDS[key]:
                     raise ParseError(f"{pred.name!r} is not in the {key!r} alphabet", loc)
                 if slash and not _INT_RE.fullmatch(arity.strip()):
                     raise ParseError(f"malformed arity {arity.strip()!r} for {pred.name!r}", loc)

@@ -29,6 +29,7 @@ from .model import (
     _set_canonical,
     CONCEPT,
     DATALOG,
+    FORM,
     is_linked,
     validate_safeness,
 )
@@ -146,10 +147,6 @@ _CANONICAL_LITERALS: dict[tuple, Literal] = {}
 _TAILS: dict[tuple, dict[tuple, tuple[Literal, ...]]] = {}
 _TAILS_SIZE = 4096
 
-#: Canonical forms by head and body (see :func:`_key`): at most ``_KEYS_SIZE``.
-_KEYS: dict[tuple[Atom, tuple[Literal, ...]], Rule] = {}
-_KEYS_SIZE = 1 << 14
-
 
 def _canonical_literal(key: tuple, numbers: tuple[int, ...], lit: Literal) -> Literal:
     """``lit``, whose :func:`_literal_key` is ``key``, with its variables
@@ -240,17 +237,6 @@ def _canonical_tail(n: int, new: tuple[int, ...], keyed: list[tuple]) -> tuple[L
     return tuple([_canonical_literal(keys[j], tuple([names[i] for i in occ[j]]), keyed[j][2]) for j in placed])
 
 
-def _key(head: Atom, body: tuple[Literal, ...]) -> Rule:
-    """The canonical form ``head :- body``: one object, whose hash is computed
-    once, while ``_KEYS`` holds it (a clear loses only that sharing)."""
-    key = _KEYS.get((head, body))
-    if key is None:
-        if len(_KEYS) >= _KEYS_SIZE:
-            _KEYS.clear()
-        key = _KEYS.setdefault((head, body), Rule._distinct(head, body))
-    return key
-
-
 def canonical_form(rule: Rule) -> Rule:
     """Rename variables to a canonical sequence, modulo body reordering, so
     that alphabetic variants collapse to an identical rule.
@@ -261,20 +247,20 @@ def canonical_form(rule: Rule) -> Rule:
     canonical rules.
 
     This function computes the form from scratch; :func:`refine` builds its
-    added-literal children's forms from their parent's instead; both share
-    the object through :func:`_key`.  The form is computed once per rule
-    object and kept in its ``_canonical`` slot, where :func:`refine` has
-    already put it for every child it returns, but a form's stays empty.  A
-    copy of a rule, or an equal rule built anew, computes it again.
+    added-literal children's forms from their parent's instead.  The form is
+    computed once per rule object and kept in its ``_canonical`` slot, where
+    :func:`refine` has already put it for every child it returns; a form's
+    slot holds :data:`~ontorules.model.FORM`, so the form is its own.  A copy
+    of a rule, or an equal rule built anew, computes it again.
     """
     key = rule._canonical
+    if key is FORM:
+        return rule
     if key is None:
-        if _KEYS.get((rule.head, rule.body)) is rule:
-            return rule
         ids = _head_ids(rule.head)
         head = _canonical_head(rule.head, ids)
         n_head = len(ids)  # before _keyed_body numbers the body's variables
-        key = _key(head, _canonical_tail(n_head, (), _keyed_body(rule.body, ids)))
+        key = Rule._distinct(head, _canonical_tail(n_head, (), _keyed_body(rule.body, ids)), FORM)
         _set_canonical(rule, key)
     return key
 
@@ -312,10 +298,10 @@ def refine(
     The literals a child adds come from :func:`_added_literals`, with their
     sort keys and positions, so parents with the same head and variables
     share them.  Children are deduplicated on their keys' bodies (interned
-    literals, hashed in C); only a new body gets a key, shared with its
-    variants by :func:`_key`, and a child.  Keys, steps and added-literal
-    children skip the public constructors (:meth:`Rule._distinct`); a
-    specialized child does not, as its literal may already be in the body.
+    literals, hashed in C); only a new body gets a key and a child.  Keys,
+    steps and added-literal children skip the public constructors
+    (:meth:`Rule._distinct`); a specialized child does not, as its literal
+    may already be in the body.
     """
     head, body = h.head, h.body
     distinct = Rule._distinct
@@ -382,7 +368,7 @@ def refine(
                 seen.add(key_body)
                 if len(seen) == size:
                     continue  # a variant of a child kept, or refused, before
-                key = _key(parent_key.head, key_body)
+                key = distinct(parent_key.head, key_body, FORM)
                 # a literal whose atom h lacks is none of h's literals, so the
                 # child's body is distinct and needs no dedupe pass
                 child = distinct(head, body + (lit,), key)

@@ -281,7 +281,7 @@ def test_malformed_bias_arity_is_an_input_error(capsys, tmp_path, arity):
     code, out, err = run(capsys, "learn", "--kb", KB, "--examples", str(DATA / "likes.oex"),
                          "--bias", str(bias))
     assert (code, out) == (1, "")
-    assert err.splitlines() == [f"error: {bias}:2:1: malformed arity {arity!r} for 'meets'"]
+    assert err.splitlines() == [f"error: {bias}:2:21: malformed arity {arity!r} for 'meets'"]
 
 
 def test_compare(capsys):

@@ -65,7 +65,6 @@ gc.disable()
 results = work()
 del results
 refine = importlib.import_module("ontorules.refine")
-refine._KEYS.clear()
 refine._TAILS.clear()
 gc.set_debug(gc.DEBUG_SAVEALL)
 found = gc.collect()

@@ -81,6 +81,17 @@ def test_a_null_is_named_by_its_anchor_role_and_direction():
     assert close({Atom(A, (joe,)), Atom(B, (mary,)), Atom(A, (mary,))}, tbox)[1] == nulls
 
 
+def test_a_null_fills_every_role_above_its_own():
+    """A null fills its role and each role above it, through a chain of
+    inclusions too: the chase derives nothing from a null's atoms, so it
+    makes them all at once."""
+    A = Predicate("A", 1, CONCEPT)
+    tbox = (ConceptInclusion(("A",), Existential("R")), RoleInclusion("R", "S"), RoleInclusion("S", "T"))
+    _, nulls = close({Atom(A, (mary,))}, tbox)
+    assert sorted(a.pred.name for a in nulls) == ["R", "S", "T"]
+    assert len({a.args for a in nulls}) == 1
+
+
 def test_saturation_clash_detection(kb):
     guess = DLGuess(
         frozenset({Atom(WTM, (mary, Const("Joe")))}),

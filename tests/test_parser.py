@@ -131,6 +131,19 @@ def test_bias_kind_mismatch(kb):
         parse_bias("concepts = famous/1", kb)
 
 
+@pytest.mark.parametrize("text, message, column", [
+    # at the offending item, not at the line's first column
+    ("concepts = famous", "'famous' is not in the 'concepts' alphabet", 12),
+    ("roles = LOVES, nope", "undeclared predicate 'nope'", 16),
+    ("concepts = UNMARRIED/x", "malformed arity 'x' for 'UNMARRIED'", 12),
+    ("datalog+ =   happy/2", "arity mismatch for 'happy'", 14),
+])
+def test_bias_errors_point_at_their_item(kb, text, message, column):
+    with pytest.raises(ParseError) as exc:
+        parse_bias(text, kb, "b.obias")
+    assert str(exc.value) == f"b.obias:1:{column}: {message}"
+
+
 def test_ground_atom(kb):
     atom = parse_ground_atom("meets(Mary,Paul,Italy)", kb)
     assert atom.is_ground() and atom.pred.name == "meets"

@@ -290,7 +290,7 @@ def test_cached_candidate_literals_change_nothing():
     check()
 
 
-def test_one_intern_table_serves_both_keying_paths():
+def test_one_intern_table_serves_both_keying_paths(kb, likes_bias):
     """``refine``'s incremental keys and ``canonical_form`` from scratch take
     their literals from one table, keyed by (:func:`_literal_key`, numbers of
     the literal's variables).  For parents with constants, negated literals
@@ -298,7 +298,9 @@ def test_one_intern_table_serves_both_keying_paths():
     itself, and the from-scratch forms of the children add no entry; every
     entry is keyed by its own literal's pair; no other table of the module
     holds literals, and the memo of key tails holds only the table's entries
-    and stays within its bound."""
+    and stays within its bound.  No table of the module holds a rule, even
+    while the steps of a LIKES depth-2 walk are alive: the keys live in their
+    steps and children only."""
     module = sys.modules["ontorules.refine"]
     table = module._CANONICAL_LITERALS
 
@@ -331,6 +333,21 @@ def test_one_intern_table_serves_both_keying_paths():
     entries = {id(lit) for lit in table.values()}
     assert 0 < len(module._TAILS) <= module._TAILS_SIZE
     assert all(id(lit) in entries for tails in module._TAILS.values() for tail in tails.values() for lit in tail)
+
+    def holds_rule(value, depth=3):
+        if isinstance(value, Rule):
+            return True
+        if depth and isinstance(value, dict):
+            value = [*value, *value.values()]
+        elif not (depth and isinstance(value, (list, set, frozenset, tuple))):
+            return False
+        return any(holds_rule(v, depth - 1) for v in value)
+
+    steps = _steps(seed_rule(Predicate("LIKES", 2, ROLE)), likes_bias, kb.tbox, 2)
+    assert len(steps) == 6 + 318
+    holders = [name for name, value in vars(module).items()
+               if not name.startswith("__") and isinstance(value, (dict, list, set)) and holds_rule(value)]
+    assert holders == []
 
 
 def _parents_after_one_and_two_variables():
@@ -430,15 +447,15 @@ def _parent_of_variant_specializations():
 
 
 def test_key_tails_are_reused_across_parents_in_any_order():
-    """The memo of key tails and the table of keys that ``refine`` shares
-    between calls give the steps of a reference that keys every candidate
-    from scratch and dedupes the keys by ``Rule`` equality, whichever parents
-    filled them: for parents that share tails, their variants and the first
-    of them under another head (whose keys have the same bodies), refined in
-    two orders, from a cold memo and table and from warm ones, with one fresh
-    variable per added literal and with two.  Equal keys, of one parent or of
-    several, are one object, which ``canonical_form`` of a body-shuffled copy
-    of the child returns too, and the warm table returns the cold one's."""
+    """The memo of key tails that ``refine`` shares between calls gives the
+    steps of a reference that keys every candidate from scratch and dedupes
+    the keys by ``Rule`` equality, whichever parents filled it: for parents
+    that share tails, their variants and the first of them under another head
+    (whose keys have the same bodies), refined in two orders, from a cold
+    memo and from a warm one, with one fresh variable per added literal and
+    with two.  Keys of one form, of one parent or of several, are equal, and
+    equal to ``canonical_form`` of a body-shuffled copy of the child, and the
+    warm memo gives the cold one's."""
     module = sys.modules["ontorules.refine"]
     across = Counter()
 
@@ -459,7 +476,6 @@ def test_key_tails_are_reused_across_parents_in_any_order():
         for clear, order in ((True, forward), (False, backward), (True, backward), (False, forward)):
             if clear:
                 module._TAILS.clear()
-                module._KEYS.clear()
                 cold.clear()
             keys, owners = {}, {}
             for i in order:
@@ -469,11 +485,11 @@ def test_key_tails_are_reused_across_parents_in_any_order():
                 for s in steps:
                     assert s.key.head is head
                     form = (s.key.head, s.key.body)
-                    assert keys.setdefault(form, s.key) is s.key
-                    assert cold.setdefault(form, s.key) is s.key
+                    assert keys.setdefault(form, s.key) == s.key
+                    assert cold.setdefault(form, s.key) == s.key
                     owners.setdefault(form, set()).add(i)
                     shuffled = Rule(s.child.head, tuple(rng.sample(s.child.body, len(s.child.body))))
-                    assert canonical_form(shuffled) is s.key
+                    assert canonical_form(shuffled) == s.key
             across["shared"] += sum(len(o) > 1 for o in owners.values())
 
     check()
@@ -497,41 +513,15 @@ def test_the_memo_of_key_tails_is_cleared_when_full(monkeypatch):
         assert 0 < len(module._TAILS) <= 5
 
 
-def test_the_table_of_keys_is_cleared_when_full(monkeypatch):
-    """With room for a few keys, the table is cleared before a key would
-    take it past its bound; keys stay the from-scratch ones, and a key built
-    after a clear is equal to, but not, the one built before it."""
-    module = sys.modules["ontorules.refine"]
-    parents = _tail_parents() + _parents_after_one_and_two_variables()
-    module._KEYS.clear()
-    before = {}
-    for parent in parents:
-        for step in refine(parent, PROPERTY_BIAS, PROPERTY_TBOX):
-            before[step.key.head, step.key.body] = step.key
-    assert len(module._KEYS) > 5
-    monkeypatch.setattr(module, "_KEYS_SIZE", 5)
-    module._KEYS.clear()
-    for parent in parents:
-        for step in refine(parent, PROPERTY_BIAS, PROPERTY_TBOX):
-            fresh = _form(step.child)
-            assert step.key.head is fresh.head and step.key.body == fresh.body
-            old = before[step.key.head, step.key.body]
-            assert step.key == old and hash(step.key) == hash(old) and step.key is not old
-            assert 0 < len(module._KEYS) <= 5
-
-
 def test_the_likes_walk_from_eight_threads(kb, likes_bias):
     """Eight threads that walk LIKES to depth 3 at once each get the serial
-    steps, and, as they fill one table of keys, one key object per form."""
-    module = sys.modules["ontorules.refine"]
+    steps, and equal keys per form."""
 
     def walk():
         steps = _steps(seed_rule(Predicate("LIKES", 2, ROLE)), likes_bias, kb.tbox, 3)
         return [(s.rule_applied, s.literal, s.child, s.key) for s in steps]
 
-    module._KEYS.clear()
     serial = walk()
-    module._KEYS.clear()
     assert len(serial) == 20682
     interval = sys.getswitchinterval()
     barrier, results = threading.Barrier(8), [None] * 8
@@ -552,7 +542,7 @@ def test_the_likes_walk_from_eight_threads(kb, likes_bias):
     objects = {}
     for result in results:
         assert result == serial
-        assert all(objects.setdefault((key.head, key.body), key) is key for *_, key in result)
+        assert all(objects.setdefault((key.head, key.body), key) == key for *_, key in result)
 
 
 def test_children_carry_their_key(kb, likes_bias, likes_rules, monkeypatch):
@@ -727,8 +717,8 @@ def test_a_second_identical_walk_interns_no_new_value(likes_bias, kb):
 
 def test_a_dropped_walk_leaves_no_garbage_for_the_collector(kb, likes_bias):
     """No canonical key refers to itself: with the cyclic collector off, a
-    LIKES depth-2 walk whose steps and tables of keys and tails are then
-    dropped leaves nothing that only the collector could free."""
+    LIKES depth-2 walk whose steps and memo of key tails are then dropped
+    leaves nothing that only the collector could free."""
     module = sys.modules["ontorules.refine"]
     enabled = gc.isenabled()
     gc.collect()
@@ -737,7 +727,6 @@ def test_a_dropped_walk_leaves_no_garbage_for_the_collector(kb, likes_bias):
         steps = _steps(seed_rule(Predicate("LIKES", 2, ROLE)), likes_bias, kb.tbox, 2)
         assert len(steps) == 6 + 318
         del steps
-        module._KEYS.clear()
         module._TAILS.clear()
         assert gc.collect() == 0
     finally:

@@ -2,16 +2,18 @@
 
 The scripts read private names of the package (``hybrid._partial_ground``,
 ``hybrid._augmented``, ``refine._added_literals``, ``refine._head_ids``,
-``refine._literal_key``, ``refine._TAILS``, ``refine._KEYS``,
-``Rule._distinct``), which a refactor can rename or reshape without any
-other test noticing.  Each script is imported by path under a name other
-than ``__main__``, so its ``main`` does not run on import; the tests below
-run the ``main`` of ``profile_refine.py``, that of ``output_digest.py`` on
-two commands, and small sizes of ``scale_ladder.py``.
+``refine._literal_key``, ``refine._TAILS``, ``Rule._distinct``), which a
+refactor can rename or reshape without any other test noticing.  Each script
+is imported by path under a name other than ``__main__``, so its ``main``
+does not run on import; the tests below run the ``main`` of
+``profile_refine.py``, that of ``output_digest.py`` on two commands, and
+small sizes of ``scale_ladder.py``, once as a program whose reader has gone.
 """
 
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,8 +46,8 @@ def _script(monkeypatch, name):
 def test_the_refine_profile_runs_and_counts_private_constructions(monkeypatch, capsys):
     """``profile_refine.py`` runs to its end, the rules it counts as built
     through ``Rule._distinct`` are some, it prints the sizes of the intern
-    tables and of the memo of ``subsumes``, some steps share a key that an
-    earlier step interned, ``refine``'s memo of key tails reuses both
+    tables and of the memo of ``subsumes``, some steps' keys are of one form
+    (variants of different parents), ``refine``'s memo of key tails reuses both
     suffixes and tie tails on the LIKES walk, and the cyclic collector,
     reported once per phase, frees nothing in either."""
     _script(monkeypatch, "profile_refine").main()
@@ -56,8 +58,8 @@ def test_the_refine_profile_runs_and_counts_private_constructions(monkeypatch, c
     assert tables and all(int(tables[i]) > 0 for i in (1, 2, 3, 4)), out[-2000:]
     closures = re.search(r"^subsumes memo: closures of (\d+) TBox\(es\)$", out, re.M)
     assert closures and int(closures[1]) > 0, out[-2000:]
-    keys = re.search(r"^key table: (\d+) canonical keys; (\d+) of (\d+) steps got a key already interned$", out, re.M)
-    assert keys and 0 < int(keys[2]) < int(keys[3]) and 0 < int(keys[1]), out[-2000:]
+    keys = re.search(r"^canonical keys: (\d+) distinct forms among the (\d+) steps' keys$", out, re.M)
+    assert keys and 0 < int(keys[1]) < int(keys[2]), out[-2000:]
     tails = re.search(r"^memo of key tails: suffixes (\d+) computed, (\d+) reused; "
                       r"tie tails (\d+) computed, (\d+) reused$", out, re.M)
     assert tails and all(int(tails[i]) > 0 for i in (1, 2, 3, 4)), out[-2000:]
@@ -74,6 +76,20 @@ def test_a_learn_ladder_learns_its_labelling_rule(monkeypatch, capsys, task, siz
     row = capsys.readouterr().out.splitlines()[-1]
     assert row.split()[0] == str(size)
     assert row.endswith("  " + ladder.LEARN[task]["rule"]), row
+
+
+def test_a_ladder_whose_reader_has_gone_exits_without_a_traceback():
+    """``scale_ladder.py models`` run with its standard output a pipe whose
+    read end is closed at once: exit 1 and no traceback, as the CLI."""
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(SCRIPTS[0].parents[1] / "src")}
+    try:
+        done = subprocess.run([sys.executable, str(SCRIPTS[0].parent / "scale_ladder.py"), "models"], stdout=write,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert done.returncode == 1 and "Traceback" not in done.stderr, done.stderr[-2000:]
 
 
 def test_the_check_ladder_agrees_with_the_learners_coverage_test(monkeypatch, capsys):

@@ -115,7 +115,7 @@ ORDERED = INTERNED = (Var, Const, Predicate, Atom, Literal)
 Q = Predicate("q", 1, DATALOG)
 (STEP,) = refine(RULE, LanguageBias(datalog_pos=frozenset({Q})))
 FAST = [
-    (Rule._distinct(RULE.head, RULE.body), RULE_REPR, ("head", "body")),
+    (Rule._distinct(RULE.head, RULE.body, None), RULE_REPR, ("head", "body")),
     (STEP, repr(RefinementStep(ADD_DATALOG, Literal(Atom(Q, (X,))), RULE,
                                Rule(RULE.head, RULE.body + (Literal(Atom(Q, (X,))),)),
                                Rule(Atom(C, (Var("V0"),)), (Literal(Atom(P, (Var("V0"),))),
